@@ -58,6 +58,13 @@ def _check_probability(p: float, name: str = "p") -> float:
     return p
 
 
+def _check_phase(xi: float) -> float:
+    xi = float(xi)
+    if not np.isfinite(xi):
+        raise ValueError(f"xi must be a finite number of radians, got {xi}")
+    return xi
+
+
 def bloch_vector(r) -> np.ndarray:
     """Validate a Bloch vector: real 3-vector with norm <= 1.
 

@@ -56,12 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fig2.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     fig2.add_argument("--svg", default=None, help="also write an SVG line plot here")
-    fig2.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    fig2.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility and ignored"
+    )
 
     sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
     sweep.add_argument("--config", required=True, help="path to the key = value config")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    sweep.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    sweep.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility and ignored"
+    )
 
     point = sub.add_parser("point", help="print one quantity at one parameter point")
     point.add_argument("--noise", choices=NOISE_KINDS, default="bitflip")
@@ -88,14 +92,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "fig2":
-            columns, rows = fig2_preset(steps=args.steps, xi=args.xi, threads=args.threads)
+            columns, rows = fig2_preset(steps=args.steps, xi=args.xi)
             _write_csv(columns, rows, args.out)
             if args.svg is not None:
                 emit_svg(rows, "p", columns[1:], args.svg)
         elif args.command == "sweep":
             with open(args.config, encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
-            columns, rows = run_sweep(cfg, threads=args.threads)
+            columns, rows = run_sweep(cfg)
             _write_csv(columns, rows, args.out)
         elif args.command == "point":
             value = compute_quantity(

@@ -22,6 +22,7 @@ from .channels import (
     pauli_channel,
 )
 from .metrology import (
+    cascade_qfi_grid,
     cfi_control,
     control_family,
     qfi_cascade,
@@ -30,6 +31,7 @@ from .metrology import (
     qfi_numeric,
 )
 from .qmat import channel_choi, herm_eig
+from .sweep import noise_contraction
 from .switch import (
     qc_closed_form,
     qc_numeric,
@@ -251,21 +253,31 @@ def check_symmetry_and_limits(tol: float = 1e-12) -> CheckResult:
 
 
 def check_fig2_shape(tol: float = 1e-12) -> CheckResult:
-    """Control column symmetric about p = 1/2, peaked there, above the cascade at high noise."""
+    """Control column symmetric about p = 1/2, peaked there, above the cascade at high noise.
+
+    The 20 crossover points also hold the batched cascade engine against
+    the SLD route, to 1e-6.
+    """
     xi = np.pi / 5
     ps = np.linspace(0.0, 1.0, 11)
     con = [qfi_control_opt(p, xi, 0.0).value for p in ps]
     sym = max(abs(con[i] - con[10 - i]) for i in range(11))
     peak_ok = int(np.argmax(con)) == 5
     cross_ok = True
+    engine_diff = 0.0
+    high = (0.6, 0.7, 0.8, 0.9)
+    contraction = noise_contraction("bitflip", high)
     for r in (1.0, 0.8, 0.6, 0.4, 0.2):
-        for p in (0.6, 0.7, 0.8, 0.9):
+        engine = cascade_qfi_grid(contraction, (0.0, 1.0, 0.0), xi, (0.0, 0.0, r))
+        for p, fast in zip(high, engine):
             cas = qfi_cascade(pauli_channel(PauliAxis.X, p), (0.0, 1.0, 0.0), xi, (0.0, 0.0, r)).value
             cross_ok &= qfi_control_opt(p, xi, 0.0).value > cas
+            engine_diff = max(engine_diff, abs(fast - cas))
     return CheckResult(
         "control-vs-cascade comparison shape",
-        sym < tol and peak_ok and cross_ok,
-        f"symmetry residual = {sym:.3e}; peak at p = 0.5: {peak_ok}; high-noise crossover: {cross_ok}",
+        sym < tol and peak_ok and cross_ok and engine_diff < 1e-6,
+        f"symmetry residual = {sym:.3e}; peak at p = 0.5: {peak_ok}; "
+        f"high-noise crossover: {cross_ok}; max |engine - SLD| = {engine_diff:.3e} on 20 points",
     )
 
 

@@ -5,21 +5,21 @@ quantities at fixed (p_c, xi, axis, probe):
 
     qc        coupling scalar tr s01 (trace route, any noise kind)
     fq_con    quantum FI of the control qubit
-    fq_cas    quantum FI of the plain cascade (numeric SLD)
+    fq_cas    quantum FI of the plain cascade (batched Bloch engine)
     fc_con    classical FI of the Hadamard measurement of the control
     fq_joint  quantum FI of the joint probe-control output (numeric SLD)
 
 For the Pauli noise kinds fq_con and fc_con use the closed forms; for
-depolarizing noise they fall back to the numeric routes.  Rows are plain
-dicts in grid order; evaluation is pure per grid point, so results are
-identical for any thread count.
+depolarizing noise they fall back to the numeric routes.  fq_cas comes
+from one call of the Bloch-space engine over the whole grid.  Rows are
+plain dicts in grid order.  Evaluation runs in one thread; the ``threads``
+arguments are accepted and ignored, so results never depend on them.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     PauliAxis,
+    _check_phase,
     bloch_to_density,
     bloch_vector,
     depolarizing_channel,
@@ -34,10 +35,10 @@ from .channels import (
     pauli_channel,
 )
 from .metrology import (
+    cascade_qfi_grid,
     cfi_control,
     cfi_numeric,
     control_family,
-    qfi_cascade,
     qfi_control,
     qfi_joint,
     qfi_numeric,
@@ -55,6 +56,9 @@ FIG2_R_VALUES = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 # Config axes are human-typed; near-unit vectors within this are renormalized.
 CONFIG_AXIS_TOL = 1e-6
+# Largest noise grid accepted (config `p` ranges and `fig2 --steps`): checked
+# before anything is allocated, so a tiny step fails at once instead of hanging.
+MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -81,13 +85,19 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
     """Arithmetic grid start, start+step, ..., inclusive of stop.
 
     Points are clipped to stop so roundoff cannot push a probability past
-    its validated range.
+    its validated range.  The point count is checked against
+    MAX_GRID_POINTS before the list is built.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if start > stop:
         raise ValueError(f"grid start {start} exceeds stop {stop}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid step {step} on [{start}, {stop}] gives more than {MAX_GRID_POINTS} points"
+        )
+    count = math.floor(span) + 1
     return [min(start + i * step, stop) for i in range(count)]
 
 
@@ -162,7 +172,11 @@ def parse_config(text: str) -> SweepConfig:
                 raise ConfigError(f"line {lineno}: {exc}") from None
             cfg.probe = vec
         elif key == "xi":
-            cfg.xi = _parse_float(raw, lineno, key)
+            v = _parse_float(raw, lineno, key)
+            try:
+                cfg.xi = _check_phase(v)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         elif key == "p_c":
             v = _parse_float(raw, lineno, key)
             if not 0.0 <= v <= 1.0:
@@ -175,7 +189,7 @@ def parse_config(text: str) -> SweepConfig:
             try:
                 grid_points(start, stop, step)
             except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
+                raise ConfigError(f"line {lineno}: p {exc}") from None
             cfg.p_grid = (start, stop, step)
         elif key == "quantities":
             names = tuple(s.strip() for s in raw.split(","))
@@ -201,6 +215,28 @@ def noise_channel(kind: str, p: float) -> KrausChannel:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
+def noise_contraction(kind: str, p_array) -> np.ndarray:
+    """Bloch-space contraction factors of the noise, one row per level p.
+
+    Pauli noise with sigma_l keeps the l component of the Bloch vector and
+    scales the other two by 1 - 2p; depolarizing noise scales all three by
+    1 - p.  Row i is the diagonal of D(p_i), the input of cascade_qfi_grid.
+    """
+    p = np.asarray(p_array, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError(f"noise levels must form a 1-d array, got shape {p.shape}")
+    bad = p[~((p >= 0.0) & (p <= 1.0))]
+    if bad.size:
+        raise ValueError(f"p must be a probability in [0, 1], got {bad[0]}")
+    if kind == "depolarizing":
+        return np.repeat((1.0 - p)[:, None], 3, axis=1)
+    if kind in PAULI_OF_KIND:
+        factors = np.repeat((1.0 - 2.0 * p)[:, None], 3, axis=1)
+        factors[:, PAULI_OF_KIND[kind].index] = 1.0
+        return factors
+    raise ValueError(f"unknown noise kind {kind!r}")
+
+
 def compute_quantity(
     name: str,
     kind: str,
@@ -211,6 +247,9 @@ def compute_quantity(
     probe,
 ) -> float:
     """One scalar of the sweep at one grid point."""
+    xi = _check_phase(xi)
+    if name == "fq_cas":
+        return float(cascade_qfi_grid(noise_contraction(kind, [p]), axis, xi, probe)[0])
     noise = noise_channel(kind, p)
     axis = np.asarray(axis, dtype=float)
     rho = bloch_to_density(probe)
@@ -221,8 +260,6 @@ def compute_quantity(
         if pauli is not None:
             return qfi_control(p_c, p, xi, axis[pauli.index]).value
         return qfi_numeric(control_family(noise, axis, rho, p_c), xi).value
-    if name == "fq_cas":
-        return qfi_cascade(noise, axis, xi, probe).value
     if name == "fc_con":
         if pauli is not None:
             return cfi_control(p_c, p, xi, axis[pauli.index]).value
@@ -232,17 +269,12 @@ def compute_quantity(
     raise ValueError(f"unknown quantity {name!r}")
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_sweep(cfg: SweepConfig, threads: int = 1) -> tuple[list[str], list[dict]]:
     """Evaluate the sweep; returns (column names, rows in grid order).
 
-    Grid points are independent, so results do not depend on ``threads``.
+    The fq_cas column comes from one cascade_qfi_grid call over the whole
+    grid; the other quantities are evaluated per row.  ``threads`` is
+    accepted and ignored: the sweep runs in one thread.
     """
     columns = [
         "p",
@@ -257,8 +289,14 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> tuple[list[str], list[dict]
         "noise_kind",
         *cfg.quantities,
     ]
+    grid = cfg.grid()
+    cascade = None
+    if "fq_cas" in cfg.quantities:
+        contraction = noise_contraction(cfg.noise_kind, grid)
+        cascade = cascade_qfi_grid(contraction, cfg.axis, cfg.xi, cfg.probe)
 
-    def one_row(p: float) -> dict:
+    rows = []
+    for i, p in enumerate(grid):
         row = {
             "p": p,
             "p_c": cfg.p_c,
@@ -272,15 +310,17 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> tuple[list[str], list[dict]
             "noise_kind": cfg.noise_kind,
         }
         for name in cfg.quantities:
+            if name == "fq_cas":
+                row[name] = float(cascade[i])
+                continue
             try:
                 row[name] = compute_quantity(
                     name, cfg.noise_kind, p, cfg.p_c, cfg.xi, cfg.axis, cfg.probe
                 )
             except Exception as exc:
                 raise RuntimeError(f"sweep failed at p = {p}, quantity {name!r}: {exc}") from exc
-        return row
-
-    return columns, _map_ordered(one_row, cfg.grid(), threads)
+        rows.append(row)
+    return columns, rows
 
 
 def _cas_column_name(r: float) -> str:
@@ -296,30 +336,37 @@ def fig2_preset(
     """Control-vs-cascade comparison preset.
 
     Bit-flip noise, rotation axis e_y, probe r e_z, and a grid of ``steps``
-    noise levels on [0, 1].  Columns: the control-qubit quantum FI at
-    p_c = 1/2 (closed form) and one numeric cascade column per probe
-    length r.  The control column is probe independent; the cascade
-    columns start at 4 r^2 and vanish at p = 1.  They are non-increasing
-    in p up to p = 1/2; past it the noise tends to the unitary sigma_x and
-    they show a small rebound (at xi = pi/5 and r = 1, a rise of about
-    2e-3 from p = 0.61 to p = 0.69) before vanishing at p = 1.
+    noise levels on [0, 1] (at most MAX_GRID_POINTS).  Columns: the
+    control-qubit quantum FI at p_c = 1/2 (closed form) and one cascade
+    column per probe length r, each from one cascade_qfi_grid call over
+    the whole grid.  The control column is probe independent; the cascade
+    columns start at exactly 4 r^2 and vanish at p = 1.  They are
+    non-increasing in p up to p = 1/2; past it the noise tends to the
+    unitary sigma_x and they show a small rebound (at xi = pi/5 and r = 1,
+    a rise of about 2e-3 from p = 0.61 to p = 0.69) before vanishing at
+    p = 1.  ``threads`` is accepted and ignored.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
+    if steps > MAX_GRID_POINTS:
+        raise ValueError(f"steps must not exceed {MAX_GRID_POINTS}, got {steps}")
+    xi = _check_phase(xi)
     for r in r_values:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"probe length must lie in [0, 1], got {r}")
     columns = ["p", "fq_con", *(_cas_column_name(r) for r in r_values)]
     grid = np.linspace(0.0, 1.0, steps)
-
-    def one_row(p: float) -> dict:
-        row = {"p": float(p), "fq_con": qfi_control(0.5, p, xi, 0.0).value}
-        for r in r_values:
-            noise = pauli_channel(PauliAxis.X, p)
-            row[_cas_column_name(r)] = qfi_cascade(noise, (0.0, 1.0, 0.0), xi, (0.0, 0.0, r)).value
-        return row
-
-    return columns, _map_ordered(one_row, [float(p) for p in grid], threads)
+    contraction = noise_contraction("bitflip", grid)
+    cascade = {
+        _cas_column_name(r): cascade_qfi_grid(contraction, (0.0, 1.0, 0.0), xi, (0.0, 0.0, r))
+        for r in r_values
+    }
+    rows = []
+    for i, p in enumerate(grid):
+        row = {"p": float(p), "fq_con": qfi_control(0.5, float(p), xi, 0.0).value}
+        row.update((name, float(column[i])) for name, column in cascade.items())
+        rows.append(row)
+    return columns, rows
 
 
 def format_number(value: float) -> str:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icoswitch.channels import (
+    apply_channel,
     bloch_to_density,
     depolarizing_channel,
     noisy_phase_channel,
@@ -12,6 +15,7 @@ from icoswitch.channels import (
 )
 from icoswitch.metrology import (
     cascade_family,
+    cascade_qfi_grid,
     cfi_control,
     cfi_numeric,
     control_family,
@@ -22,6 +26,14 @@ from icoswitch.metrology import (
     qfi_control_opt,
     qfi_joint,
     qfi_numeric,
+)
+from icoswitch.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
+from icoswitch.sweep import (
+    FIG2_R_VALUES,
+    NOISE_KINDS,
+    fig2_preset,
+    noise_channel,
+    noise_contraction,
 )
 from icoswitch.switch import qc_closed_form
 
@@ -270,6 +282,89 @@ class TestQfiCascade:
         assert col[7] > col[6] + 1e-3  # genuine rebound, confirmed by the Bloch oracle
         assert abs(cascade_bloch_oracle(0.7, 1.0, XI) - cascade_bloch_oracle(0.6, 1.0, XI) - (col[7] - col[6])) < 1e-6
         assert col[10] < 1e-9
+
+
+def unit_vectors():
+    return (
+        st.tuples(*(st.floats(-1, 1, allow_nan=False),) * 3)
+        .filter(lambda v: np.linalg.norm(v) > 0.1)
+        .map(lambda v: np.asarray(v) / np.linalg.norm(v))
+    )
+
+
+class TestCascadeQfiGrid:
+    @given(
+        kind=st.sampled_from(NOISE_KINDS),
+        p=st.floats(0, 1, allow_nan=False),
+        axis=unit_vectors(),
+        direction=unit_vectors(),
+        length=st.one_of(st.just(1.0), st.floats(0, 1, allow_nan=False)),
+        xi=st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sld_route(self, kind, p, axis, direction, length, xi):
+        probe = direction * length
+        fast = cascade_qfi_grid(noise_contraction(kind, [p]), axis, xi, probe)[0]
+        oracle = qfi_cascade(noise_channel(kind, p), axis, xi, probe).value
+        assert abs(fast - oracle) < 1e-6
+
+    def test_fig2_columns_match_bloch_oracle(self):
+        columns, rows = fig2_preset(steps=201)
+        for name, r in zip(columns[2:], FIG2_R_VALUES):
+            for row in rows:
+                assert abs(row[name] - cascade_bloch_oracle(row["p"], r, XI)) < 1e-12
+
+    def test_exact_anchors(self):
+        ends = noise_contraction("bitflip", [0.0, 1.0])
+        for xi in (XI, 1.0, 2.5, -0.4):
+            for r in FIG2_R_VALUES:
+                start, end = cascade_qfi_grid(ends, E_Y, xi, (0, 0, r))
+                assert abs(start - 4 * r * r) < 1e-12
+                assert end == 0.0
+        full = noise_contraction("depolarizing", [1.0])
+        assert cascade_qfi_grid(full, (0.6, 0.0, 0.8), XI, (0.3, 0.4, 0.5))[0] == 0.0
+
+    def test_one_call_equals_per_point_calls(self):
+        grid = np.linspace(0.0, 1.0, 9)
+        axis, probe = (0.6, 0.0, 0.8), (0.5, 0.5, 0.5)
+        batch = cascade_qfi_grid(noise_contraction("phaseflip", grid), axis, XI, probe)
+        for p, value in zip(grid, batch):
+            single = cascade_qfi_grid(noise_contraction("phaseflip", [p]), axis, XI, probe)
+            assert single[0] == value
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="shape"):
+            cascade_qfi_grid(np.ones(3), E_Y, XI, (0, 0, 1))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            cascade_qfi_grid([[1.0, 1.5, 1.0]], E_Y, XI, (0, 0, 1))
+        with pytest.raises(ValueError, match="xi"):
+            cascade_qfi_grid([[1.0, 1.0, 1.0]], E_Y, float("nan"), (0, 0, 1))
+
+
+class TestNoiseContraction:
+    def test_matches_pauli_transfer_matrix(self):
+        # T_ij = 1/2 tr(sigma_i E(sigma_j)) from the Kraus set is diag D(p).
+        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        grid = np.linspace(0.0, 1.0, 7)
+        for kind in NOISE_KINDS:
+            factors = noise_contraction(kind, grid)
+            for p, row in zip(grid, factors):
+                channel = noise_channel(kind, p)
+                transfer = np.array(
+                    [
+                        [0.5 * np.trace(si @ apply_channel(channel, sj)).real for sj in paulis]
+                        for si in paulis
+                    ]
+                )
+                np.testing.assert_allclose(transfer, np.diag(row), atol=1e-15)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="probability"):
+            noise_contraction("bitflip", [0.2, 1.5])
+        with pytest.raises(ValueError, match="probability"):
+            noise_contraction("bitflip", [float("nan")])
+        with pytest.raises(ValueError, match="noise kind"):
+            noise_contraction("thermal", [0.2])
 
 
 class TestQfiJoint:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from icoswitch import sweep
 from icoswitch.cli import main
 from icoswitch.sweep import (
+    MAX_GRID_POINTS,
     ConfigError,
     SweepConfig,
     compute_quantity,
@@ -42,6 +44,15 @@ class TestGridPoints:
     def test_bad_order(self):
         with pytest.raises(ValueError, match="exceeds"):
             grid_points(1.0, 0.0, 0.1)
+
+    def test_size_capped_before_allocation(self, monkeypatch):
+        for step in (1e-6, 1e-12, 5e-324):
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+                grid_points(0.0, 1.0, step)
+        monkeypatch.setattr(sweep, "MAX_GRID_POINTS", 10)
+        assert len(grid_points(0.0, 0.9, 0.1)) == 10
+        with pytest.raises(ValueError, match="more than 10 points"):
+            grid_points(0.0, 1.0, 0.1)
 
 
 class TestParseConfig:
@@ -115,6 +126,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="three"):
             parse_config("axis = 1,0")
 
+    def test_huge_grid_rejected_at_once(self):
+        with pytest.raises(ConfigError, match=r"line 1: p grid .* more than 1000000 points"):
+            parse_config("p = 0:1:1e-12")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_xi_names_line(self, raw):
+        with pytest.raises(ConfigError, match=r"line 2: xi must be a finite number"):
+            parse_config(f"p = 0.5\nxi = {raw}\n")
+
 
 class TestRunSweep:
     def test_single_point_anchor(self):
@@ -156,6 +176,15 @@ class TestRunSweep:
         _, rows = run_sweep(cfg)
         direct = compute_quantity("qc", "bitflip", 0.3, 0.5, math.pi / 5, (0, 1, 0), (0, 0, 1))
         assert rows[0]["qc"] == direct
+        cfg = parse_config(
+            "noise = depolarizing\np = 0:1:0.25\nprobe = 0.3,0,0.6\nquantities = fq_cas"
+        )
+        _, rows = run_sweep(cfg)
+        for row in rows:
+            direct = compute_quantity(
+                "fq_cas", "depolarizing", row["p"], 0.5, math.pi / 5, (0, 1, 0), (0.3, 0, 0.6)
+            )
+            assert row["fq_cas"] == direct
 
     def test_error_names_grid_point(self):
         cfg = SweepConfig(probe=(0.0, 0.0, 2.0), quantities=("qc",), p_grid=(0.2, 0.2, 1.0))
@@ -205,6 +234,10 @@ class TestFig2Preset:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError, match="steps"):
             fig2_preset(steps=1)
+
+    def test_rejects_huge_grid(self):
+        with pytest.raises(ValueError, match="steps must not exceed 1000000"):
+            fig2_preset(steps=10**12)
 
     def test_rejects_bad_probe_length(self):
         with pytest.raises(ValueError, match="probe"):
@@ -345,6 +378,25 @@ class TestCli:
         code = main(["sweep", "--config", "/nonexistent/path.cfg"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_xi_rejected(self, raw, tmp_path, capsys):
+        config = tmp_path / "xi.cfg"
+        config.write_text(f"xi = {raw}\n")
+        for argv in (
+            ["fig2", "--steps", "5", f"--xi={raw}"],
+            ["point", "--p", "0.3", "--quantity", "fq_cas", f"--xi={raw}"],
+            ["sweep", "--config", str(config)],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "xi" in captured.err
+            assert len(captured.err.strip().splitlines()) == 1
+
+    def test_fig2_steps_capped(self, capsys):
+        assert main(["fig2", "--steps", "1000001"]) == 1
+        assert "steps" in capsys.readouterr().err
 
     def test_point_invalid_probability(self, capsys):
         code = main(["point", "--noise", "bitflip", "--p", "1.7", "--quantity", "qc"])
