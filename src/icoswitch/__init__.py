@@ -39,12 +39,9 @@ from .metrology import (
 )
 from .qmat import (
     EigDecomp,
-    adjoint,
     as_cmatrix,
     channel_choi,
     herm_eig,
-    kron,
-    mat_mul,
     partial_trace,
 )
 from .selfcheck import CheckResult, run_all_checks
@@ -82,7 +79,6 @@ __all__ = [
     "PauliAxis",
     "SweepConfig",
     "SwitchResult",
-    "adjoint",
     "apply_channel",
     "as_cmatrix",
     "bloch_to_density",
@@ -101,8 +97,6 @@ __all__ = [
     "fig2_preset",
     "herm_eig",
     "joint_family",
-    "kron",
-    "mat_mul",
     "measure_control",
     "noisy_phase_channel",
     "parse_config",

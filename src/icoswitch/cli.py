@@ -56,16 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fig2.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     fig2.add_argument("--svg", default=None, help="also write an SVG line plot here")
-    fig2.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility and ignored"
-    )
 
     sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
     sweep.add_argument("--config", required=True, help="path to the key = value config")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    sweep.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility and ignored"
-    )
 
     point = sub.add_parser("point", help="print one quantity at one parameter point")
     point.add_argument("--noise", choices=NOISE_KINDS, default="bitflip")

@@ -42,23 +42,6 @@ def as_cmatrix(entries) -> np.ndarray:
     return m
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; ``a`` indexes the coarse blocks (probe first)."""
-    return np.kron(a, b)
-
-
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 

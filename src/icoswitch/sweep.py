@@ -11,9 +11,10 @@ quantities at fixed (p_c, xi, axis, probe):
 
 For the Pauli noise kinds fq_con and fc_con use the closed forms; for
 depolarizing noise they fall back to the numeric routes.  fq_cas comes
-from one call of the Bloch-space engine over the whole grid.  Rows are
-plain dicts in grid order.  Evaluation runs in one thread; the ``threads``
-arguments are accepted and ignored, so results never depend on them.
+from one call of the Bloch-space engine over the whole grid.  Every
+quantity is 2 pi-periodic in xi, so it is evaluated at xi reduced to
+[-pi, pi]; the CSV xi column echoes the configured value.  Rows are plain
+dicts in grid order, and evaluation runs in one thread.
 """
 
 from __future__ import annotations
@@ -237,6 +238,17 @@ def noise_contraction(kind: str, p_array) -> np.ndarray:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
+def _reduce_phase(xi: float) -> float:
+    """xi mod 2 pi in [-pi, pi], the identity there.
+
+    Every quantity is 2 pi-periodic in xi: U(xi + 2 pi) = -U(xi), and the
+    sign cancels in the channel and in each Kraus product of s01.  Reducing
+    first keeps the finite-difference routes usable at huge xi, where
+    xi +- step would round back to xi.
+    """
+    return math.remainder(xi, 2.0 * math.pi)
+
+
 def compute_quantity(
     name: str,
     kind: str,
@@ -247,7 +259,7 @@ def compute_quantity(
     probe,
 ) -> float:
     """One scalar of the sweep at one grid point."""
-    xi = _check_phase(xi)
+    xi = _reduce_phase(_check_phase(xi))
     if name == "fq_cas":
         return float(cascade_qfi_grid(noise_contraction(kind, [p]), axis, xi, probe)[0])
     noise = noise_channel(kind, p)
@@ -269,12 +281,11 @@ def compute_quantity(
     raise ValueError(f"unknown quantity {name!r}")
 
 
-def run_sweep(cfg: SweepConfig, threads: int = 1) -> tuple[list[str], list[dict]]:
+def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[dict]]:
     """Evaluate the sweep; returns (column names, rows in grid order).
 
     The fq_cas column comes from one cascade_qfi_grid call over the whole
-    grid; the other quantities are evaluated per row.  ``threads`` is
-    accepted and ignored: the sweep runs in one thread.
+    grid; the other quantities are evaluated per row.
     """
     columns = [
         "p",
@@ -293,7 +304,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> tuple[list[str], list[dict]
     cascade = None
     if "fq_cas" in cfg.quantities:
         contraction = noise_contraction(cfg.noise_kind, grid)
-        cascade = cascade_qfi_grid(contraction, cfg.axis, cfg.xi, cfg.probe)
+        cascade = cascade_qfi_grid(contraction, cfg.axis, _reduce_phase(cfg.xi), cfg.probe)
 
     rows = []
     for i, p in enumerate(grid):
@@ -331,7 +342,6 @@ def fig2_preset(
     steps: int = 201,
     xi: float = DEFAULT_XI,
     r_values: tuple[float, ...] = FIG2_R_VALUES,
-    threads: int = 1,
 ) -> tuple[list[str], list[dict]]:
     """Control-vs-cascade comparison preset.
 
@@ -344,7 +354,7 @@ def fig2_preset(
     non-increasing in p up to p = 1/2; past it the noise tends to the
     unitary sigma_x and they show a small rebound (at xi = pi/5 and r = 1,
     a rise of about 2e-3 from p = 0.61 to p = 0.69) before vanishing at
-    p = 1.  ``threads`` is accepted and ignored.
+    p = 1.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, apply_channel, check_density, _check_probability
-from .qmat import as_cmatrix, kron, partial_trace
+from .qmat import as_cmatrix, partial_trace
 
 # s01 must come out Hermitian ((j,k) and (k,j) terms are mutual adjoints);
 # a larger residual signals a broken channel construction, not noise.
@@ -111,7 +111,7 @@ def switch_state(ch: KrausChannel, rho: np.ndarray, p_c: float) -> SwitchResult:
     s00_part = s00(ch, rho)
     s01_part = s01(ch, rho)
     coherence = np.sqrt((1.0 - p_c) * p_c)
-    joint = kron(s00_part, p_c * _KET0 + (1.0 - p_c) * _KET1) + kron(
+    joint = np.kron(s00_part, p_c * _KET0 + (1.0 - p_c) * _KET1) + np.kron(
         s01_part, coherence * _FLIP
     )
     check_density(joint, "joint switch output")
@@ -129,7 +129,7 @@ def switch_kraus_ops(ch: KrausChannel) -> list[np.ndarray]:
     completeness on the joint space.
     """
     return [
-        kron(kj @ kk, _KET0) + kron(kk @ kj, _KET1) for kj in ch for kk in ch
+        np.kron(kj @ kk, _KET0) + np.kron(kk @ kj, _KET1) for kj in ch for kk in ch
     ]
 
 
@@ -145,7 +145,7 @@ def switch_kraus_apply(ch: KrausChannel, rho: np.ndarray, p_c: float) -> np.ndar
     rho = as_cmatrix(rho)
     psi = np.array([np.sqrt(p_c), np.sqrt(1.0 - p_c)], dtype=np.complex128)
     rho_c = np.outer(psi, psi.conj())
-    joint_in = kron(rho, rho_c)
+    joint_in = np.kron(rho, rho_c)
     out = np.zeros_like(joint_in)
     for w in switch_kraus_ops(ch):
         out += w @ joint_in @ w.conj().T

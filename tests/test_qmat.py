@@ -9,13 +9,9 @@ from icoswitch.qmat import (
     I2,
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
-    adjoint,
     as_cmatrix,
     channel_choi,
     herm_eig,
-    kron,
-    mat_mul,
     partial_trace,
 )
 
@@ -49,66 +45,16 @@ class TestAsCmatrix:
             as_cmatrix([[1, 2, 3], [4, 5, 6]])
 
 
-class TestMatMul:
-    def test_identity(self):
-        np.testing.assert_array_equal(mat_mul(I2, I2), I2)
-
-    def test_pauli_involution(self):
-        np.testing.assert_array_equal(mat_mul(SIGMA_X, SIGMA_X), I2)
-
-    def test_pauli_algebra(self):
-        np.testing.assert_allclose(mat_mul(SIGMA_X, SIGMA_Y), 1j * SIGMA_Z, atol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mat_mul(I2, np.eye(4, dtype=complex))
-
-
-class TestAdjoint:
-    def test_hermitian_fixed_point(self):
-        np.testing.assert_array_equal(adjoint(SIGMA_Y), SIGMA_Y)
-
-    def test_phase_conjugation(self):
-        d = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-        np.testing.assert_allclose(adjoint(d), d.conj(), atol=0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = random_complex(rng, 4)
-            np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(I2, I2), np.eye(4))
-
-    def test_block_expansion(self):
-        out = kron(SIGMA_X, np.diag([1.0, 0.0]).astype(complex))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = expected[2, 0] = 1.0
-        np.testing.assert_array_equal(out, expected)
-
-    def test_dims(self):
-        assert kron(I2, I2).shape == (4, 4)
-
-    def test_associative_on_integer_matrices(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
-            np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-
 class TestPartialTrace:
     def test_product_state(self):
         rng = np.random.default_rng(5)
         rho = random_density(rng, 2)
         sigma = random_density(rng, 2)
         np.testing.assert_allclose(
-            partial_trace(kron(rho, sigma), keep="probe"), rho, atol=1e-14
+            partial_trace(np.kron(rho, sigma), keep="probe"), rho, atol=1e-14
         )
         np.testing.assert_allclose(
-            partial_trace(kron(rho, sigma), keep="control"), sigma, atol=1e-14
+            partial_trace(np.kron(rho, sigma), keep="control"), sigma, atol=1e-14
         )
 
     def test_bell_state(self):
@@ -132,7 +78,7 @@ class TestPartialTrace:
             b = random_complex(rng, 2)
             b = b / np.trace(b)
             np.testing.assert_allclose(
-                partial_trace(kron(a, b), keep="probe"), a, atol=1e-12
+                partial_trace(np.kron(a, b), keep="probe"), a, atol=1e-12
             )
 
     def test_dimension_mismatch(self):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from icoswitch import sweep
+from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
+from icoswitch.metrology import qfi_joint
+from icoswitch.selfcheck import CheckResult
 from icoswitch.sweep import (
     MAX_GRID_POINTS,
     ConfigError,
@@ -21,6 +24,7 @@ from icoswitch.sweep import (
     render_svg,
     run_sweep,
 )
+from icoswitch.switch import qc_numeric
 
 FQ_CON_ANCHOR = (15 + 2 * np.sqrt(5.0)) / 41
 
@@ -155,13 +159,6 @@ class TestRunSweep:
         _, rows = run_sweep(cfg)
         assert len(rows) == len(cfg.grid()) == 6
 
-    def test_thread_invariance(self):
-        cfg = parse_config("p = 0:1:0.25\nquantities = qc,fq_con,fq_cas,fc_con")
-        cols1, rows1 = run_sweep(cfg, threads=1)
-        cols4, rows4 = run_sweep(cfg, threads=4)
-        assert cols1 == cols4
-        assert rows1 == rows4  # bit-exact
-
     def test_depolarizing_quantities(self):
         cfg = parse_config("noise = depolarizing\np = 0.4\nquantities = qc,fq_con,fc_con")
         _, rows = run_sweep(cfg)
@@ -185,6 +182,40 @@ class TestRunSweep:
                 "fq_cas", "depolarizing", row["p"], 0.5, math.pi / 5, (0, 1, 0), (0.3, 0, 0.6)
             )
             assert row["fq_cas"] == direct
+
+    @pytest.mark.parametrize("kind", sweep.NOISE_KINDS)
+    def test_huge_xi_evaluated_at_reduced_phase(self, kind):
+        # Without the reduction, xi +- step rounds to xi at 1e300 and the
+        # numeric routes return 0 (fq_joint below fq_con and fq_cas).
+        xi, reduced = 1e300, math.remainder(1e300, 2.0 * math.pi)
+        point = (kind, 0.3, 0.5)
+        axis, probe = (0.6, 0.8, 0.0), (0.0, 0.0, 1.0)
+        values = {}
+        for name in sweep.QUANTITIES:
+            values[name] = compute_quantity(name, *point, xi, axis, probe)
+            assert values[name] == compute_quantity(name, *point, reduced, axis, probe)
+        assert values["fq_con"] > 0.0
+        assert values["fq_joint"] >= max(values["fq_con"], values["fq_cas"]) - 1e-8
+
+        cfg = parse_config(
+            f"noise = {kind}\nxi = 1e300\naxis = 0.6,0.8,0\np = 0.3\n"
+            "quantities = qc,fq_con,fq_cas,fc_con,fq_joint"
+        )
+        _, rows = run_sweep(cfg)
+        assert rows[0]["xi"] == 1e300
+        assert {name: rows[0][name] for name in values} == values
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    def test_quantities_are_2pi_periodic(self, kind):
+        # The premise of the reduction, checked on the unreduced routes.
+        noise = sweep.noise_channel(kind, 0.3)
+        rho = bloch_to_density((0.3, 0.0, 0.6))
+        axis = (0.6, 0.8, 0.0)
+        base_qc = qc_numeric(noisy_phase_channel(noise, axis, 1.0), rho)
+        base_joint = qfi_joint(noise, axis, 1.0, rho, 0.5).value
+        for xi in (1.0 + 2.0 * math.pi, 1.0 - 4.0 * math.pi):
+            assert abs(qc_numeric(noisy_phase_channel(noise, axis, xi), rho) - base_qc) < 1e-12
+            assert abs(qfi_joint(noise, axis, xi, rho, 0.5).value - base_joint) < 1e-8
 
     def test_error_names_grid_point(self):
         cfg = SweepConfig(probe=(0.0, 0.0, 2.0), quantities=("qc",), p_grid=(0.2, 0.2, 1.0))
@@ -242,11 +273,6 @@ class TestFig2Preset:
     def test_rejects_bad_probe_length(self):
         with pytest.raises(ValueError, match="probe"):
             fig2_preset(steps=3, r_values=(1.2,))
-
-    def test_thread_invariance(self):
-        _, rows1 = fig2_preset(steps=7, threads=1)
-        _, rows8 = fig2_preset(steps=7, threads=8)
-        assert rows1 == rows8
 
 
 class TestCsv:
@@ -343,9 +369,8 @@ class TestCli:
 
     def test_fig2_byte_identical_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
-        assert main(["fig2", "--steps", "9", "--out", str(paths[0])]) == 0
-        assert main(["fig2", "--steps", "9", "--out", str(paths[1])]) == 0
-        assert main(["fig2", "--steps", "9", "--threads", "8", "--out", str(paths[2])]) == 0
+        for path in paths:
+            assert main(["fig2", "--steps", "9", "--out", str(path)]) == 0
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -393,6 +418,13 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error:") and "xi" in captured.err
             assert len(captured.err.strip().splitlines()) == 1
+
+    def test_verify_reports_failure(self, monkeypatch, capsys):
+        results = [CheckResult("broken", False, "diff = 1"), CheckResult("fine", True, "ok")]
+        monkeypatch.setattr("icoswitch.cli.run_all_checks", lambda: results)
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["FAIL  broken: diff = 1", "PASS  fine: ok", "1/2 checks passed"]
 
     def test_fig2_steps_capped(self, capsys):
         assert main(["fig2", "--steps", "1000001"]) == 1

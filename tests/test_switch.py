@@ -12,7 +12,7 @@ from icoswitch.channels import (
     pauli_channel,
     rotation_unitary,
 )
-from icoswitch.qmat import I2, SIGMA_X, channel_choi, herm_eig, kron, partial_trace
+from icoswitch.qmat import I2, SIGMA_X, channel_choi, herm_eig, partial_trace
 from icoswitch.switch import (
     qc_closed_form,
     qc_numeric,
@@ -105,7 +105,8 @@ class TestSwitchState:
         rho = bloch_to_density((0.1, 0.2, 0.5))
         for p_c, ket in ((0.0, np.diag([0.0, 1.0])), (1.0, np.diag([1.0, 0.0]))):
             joint = switch_state(ch, rho, p_c).joint
-            np.testing.assert_allclose(joint, kron(s00(ch, rho), ket.astype(complex)), atol=1e-15)
+            expected = np.kron(s00(ch, rho), ket.astype(complex))
+            np.testing.assert_allclose(joint, expected, atol=1e-15)
 
     def test_matches_kraus_oracle(self):
         rng = np.random.default_rng(34)
@@ -155,7 +156,7 @@ class TestSwitchKraus:
         rho = bloch_to_density((0, 0, 1.0))
         out = switch_kraus_apply(ch, rho, 0.5)
         plus = np.full((2, 2), 0.5, dtype=complex)
-        np.testing.assert_allclose(out, kron(s00(ch, rho), plus), atol=1e-15)
+        np.testing.assert_allclose(out, np.kron(s00(ch, rho), plus), atol=1e-15)
 
     def test_completeness(self):
         rng = np.random.default_rng(39)
