@@ -22,10 +22,16 @@ from .channels import (
     rotation_unitary,
     unit_axis,
 )
+from .engine import (
+    cascade_qfi_grid,
+    evaluate_grid,
+    noise_contraction,
+    noise_weights,
+    switch_state_grid,
+)
 from .metrology import (
     FisherResult,
     cascade_family,
-    cascade_qfi_grid,
     cfi_control,
     cfi_numeric,
     control_family,
@@ -94,10 +100,13 @@ __all__ = [
     "depolarizing_channel",
     "emit_csv",
     "emit_svg",
+    "evaluate_grid",
     "fig2_preset",
     "herm_eig",
     "joint_family",
     "measure_control",
+    "noise_contraction",
+    "noise_weights",
     "noisy_phase_channel",
     "parse_config",
     "partial_trace",
@@ -120,5 +129,6 @@ __all__ = [
     "switch_kraus_apply",
     "switch_kraus_ops",
     "switch_state",
+    "switch_state_grid",
     "unit_axis",
 ]

@@ -1,0 +1,290 @@
+"""Grid engine: every sweep column on a whole grid of noise levels at once.
+
+Every noise kind here is a Pauli mixture N(rho) = sum_j w_j sigma_j rho sigma_j
+(sigma_0 = I) with weights w(p) = (w_0, w_x, w_y, w_z):
+
+    bit flip, phase flip, bit-phase flip   1 - p on I, p on sigma_x, sigma_z, sigma_y
+    depolarizing                           (1 - 3p/4, p/4, p/4, p/4)
+
+One use of the noisy process E(rho) = N(U rho U^dag), U = exp(-i xi n.sigma/2),
+maps the Bloch vector as the real matrix D R(xi), with the contraction
+factors D_l = 1 - 2 (w_j + w_k) ({j, k, l} the three Pauli indices) and R the
+rotation about n.  The columns come from three routes, each exact in xi:
+
+* fq_cas, the plain cascade: v = (D R)^2 r with dR/dxi = [n]_x R, and the
+  qubit QFI |v'|^2 + (v.v')^2 / (1 - |v|^2) (Zhong et al., PRA 87, 022337
+  (2013)), with 1 - |v|^2 and v.v' summed from the losses 1 - D_l^2 so that
+  neither cancels near a pure output; as in the oracle, the second term is
+  dropped where 1 - |v|^2 <= 1e-10.
+* qc, fq_con, fc_con, the control qubit, in closed form for any Pauli
+  mixture.  With c = 2 sin^2(xi/2), m_l = 1 - n_l^2 and s^2 = p_c (1 - p_c),
+
+      alpha = 2 sum_l m_l (w_0 w_l - w_j w_k)      beta = 4 sum_{j<k} w_j w_k
+      g = 1 - q_c = alpha c + beta                  q_c' = -alpha sin xi
+      R = q_c'^2 / (1 - q_c^2) = alpha^2 c (2 - c) / (g (2 - g)),
+          or alpha (2 - c) / (2 - alpha c) where beta = 0,
+
+  fq_con = 4 s^2 R, and the Hadamard measurement's classical FI is
+  s^2 q_c'^2 / ((p_c - 1/2)^2 + s^2 g (2 - g)), which is R at p_c = 1/2.
+  Neither form cancels as q_c -> 1, so both hold down to xi = 0.
+* fq_joint, the joint probe-control output rho = Phi Phi^dag.  Each column
+  block of the Gram factor Phi is a switch Kraus operator W_jk, built from
+  the 16 products sigma_j U sigma_k U once per call, applied to the square
+  root of the probe and the control state and scaled by sqrt(w_j w_k); the
+  exact derivative follows from dU/dxi = -(i/2) n.sigma U.  One batched SVD
+  of Phi gives the eigenbasis of rho, and the SLD spectral sum is taken
+  there with the square roots s_j of the eigenvalues as the scale, so
+  eigenvalues far below the finite-difference oracle's 1e-10 cutoff keep
+  their information.
+
+Inputs are validated once, at the public entries; xi is reduced mod 2 pi
+there.  The density-matrix code in switch and metrology is the independent
+oracle the tests and ``verify`` hold these routes against.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .channels import PauliAxis, _check_phase, _check_probability, bloch_vector, unit_axis
+from .metrology import SLD_EIGENVALUE_CUTOFF
+from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+NOISE_KINDS = ("bitflip", "phaseflip", "bitphaseflip", "depolarizing")
+PAULI_OF_KIND = {"bitflip": PauliAxis.X, "phaseflip": PauliAxis.Z, "bitphaseflip": PauliAxis.Y}
+QUANTITIES = ("qc", "fq_con", "fq_cas", "fc_con", "fq_joint")
+
+_PAULIS = np.stack((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
+# fq_joint runs over the grid in chunks of this many levels, so its (m, 4, 32)
+# temporaries stay near 100 kB on any grid up to the 1,000,000-point cap.
+JOINT_CHUNK = 32
+
+
+def noise_weights(kind: str, p_array) -> np.ndarray:
+    """Pauli weights (w_0, w_x, w_y, w_z) of the noise, one row per level p."""
+    p = np.asarray(p_array, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError(f"noise levels must form a 1-d array, got shape {p.shape}")
+    bad = p[~((p >= 0.0) & (p <= 1.0))]
+    if bad.size:
+        raise ValueError(f"p must be a probability in [0, 1], got {bad[0]}")
+    if kind == "depolarizing":
+        quarter = p / 4.0
+        return np.stack((1.0 - 3.0 * quarter, quarter, quarter, quarter), axis=1)
+    if kind in PAULI_OF_KIND:
+        weights = np.zeros((p.size, 4))
+        weights[:, 0] = 1.0 - p
+        weights[:, 1 + PAULI_OF_KIND[kind].index] = p
+        return weights
+    raise ValueError(f"unknown noise kind {kind!r}")
+
+
+def _flip_weights(weights: np.ndarray) -> np.ndarray:
+    """w_j + w_k per Bloch axis l: the weight of the two Paulis that flip component l."""
+    w = weights
+    return np.stack((w[:, 2] + w[:, 3], w[:, 1] + w[:, 3], w[:, 1] + w[:, 2]), axis=1)
+
+
+def noise_contraction(kind: str, p_array) -> np.ndarray:
+    """Bloch-space contraction factors of the noise, one row per level p.
+
+    Pauli noise with sigma_l keeps the l component of the Bloch vector and
+    scales the other two by 1 - 2p; depolarizing noise scales all three by
+    1 - p.  Row i is the diagonal of D(p_i), the input of cascade_qfi_grid.
+    Each factor is D_l = w_0 + w_l - w_j - w_k = 1 - 2 (w_j + w_k).
+    """
+    return 1.0 - 2.0 * _flip_weights(noise_weights(kind, p_array))
+
+
+def _reduce_phase(xi: float) -> float:
+    """xi mod 2 pi in [-pi, pi], the identity there.
+
+    Every quantity is 2 pi-periodic in xi: U(xi + 2 pi) = -U(xi), and the
+    sign cancels in the channel and in each Kraus product of s01.  Reducing
+    first keeps the half-angle sines and cosines exact at huge xi and puts
+    the engine at the same phase the density-matrix oracle can resolve.
+    """
+    return math.remainder(_check_phase(xi), 2.0 * math.pi)
+
+
+def _cascade_qfi(factors: np.ndarray, loss: np.ndarray, n, xi: float, r) -> np.ndarray:
+    """Cascade QFI per row of ``factors`` (diag D); ``loss`` is 1 - D^2 formed without cancelling.
+
+    With x = R r and y = R D x, the output is v = D y and
+    1 - |v|^2 = (1 - |r|^2) + sum_i loss_i (x_i^2 + y_i^2), a sum of
+    nonnegative terms; its derivative gives v.v' = -sum_i loss_i (x_i x_i' +
+    y_i y_i').  Both stay exact to roundoff as the output nears a pure
+    state, where the direct 1 - |v|^2 and v.v' would cancel.  As in the
+    density-matrix oracle, (v.v')^2 / (1 - |v|^2) is dropped where
+    1 - |v|^2 <= SLD_EIGENVALUE_CUTOFF.
+    """
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    # 1 - cos xi as 2 sin^2(xi/2): no cancellation at small xi.
+    rot = np.cos(xi) * np.eye(3) + np.sin(xi) * cross
+    rot += 2.0 * np.sin(0.5 * xi) ** 2 * np.outer(n, n)
+    drot = cross @ rot
+    x, dx = rot @ r, drot @ r
+    once, d_once = factors * x, factors * dx
+    y = np.einsum("ij,mj->mi", rot, once)
+    dy = np.einsum("ij,mj->mi", drot, once) + np.einsum("ij,mj->mi", rot, d_once)
+    dv = factors * dy
+    info = np.einsum("mi,mi->m", dv, dv)
+    gap = max(0.0, 1.0 - r @ r) + np.einsum("mi,i->m", loss, x * x)
+    gap += np.einsum("mi,mi->m", loss, y * y)
+    # x.x' = 0 (R is a rotation), so lowering loss by its row minimum in the
+    # x term changes nothing exactly; isotropic noise then adds exactly 0.
+    shifted = loss - loss.min(axis=1, keepdims=True)
+    along = np.einsum("mi,i->m", shifted, x * dx) + np.einsum("mi,mi->m", loss, y * dy)
+    mixed = gap > SLD_EIGENVALUE_CUTOFF
+    info[mixed] += along[mixed] ** 2 / gap[mixed]
+    return info
+
+
+def cascade_qfi_grid(contraction, axis, xi: float, probe) -> np.ndarray:
+    """Quantum Fisher information of the plain cascade on a grid of noise levels.
+
+    ``contraction`` has one row diag D(p) per noise level: the factors by
+    which the noise scales the x, y and z Bloch components.  With R the
+    rotation by xi about ``axis`` (Rodrigues' formula) and dR/dxi =
+    [n]_x R, the cascade output is v = (D R)^2 r and the result is
+    |v'|^2 + (v.v')^2 / (1 - |v|^2), one value per row.  The second term
+    is dropped where 1 - |v|^2 <= SLD_EIGENVALUE_CUTOFF, as the oracle
+    qfi_cascade drops eigenvalues below that cutoff.
+    """
+    factors = np.asarray(contraction, dtype=np.float64)
+    if factors.ndim != 2 or factors.shape[1] != 3:
+        raise ValueError(f"contraction must have shape (m, 3), got {factors.shape}")
+    if not np.all(np.abs(factors) <= 1.0):
+        raise ValueError("contraction factors must lie in [-1, 1]")
+    loss = (1.0 - factors) * (1.0 + factors)
+    return _cascade_qfi(factors, loss, unit_axis(axis), _check_phase(xi), bloch_vector(probe))
+
+
+def _control_columns(weights: np.ndarray, n: np.ndarray, xi: float, p_c: float) -> dict:
+    """qc, fq_con and fc_con from the closed form of the module docstring."""
+    w0, wx, wy, wz = weights.T
+    m = 1.0 - n * n
+    alpha = 2.0 * (
+        m[0] * (w0 * wx - wy * wz) + m[1] * (w0 * wy - wx * wz) + m[2] * (w0 * wz - wx * wy)
+    )
+    beta = 4.0 * (wx * wy + wx * wz + wy * wz)
+    c = 2.0 * math.sin(0.5 * xi) ** 2
+    c_bar = 2.0 * math.cos(0.5 * xi) ** 2  # 2 - c without cancellation near xi = pi
+    g = alpha * c + beta
+    single = beta == 0.0  # one Pauli (or none): g = alpha c cancels against q_c'^2
+    spread = g * (2.0 - g)  # 1 - q_c^2
+    ratio = np.where(
+        single,
+        alpha * c_bar / (2.0 - alpha * c),
+        alpha * (alpha * c / np.where(single, 1.0, g)) * c_bar / (2.0 - g),
+    )
+    s2 = (1.0 - p_c) * p_c
+    if p_c == 0.5:
+        classical = ratio
+    else:
+        classical = s2 * alpha * alpha * c * c_bar / ((p_c - 0.5) ** 2 + s2 * spread)
+    return {"qc": 1.0 - g, "fq_con": 4.0 * s2 * ratio, "fc_con": classical}
+
+
+def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float):
+    """Unweighted column blocks of the Gram factor and their xi-derivatives, each (4, 4, 4, 2).
+
+    Block (j, k) is W_jk (L (x) psi_c): the switch Kraus operator
+    W_jk = sigma_j U sigma_k U (x) |0><0| + sigma_k U sigma_j U (x) |1><1|
+    applied to the square root L of the probe state and to the control
+    psi_c = sqrt(p_c)|0> + sqrt(1 - p_c)|1>.  Rows are probe-first (2 b + c).
+    """
+    n_sigma = np.einsum("i,iab->ab", n, _PAULIS[1:])
+    u = math.cos(0.5 * xi) * I2 - 1j * math.sin(0.5 * xi) * n_sigma
+    du = -0.5j * n_sigma @ u
+    rho = 0.5 * (I2 + np.einsum("i,iab->ab", r, _PAULIS[1:]))
+    half_root_det = 0.5 * math.sqrt(max(0.0, 1.0 - r @ r))  # sqrt(det rho)
+    root = (rho + half_root_det * I2) / math.sqrt(1.0 + 2.0 * half_root_det)
+    su, dsu = _PAULIS @ u, _PAULIS @ du  # sigma_j U and its derivative
+    pair = np.einsum("jab,kbc->jkac", su, su)  # sigma_j U sigma_k U
+    dpair = np.einsum("jab,kbc->jkac", dsu, su) + np.einsum("jab,kbc->jkac", su, dsu)
+    amplitudes = math.sqrt(p_c), math.sqrt(1.0 - p_c)
+
+    def blocks(ops):
+        both_orders = (amplitudes[0] * ops @ root, amplitudes[1] * ops.transpose(1, 0, 2, 3) @ root)
+        return np.stack(both_orders, axis=3).reshape(4, 4, 4, 2)
+
+    return blocks(pair), blocks(dpair)
+
+
+def _gram_factor(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gram factor Phi, (m, 4, 32), of the joint output Phi Phi^dag.
+
+    Column block (j, k) is block (j, k) of ``blocks`` times sqrt(w_j w_k).
+    """
+    scale = np.sqrt(weights[:, :, None] * weights[:, None, :])[:, :, :, None, None]
+    return (scale * blocks).transpose(0, 3, 1, 2, 4).reshape(-1, 4, 32)
+
+
+def _joint_qfi(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """SLD spectral sum of rho = Phi Phi^dag, in the singular basis of Phi.
+
+    With Phi = U S V^dag and X = U^dag Phi' V, the derivative in the
+    eigenbasis of rho is O_jk = X_jk s_k + s_j conj(X_kj), and the QFI is
+    sum_jk 2 |O_jk|^2 / (s_j^2 + s_k^2).  By Cauchy-Schwarz each term is at
+    most 2 (|X_jk|^2 + |X_kj|^2), so no eigenvalue cutoff is needed: pairs
+    of kernel directions, where X vanishes up to roundoff, add roundoff, and
+    only exact zeros (0/0) are skipped.  Eigenvalues s^2 far below the
+    oracle's 1e-10 cutoff therefore keep their share of the information.
+    """
+    left, s, right_dag = np.linalg.svd(phi, full_matrices=False)
+    x = left.conj().swapaxes(1, 2) @ dphi @ right_dag.conj().swapaxes(1, 2)
+    overlap = x * s[:, None, :] + s[:, :, None] * x.conj().swapaxes(1, 2)
+    weight = s[:, :, None] ** 2 + s[:, None, :] ** 2
+    kept = weight > 0.0
+    terms = np.where(kept, 2.0 * np.abs(overlap) ** 2 / np.where(kept, weight, 1.0), 0.0)
+    return terms.sum(axis=(1, 2))
+
+
+def _validated(kind, p_array, p_c, xi, axis, probe):
+    return (
+        noise_weights(kind, p_array),
+        _check_probability(p_c, "p_c"),
+        _reduce_phase(xi),
+        unit_axis(axis),
+        bloch_vector(probe),
+    )
+
+
+def switch_state_grid(kind: str, p_array, p_c: float, xi: float, axis, probe):
+    """Joint probe-control outputs and their exact xi-derivatives, shape (m, 4, 4) each."""
+    weights, p_c, xi, n, r = _validated(kind, p_array, p_c, xi, axis, probe)
+    blocks, dblocks = _kraus_blocks(n, xi, r, p_c)
+    phi, dphi = _gram_factor(blocks, weights), _gram_factor(dblocks, weights)
+    phi_dag = phi.conj().swapaxes(1, 2)
+    return phi @ phi_dag, dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2)
+
+
+def evaluate_grid(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> dict:
+    """The named sweep quantities on the noise grid ``p_array``, one array each.
+
+    Validates every input once, reduces xi mod 2 pi, and computes only the
+    routes the names need.  Quantity names are those of QUANTITIES.
+    """
+    unknown = [name for name in names if name not in QUANTITIES]
+    if unknown:
+        raise ValueError(f"unknown quantity {unknown[0]!r}")
+    weights, p_c, xi, n, r = _validated(kind, p_array, p_c, xi, axis, probe)
+    out = {}
+    if {"qc", "fq_con", "fc_con"} & set(names):
+        out.update(_control_columns(weights, n, xi, p_c))
+    if "fq_cas" in names:
+        flips = _flip_weights(weights)
+        factors = 1.0 - 2.0 * flips
+        out["fq_cas"] = _cascade_qfi(factors, 2.0 * flips * (1.0 + factors), n, xi, r)
+    if "fq_joint" in names:
+        blocks, dblocks = _kraus_blocks(n, xi, r, p_c)
+        out["fq_joint"] = np.concatenate(
+            [
+                _joint_qfi(_gram_factor(blocks, part), _gram_factor(dblocks, part))
+                for part in np.split(weights, range(JOINT_CHUNK, len(weights), JOINT_CHUNK))
+            ]
+        )
+    return {name: out[name] for name in names}

@@ -18,17 +18,9 @@ with drho by central finite difference and (lambda, v) from the Jacobi
 eigensolver.  The closed forms use analytic derivatives throughout, so the
 two routes are genuinely independent and are compared in the tests.
 
-The plain cascade has a batched engine in Bloch space, cascade_qfi_grid.
-Every noise kind here is Pauli diagonal and unital, so one use of the
-noisy process maps the Bloch vector as the real matrix D(p) R(xi); the
-cascade output is v = (D R)^2 r with the exact derivative from
-dR/dxi = [n]_x R, and the qubit QFI is
-
-    F = |v'|^2 + (v.v')^2 / (1 - |v|^2)
-
-(Zhong et al., PRA 87, 022337 (2013)), evaluated on a whole grid of noise
-levels at once.  It is the route behind every fq_cas the sweeps print;
-qfi_cascade, the SLD route on density matrices, is its independent oracle.
+The numbers the sweeps print come from the grid engine (engine.py); the
+density-matrix routes here (qfi_cascade, qfi_joint, cfi_numeric and
+qfi_numeric on control_family) are its independent oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ import numpy as np
 
 from .channels import (
     KrausChannel,
-    _check_phase,
     _check_probability,
     bloch_to_density,
     bloch_vector,
@@ -165,26 +156,18 @@ def measure_control(p_c: float, q_c: float) -> tuple[float, float]:
 def cfi_control(p_c: float, p: float, xi: float, overlap: float) -> FisherResult:
     """Classical Fisher information of the Hadamard measurement of the control.
 
-    (dP_+)^2 / ((1-P_+) P_+) with the analytic derivative
-    dP_+ = sqrt((1-p_c) p_c) dq_c.  The denominator degenerates only when
-    p_c = 1/2 and |q_c| = 1, where the derivative vanishes too and the
-    continuity limit (the corresponding quantum value) is returned; a
-    degenerate denominator with a nonvanishing derivative is an error.
+    (dP_+)^2 / ((1-P_+) P_+) with P_+ = 1/2 + s q_c and s = sqrt((1-p_c) p_c),
+    written as s^2 dq_c^2 / ((p_c - 1/2)^2 + s^2 (1 - q_c^2)) so that no
+    digits cancel as q_c -> 1.  At p_c = 1/2 the measurement attains the
+    quantum value, and qfi_control's rule gives it, xi -> 0 limit included.
     """
     p_c = _check_probability(p_c, "p_c")
     one_minus_q, dq, limit = _pauli_qc_pieces(p, xi, overlap)
-    s_c = np.sqrt((1.0 - p_c) * p_c)
-    q_c = 1.0 - one_minus_q
-    p_plus = 0.5 + s_c * q_c
-    dp_plus = s_c * dq
-    denom = (1.0 - p_plus) * p_plus
-    if denom < QC_DEGENERACY_TOL:
-        if abs(dp_plus) > 1e-9:
-            raise ArithmeticError(
-                f"measurement distribution degenerate (P_+ = {p_plus}) with nonzero derivative"
-            )
-        return _fisher(4.0 * (1.0 - p_c) * p_c * limit, "classical")
-    return _fisher(dp_plus * dp_plus / denom, "classical")
+    spread = one_minus_q * (2.0 - one_minus_q)  # = 1 - q_c^2
+    if p_c == 0.5:
+        return _fisher(limit if spread < QC_DEGENERACY_TOL else dq * dq / spread, "classical")
+    s2 = (1.0 - p_c) * p_c
+    return _fisher(s2 * dq * dq / ((p_c - 0.5) ** 2 + s2 * spread), "classical")
 
 
 def cascade_family(noise: KrausChannel, axis, probe) -> StateFamily:
@@ -227,41 +210,6 @@ def qfi_cascade(noise: KrausChannel, axis, xi: float, probe, step: float = DEFAU
     dim-2 family keeps it free of transcription risk.
     """
     return qfi_numeric(cascade_family(noise, axis, probe), xi, step)
-
-
-def cascade_qfi_grid(contraction, axis, xi: float, probe) -> np.ndarray:
-    """Quantum Fisher information of the plain cascade on a grid of noise levels.
-
-    ``contraction`` has one row diag D(p) per noise level: the factors by
-    which the noise scales the x, y and z Bloch components.  With R the
-    rotation by xi about ``axis`` (Rodrigues' formula) and dR/dxi =
-    [n]_x R, the cascade output is v = (D R)^2 r and the result is
-    |v'|^2 + (v.v')^2 / (1 - |v|^2), one value per row.  The second term
-    is dropped where 1 - |v|^2 <= SLD_EIGENVALUE_CUTOFF; that happens only
-    at pure outputs, where v.v' = 0 analytically.
-    """
-    factors = np.asarray(contraction, dtype=np.float64)
-    if factors.ndim != 2 or factors.shape[1] != 3:
-        raise ValueError(f"contraction must have shape (m, 3), got {factors.shape}")
-    if not np.all(np.abs(factors) <= 1.0):
-        raise ValueError("contraction factors must lie in [-1, 1]")
-    n = unit_axis(axis)
-    r = bloch_vector(probe)
-    xi = _check_phase(xi)
-    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    # 1 - cos xi as 2 sin^2(xi/2): no cancellation at small xi.
-    rot = np.cos(xi) * np.eye(3) + np.sin(xi) * cross
-    rot += 2.0 * np.sin(0.5 * xi) ** 2 * np.outer(n, n)
-    drot = cross @ rot
-    once = factors * (rot @ r)
-    d_once = factors * (drot @ r)
-    v = factors * np.einsum("ij,mj->mi", rot, once)
-    dv = factors * (np.einsum("ij,mj->mi", drot, once) + np.einsum("ij,mj->mi", rot, d_once))
-    info = np.einsum("mi,mi->m", dv, dv)
-    gap = 1.0 - np.einsum("mi,mi->m", v, v)
-    mixed = gap > SLD_EIGENVALUE_CUTOFF
-    info[mixed] += np.einsum("mi,mi->m", v[mixed], dv[mixed]) ** 2 / gap[mixed]
-    return info
 
 
 def qfi_joint(

@@ -21,8 +21,14 @@ from .channels import (
     noisy_phase_channel,
     pauli_channel,
 )
-from .metrology import (
+from .engine import (
+    PAULI_OF_KIND,
     cascade_qfi_grid,
+    evaluate_grid,
+    noise_contraction,
+    switch_state_grid,
+)
+from .metrology import (
     cfi_control,
     control_family,
     qfi_cascade,
@@ -31,7 +37,6 @@ from .metrology import (
     qfi_numeric,
 )
 from .qmat import channel_choi, herm_eig
-from .sweep import noise_contraction
 from .switch import (
     qc_closed_form,
     qc_numeric,
@@ -43,6 +48,7 @@ from .switch import (
 )
 
 _SEED = 20230536
+_KIND_OF_PAULI = {pauli: kind for kind, pauli in PAULI_OF_KIND.items()}
 
 
 @dataclass(frozen=True)
@@ -68,22 +74,31 @@ def _rand_pauli(rng) -> PauliAxis:
 
 
 def check_joint_state_oracle() -> CheckResult:
-    """Direct joint output equals the explicit W_jk Kraus reconstruction."""
+    """Direct joint output equals the explicit W_jk Kraus reconstruction.
+
+    Every tenth draw also holds the grid engine's joint state to it.
+    """
     rng = np.random.default_rng(_SEED)
     worst = 0.0
-    for _ in range(200):
-        ch = noisy_phase_channel(
-            pauli_channel(_rand_pauli(rng), rng.uniform()),
-            _rand_axis(rng),
-            rng.uniform(0.0, 2.0 * np.pi),
-        )
-        rho = bloch_to_density(_rand_bloch(rng))
+    engine_diff = 0.0
+    for i in range(200):
+        pauli, p, axis = _rand_pauli(rng), rng.uniform(), _rand_axis(rng)
+        xi = rng.uniform(0.0, 2.0 * np.pi)
+        ch = noisy_phase_channel(pauli_channel(pauli, p), axis, xi)
+        probe = _rand_bloch(rng)
+        rho = bloch_to_density(probe)
         p_c = rng.uniform()
         direct = switch_state(ch, rho, p_c).joint
         oracle = switch_kraus_apply(ch, rho, p_c)
         worst = max(worst, float(np.max(np.abs(direct - oracle))))
+        if i % 10 == 0:
+            engine = switch_state_grid(_KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)[0][0]
+            engine_diff = max(engine_diff, float(np.max(np.abs(engine - oracle))))
     return CheckResult(
-        "joint state vs Kraus oracle", worst < 1e-12, f"max |diff| = {worst:.3e} over 200 draws"
+        "joint state vs Kraus oracle",
+        worst < 1e-12 and engine_diff < 1e-12,
+        f"max |diff| = {worst:.3e} over 200 draws; max |engine - Kraus| = {engine_diff:.3e} "
+        "on 20 draws",
     )
 
 
@@ -125,9 +140,10 @@ def check_qc_probe_independence() -> CheckResult:
 
 
 def check_qfi_closed_vs_sld() -> CheckResult:
-    """Control-qubit closed-form QFI matches the numeric SLD route."""
+    """Control-qubit QFI: closed form and grid engine both match the numeric SLD route."""
     rng = np.random.default_rng(_SEED + 3)
     worst = 0.0
+    engine_diff = 0.0
     for _ in range(200):
         pauli = _rand_pauli(rng)
         p = rng.uniform()
@@ -135,12 +151,16 @@ def check_qfi_closed_vs_sld() -> CheckResult:
         xi = rng.uniform(0.0, 2.0 * np.pi)
         axis = _rand_axis(rng)
         noise = pauli_channel(pauli, p)
-        rho = bloch_to_density(_rand_bloch(rng))
-        numeric = qfi_numeric(control_family(noise, axis, rho, p_c), xi).value
+        probe = _rand_bloch(rng)
+        numeric = qfi_numeric(control_family(noise, axis, bloch_to_density(probe), p_c), xi).value
         closed = qfi_control(p_c, p, xi, axis[pauli.index]).value
+        engine = evaluate_grid(("fq_con",), _KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)
         worst = max(worst, abs(numeric - closed))
+        engine_diff = max(engine_diff, abs(numeric - float(engine["fq_con"][0])))
     return CheckResult(
-        "control QFI closed form vs SLD", worst < 1e-6, f"max |diff| = {worst:.3e} over 200 draws"
+        "control QFI closed form vs SLD",
+        worst < 1e-6 and engine_diff < 1e-6,
+        f"max |diff| = {worst:.3e} over 200 draws; max |engine - SLD| = {engine_diff:.3e}",
     )
 
 

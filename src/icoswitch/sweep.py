@@ -1,20 +1,21 @@
-"""Parameter-sweep engine: config parsing, grid evaluation, CSV and SVG output.
+"""Parameter sweeps: config parsing, the sweep and fig2 presets, CSV and SVG output.
 
 The sweep walks a grid of noise levels p and evaluates the requested
 quantities at fixed (p_c, xi, axis, probe):
 
-    qc        coupling scalar tr s01 (trace route, any noise kind)
+    qc        coupling scalar q_c = tr s01 of the control coherence
     fq_con    quantum FI of the control qubit
-    fq_cas    quantum FI of the plain cascade (batched Bloch engine)
+    fq_cas    quantum FI of the plain cascade
     fc_con    classical FI of the Hadamard measurement of the control
-    fq_joint  quantum FI of the joint probe-control output (numeric SLD)
+    fq_joint  quantum FI of the joint probe-control output
 
-For the Pauli noise kinds fq_con and fc_con use the closed forms; for
-depolarizing noise they fall back to the numeric routes.  fq_cas comes
-from one call of the Bloch-space engine over the whole grid.  Every
-quantity is 2 pi-periodic in xi, so it is evaluated at xi reduced to
-[-pi, pi]; the CSV xi column echoes the configured value.  Rows are plain
-dicts in grid order, and evaluation runs in one thread.
+Every column of a sweep comes from one call of the grid engine
+(engine.evaluate_grid) over the whole grid: exact closed forms for the
+control columns, the Bloch-space cascade, and a batched SVD of the joint
+state's Gram factor with its exact derivative; ``point`` is a one-point
+grid.  Every quantity is 2 pi-periodic in xi, so the engine evaluates at
+xi reduced to [-pi, pi]; the CSV xi column echoes the configured value.
+Rows are plain dicts in grid order.
 """
 
 from __future__ import annotations
@@ -27,28 +28,19 @@ import numpy as np
 
 from .channels import (
     KrausChannel,
-    PauliAxis,
     _check_phase,
-    bloch_to_density,
     bloch_vector,
     depolarizing_channel,
-    noisy_phase_channel,
     pauli_channel,
 )
-from .metrology import (
+from .engine import (
+    NOISE_KINDS,
+    PAULI_OF_KIND,
+    QUANTITIES,
     cascade_qfi_grid,
-    cfi_control,
-    cfi_numeric,
-    control_family,
-    qfi_control,
-    qfi_joint,
-    qfi_numeric,
+    evaluate_grid,
+    noise_contraction,
 )
-from .switch import qc_numeric
-
-NOISE_KINDS = ("bitflip", "phaseflip", "bitphaseflip", "depolarizing")
-PAULI_OF_KIND = {"bitflip": PauliAxis.X, "phaseflip": PauliAxis.Z, "bitphaseflip": PauliAxis.Y}
-QUANTITIES = ("qc", "fq_con", "fq_cas", "fc_con", "fq_joint")
 
 DEFAULT_XI = math.pi / 5
 DEFAULT_AXIS = (0.0, 1.0, 0.0)
@@ -216,39 +208,6 @@ def noise_channel(kind: str, p: float) -> KrausChannel:
     raise ValueError(f"unknown noise kind {kind!r}")
 
 
-def noise_contraction(kind: str, p_array) -> np.ndarray:
-    """Bloch-space contraction factors of the noise, one row per level p.
-
-    Pauli noise with sigma_l keeps the l component of the Bloch vector and
-    scales the other two by 1 - 2p; depolarizing noise scales all three by
-    1 - p.  Row i is the diagonal of D(p_i), the input of cascade_qfi_grid.
-    """
-    p = np.asarray(p_array, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError(f"noise levels must form a 1-d array, got shape {p.shape}")
-    bad = p[~((p >= 0.0) & (p <= 1.0))]
-    if bad.size:
-        raise ValueError(f"p must be a probability in [0, 1], got {bad[0]}")
-    if kind == "depolarizing":
-        return np.repeat((1.0 - p)[:, None], 3, axis=1)
-    if kind in PAULI_OF_KIND:
-        factors = np.repeat((1.0 - 2.0 * p)[:, None], 3, axis=1)
-        factors[:, PAULI_OF_KIND[kind].index] = 1.0
-        return factors
-    raise ValueError(f"unknown noise kind {kind!r}")
-
-
-def _reduce_phase(xi: float) -> float:
-    """xi mod 2 pi in [-pi, pi], the identity there.
-
-    Every quantity is 2 pi-periodic in xi: U(xi + 2 pi) = -U(xi), and the
-    sign cancels in the channel and in each Kraus product of s01.  Reducing
-    first keeps the finite-difference routes usable at huge xi, where
-    xi +- step would round back to xi.
-    """
-    return math.remainder(xi, 2.0 * math.pi)
-
-
 def compute_quantity(
     name: str,
     kind: str,
@@ -258,34 +217,14 @@ def compute_quantity(
     axis,
     probe,
 ) -> float:
-    """One scalar of the sweep at one grid point."""
-    xi = _reduce_phase(_check_phase(xi))
-    if name == "fq_cas":
-        return float(cascade_qfi_grid(noise_contraction(kind, [p]), axis, xi, probe)[0])
-    noise = noise_channel(kind, p)
-    axis = np.asarray(axis, dtype=float)
-    rho = bloch_to_density(probe)
-    pauli = PAULI_OF_KIND.get(kind)
-    if name == "qc":
-        return qc_numeric(noisy_phase_channel(noise, axis, xi), rho)
-    if name == "fq_con":
-        if pauli is not None:
-            return qfi_control(p_c, p, xi, axis[pauli.index]).value
-        return qfi_numeric(control_family(noise, axis, rho, p_c), xi).value
-    if name == "fc_con":
-        if pauli is not None:
-            return cfi_control(p_c, p, xi, axis[pauli.index]).value
-        return cfi_numeric(noise, axis, xi, rho, p_c).value
-    if name == "fq_joint":
-        return qfi_joint(noise, axis, xi, rho, p_c).value
-    raise ValueError(f"unknown quantity {name!r}")
+    """One scalar of the sweep at one grid point: a one-point grid-engine call."""
+    return float(evaluate_grid((name,), kind, [p], p_c, xi, axis, probe)[name][0])
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[dict]]:
     """Evaluate the sweep; returns (column names, rows in grid order).
 
-    The fq_cas column comes from one cascade_qfi_grid call over the whole
-    grid; the other quantities are evaluated per row.
+    All requested columns come from one evaluate_grid call over the grid.
     """
     columns = [
         "p",
@@ -301,36 +240,27 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[dict]]:
         *cfg.quantities,
     ]
     grid = cfg.grid()
-    cascade = None
-    if "fq_cas" in cfg.quantities:
-        contraction = noise_contraction(cfg.noise_kind, grid)
-        cascade = cascade_qfi_grid(contraction, cfg.axis, _reduce_phase(cfg.xi), cfg.probe)
-
-    rows = []
-    for i, p in enumerate(grid):
-        row = {
-            "p": p,
-            "p_c": cfg.p_c,
-            "xi": cfg.xi,
-            "axis_x": cfg.axis[0],
-            "axis_y": cfg.axis[1],
-            "axis_z": cfg.axis[2],
-            "probe_x": cfg.probe[0],
-            "probe_y": cfg.probe[1],
-            "probe_z": cfg.probe[2],
-            "noise_kind": cfg.noise_kind,
-        }
-        for name in cfg.quantities:
-            if name == "fq_cas":
-                row[name] = float(cascade[i])
-                continue
-            try:
-                row[name] = compute_quantity(
-                    name, cfg.noise_kind, p, cfg.p_c, cfg.xi, cfg.axis, cfg.probe
-                )
-            except Exception as exc:
-                raise RuntimeError(f"sweep failed at p = {p}, quantity {name!r}: {exc}") from exc
-        rows.append(row)
+    try:
+        values = evaluate_grid(
+            cfg.quantities, cfg.noise_kind, grid, cfg.p_c, cfg.xi, cfg.axis, cfg.probe
+        )
+    except ValueError as exc:
+        raise RuntimeError(f"sweep failed on p = {grid[0]} to {grid[-1]}: {exc}") from exc
+    fixed = {
+        "p_c": cfg.p_c,
+        "xi": cfg.xi,
+        "axis_x": cfg.axis[0],
+        "axis_y": cfg.axis[1],
+        "axis_z": cfg.axis[2],
+        "probe_x": cfg.probe[0],
+        "probe_y": cfg.probe[1],
+        "probe_z": cfg.probe[2],
+        "noise_kind": cfg.noise_kind,
+    }
+    rows = [
+        {"p": p, **fixed, **{name: float(values[name][i]) for name in cfg.quantities}}
+        for i, p in enumerate(grid)
+    ]
     return columns, rows
 
 
@@ -347,9 +277,9 @@ def fig2_preset(
 
     Bit-flip noise, rotation axis e_y, probe r e_z, and a grid of ``steps``
     noise levels on [0, 1] (at most MAX_GRID_POINTS).  Columns: the
-    control-qubit quantum FI at p_c = 1/2 (closed form) and one cascade
-    column per probe length r, each from one cascade_qfi_grid call over
-    the whole grid.  The control column is probe independent; the cascade
+    control-qubit quantum FI at p_c = 1/2 (one evaluate_grid call) and one
+    cascade column per probe length r (one cascade_qfi_grid call each),
+    each over the whole grid.  The control column is probe independent; the cascade
     columns start at exactly 4 r^2 and vanish at p = 1.  They are
     non-increasing in p up to p = 1/2; past it the noise tends to the
     unitary sigma_x and they show a small rebound (at xi = pi/5 and r = 1,
@@ -366,16 +296,13 @@ def fig2_preset(
             raise ValueError(f"probe length must lie in [0, 1], got {r}")
     columns = ["p", "fq_con", *(_cas_column_name(r) for r in r_values)]
     grid = np.linspace(0.0, 1.0, steps)
+    axis = (0.0, 1.0, 0.0)
     contraction = noise_contraction("bitflip", grid)
-    cascade = {
-        _cas_column_name(r): cascade_qfi_grid(contraction, (0.0, 1.0, 0.0), xi, (0.0, 0.0, r))
-        for r in r_values
-    }
-    rows = []
-    for i, p in enumerate(grid):
-        row = {"p": float(p), "fq_con": qfi_control(0.5, float(p), xi, 0.0).value}
-        row.update((name, float(column[i])) for name, column in cascade.items())
-        rows.append(row)
+    table = evaluate_grid(("fq_con",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, 1.0))
+    table["p"] = grid
+    for r in r_values:
+        table[_cas_column_name(r)] = cascade_qfi_grid(contraction, axis, xi, (0.0, 0.0, r))
+    rows = [{name: float(table[name][i]) for name in columns} for i in range(steps)]
     return columns, rows
 
 

@@ -13,9 +13,10 @@ from icoswitch.channels import (
     pauli_channel,
     rotation_unitary,
 )
+from icoswitch.cli import main
+from icoswitch.engine import NOISE_KINDS, cascade_qfi_grid, noise_contraction
 from icoswitch.metrology import (
     cascade_family,
-    cascade_qfi_grid,
     cfi_control,
     cfi_numeric,
     control_family,
@@ -28,13 +29,7 @@ from icoswitch.metrology import (
     qfi_numeric,
 )
 from icoswitch.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
-from icoswitch.sweep import (
-    FIG2_R_VALUES,
-    NOISE_KINDS,
-    fig2_preset,
-    noise_channel,
-    noise_contraction,
-)
+from icoswitch.sweep import FIG2_R_VALUES, fig2_preset, noise_channel
 from icoswitch.switch import qc_closed_form
 
 XI = np.pi / 5
@@ -235,6 +230,17 @@ class TestCfiControl:
                 cfi_control(p_c, p, xi, nl).value
                 <= qfi_control(p_c, p, xi, nl).value + 1e-9
             )
+
+    def test_small_phase_at_balanced_control(self, capsys):
+        # (1 - P_+) P_+ cancels at small xi; the classical FI must still equal
+        # the quantum value at p_c = 1/2 instead of failing or exceeding it.
+        for xi in (1e-8, 1e-6, 3e-6, 1e-5, 1e-3):
+            for overlap in (0.0, 0.6):
+                want = qfi_control(0.5, 0.5, xi, overlap).value
+                assert abs(cfi_control(0.5, 0.5, xi, overlap).value - want) < 1e-12
+        argv = ["point", "--noise", "bitflip", "--p", "0.5", "--xi", "1e-6", "--quantity", "fc_con"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0.500000000000\n"
 
     def test_degenerate_point_returns_limit(self):
         # p_c = 1/2 and xi = 0: P_+ = 1 with vanishing slope.

@@ -182,6 +182,20 @@ class TestRunSweep:
                 "fq_cas", "depolarizing", row["p"], 0.5, math.pi / 5, (0, 1, 0), (0.3, 0, 0.6)
             )
             assert row["fq_cas"] == direct
+        # Every row of a 101-level all-quantity sweep is bit-identical to the
+        # one-point evaluation, for every noise kind.
+        probe = (0.3, -0.2, 0.6)
+        for kind, p_c in zip(sweep.NOISE_KINDS, (0.5, 0.3, 0.8, 0.5)):
+            cfg = parse_config(
+                f"noise = {kind}\np = 0:1:0.01\np_c = {p_c}\nxi = 2.2\naxis = 0.48,0.6,0.64\n"
+                "probe = 0.3,-0.2,0.6\nquantities = qc,fq_con,fq_cas,fc_con,fq_joint"
+            )
+            _, rows = run_sweep(cfg)
+            assert len(rows) == 101
+            for row in rows:
+                for name in sweep.QUANTITIES:
+                    direct = compute_quantity(name, kind, row["p"], p_c, 2.2, cfg.axis, probe)
+                    assert row[name] == direct, (kind, row["p"], name)
 
     @pytest.mark.parametrize("kind", sweep.NOISE_KINDS)
     def test_huge_xi_evaluated_at_reduced_phase(self, kind):
