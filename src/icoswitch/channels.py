@@ -138,27 +138,32 @@ def rotation_unitary(axis, phase: float) -> np.ndarray:
 class KrausChannel:
     """Ordered Kraus operators of a channel rho -> sum_m K_m rho K_m^dag.
 
-    Construction checks the completeness relation sum_m K_m^dag K_m = I
-    within 1e-10.
+    Construction coerces the operators into one read-only (m, d, d)
+    complex stack, ``kraus``, and checks it once: finite entries and the
+    completeness relation sum_m K_m^dag K_m = I within 1e-10.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(as_cmatrix(k) for k in self.kraus)
-        if not ops:
-            raise ValueError("a channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
+        if len({np.shape(k) for k in self.kraus}) > 1:
             raise ValueError("Kraus operators must share one dimension")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(d))) >= ATOL_STRUCT:
+        ops = np.array(self.kraus, dtype=np.complex128)
+        if ops.shape[:1] == (0,):
+            raise ValueError("a channel needs at least one Kraus operator")
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"expected a square matrix, got shape {ops.shape[1:]}")
+        if not np.isfinite(ops).all():
+            raise ValueError("matrix contains non-finite entries")
+        total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+        if np.max(np.abs(total - np.eye(ops.shape[1]))) >= ATOL_STRUCT:
             raise ValueError("Kraus operators violate completeness sum K^dag K = I")
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def __iter__(self):
         return iter(self.kraus)
@@ -200,8 +205,7 @@ def noisy_phase_channel(noise: KrausChannel, axis, phase: float) -> KrausChannel
     """
     if noise.dim != 2:
         raise ValueError(f"noise channel must act on a qubit, got dim {noise.dim}")
-    u = rotation_unitary(axis, phase)
-    return KrausChannel(tuple(n @ u for n in noise))
+    return KrausChannel(noise.kraus @ rotation_unitary(axis, phase))
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -209,7 +213,5 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = as_cmatrix(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape}, channel dim {ch.dim}")
-    out = np.zeros_like(rho)
-    for k in ch:
-        out += k @ rho @ k.conj().T
-    return out
+    ops = ch.kraus
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)

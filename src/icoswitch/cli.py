@@ -12,6 +12,7 @@ Exit code is 0 on success and 1 with a one-line diagnostic on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .selfcheck import run_all_checks
@@ -41,6 +42,7 @@ def _parse_triple(raw: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"expected three numbers, got {raw!r}") from None
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icoswitch",

@@ -13,6 +13,7 @@ relative.  Double precision sustains these comfortably at these dimensions.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -37,7 +38,7 @@ def as_cmatrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -72,8 +73,11 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
 
     Sweeps the pivots (p, q), p < q, in a fixed row-cyclic order and applies
     complex Givens rotations until the off-diagonal Frobenius norm falls
-    below ``JACOBI_REL_TOL`` times the Frobenius norm of the input.  The
-    fixed pivot order makes the result bit-stable across runs.
+    below ``JACOBI_REL_TOL`` times the Frobenius norm of the input (Golub &
+    Van Loan, *Matrix Computations*, section 8.5).  Each rotation is applied
+    only to rows and columns p and q, and to eigenvector columns p and q, in
+    Python complex arithmetic (no LAPACK).  The fixed pivot order makes the
+    result bit-stable across runs.
 
     Raises:
         ValueError: if the input is not Hermitian within 1e-10.
@@ -83,45 +87,51 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     if np.max(np.abs(a - a.conj().T)) >= ATOL_STRUCT:
         raise ValueError("herm_eig requires a Hermitian matrix")
     n = a.shape[0]
-    # Fold roundoff asymmetry so the iteration preserves Hermiticity exactly.
-    work = (a + a.conj().T) / 2.0
-    vecs = np.eye(n, dtype=np.complex128)
-    fro = np.linalg.norm(work)
+    # Fold roundoff asymmetry so the iteration starts exactly Hermitian.
+    work = ((a + a.conj().T) / 2.0).tolist()
     # Rotations preserve the Frobenius norm, so the reference is fixed.
+    fro = math.sqrt(sum(abs(x) ** 2 for row in work for x in row))
     off_tol = JACOBI_REL_TOL * fro
     pivot_skip = 1e-18 * fro
+    vecs = np.eye(n, dtype=np.complex128).tolist()
+    both = work + vecs  # the same row lists: updated in place, never replaced
 
     for _ in range(max_sweeps):
-        off = np.linalg.norm(work - np.diag(np.diagonal(work)))
+        off = math.sqrt(sum(abs(x) ** 2 for i, r in enumerate(work) for x in r[:i] + r[i + 1 :]))
         if off <= off_tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = work[p, q]
+                rp, rq = work[p], work[q]
+                apq = rp[q]
                 mag = abs(apq)
                 if mag <= pivot_skip:
                     continue
                 phase = apq / mag
-                tau = (work[q, q].real - work[p, p].real) / (2.0 * mag)
+                tau = (rq[q].real - rp[p].real) / (2.0 * mag)
                 if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n, dtype=np.complex128)
-                rot[p, p] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                rot[q, q] = c
-                work = rot.conj().T @ work @ rot
-                vecs = vecs @ rot
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                # R is the identity but for R[p, p] = R[q, q] = c, R[p, q] = sp and
+                # R[q, p] = -conj(sp).  work <- R^dag work R: rows, then columns.
+                sp = t * c * phase
+                spc = sp.conjugate()
+                for j in range(n):
+                    x, y = rp[j], rq[j]
+                    rp[j] = c * x - sp * y
+                    rq[j] = spc * x + c * y
+                for row in both:  # columns p and q of work and vecs: X <- X R
+                    x, y = row[p], row[q]
+                    row[p] = c * x - spc * y
+                    row[q] = sp * x + c * y
     else:
         raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
-    vals = np.diagonal(work).real.copy()
+    vals = np.array([work[i][i].real for i in range(n)])
     order = np.argsort(vals, kind="stable")
-    return EigDecomp(vals[order], vecs[:, order])
+    return EigDecomp(vals[order], np.array(vecs)[:, order])
 
 
 def channel_choi(kraus: Iterable[np.ndarray]) -> np.ndarray:

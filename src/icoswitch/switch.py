@@ -44,6 +44,12 @@ _KET1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 _FLIP = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) for each square matrix in the stack a and one square b."""
+    d = a.shape[-1] * b.shape[-1]
+    return (a[..., :, None, :, None] * b[:, None, :]).reshape(*a.shape[:-2], d, d)
+
+
 @dataclass(frozen=True)
 class SwitchResult:
     """Joint probe-control output, reduced control state, and coupling q_c."""
@@ -67,10 +73,9 @@ def s01(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     rho = as_cmatrix(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"dimension mismatch: state {rho.shape}, channel dim {ch.dim}")
-    out = np.zeros_like(rho)
-    for kj in ch:
-        for kk in ch:
-            out += kj @ kk @ rho @ kj.conj().T @ kk.conj().T
+    pairs = ch.kraus[:, None] @ ch.kraus[None, :]  # [j, k] holds K_j K_k
+    # K_j^dag K_k^dag = (K_k K_j)^dag: the [k, j] pair, daggered.
+    out = (pairs @ rho @ pairs.conj().transpose(1, 0, 3, 2)).sum(axis=(0, 1))
     if np.max(np.abs(out - out.conj().T)) >= S01_HERMITICITY_TOL:
         raise ArithmeticError("order-interference term came out non-Hermitian")
     return out
@@ -111,9 +116,8 @@ def switch_state(ch: KrausChannel, rho: np.ndarray, p_c: float) -> SwitchResult:
     s00_part = s00(ch, rho)
     s01_part = s01(ch, rho)
     coherence = np.sqrt((1.0 - p_c) * p_c)
-    joint = np.kron(s00_part, p_c * _KET0 + (1.0 - p_c) * _KET1) + np.kron(
-        s01_part, coherence * _FLIP
-    )
+    diag = p_c * _KET0 + (1.0 - p_c) * _KET1
+    joint = _kron(s00_part, diag) + _kron(s01_part, coherence * _FLIP)
     check_density(joint, "joint switch output")
     control = partial_trace(joint, keep="control", dims=(ch.dim, 2))
     t = np.trace(s01_part)
@@ -122,15 +126,15 @@ def switch_state(ch: KrausChannel, rho: np.ndarray, p_c: float) -> SwitchResult:
     return SwitchResult(joint=joint, control_reduced=control, q_c=float(t.real))
 
 
-def switch_kraus_ops(ch: KrausChannel) -> list[np.ndarray]:
+def switch_kraus_ops(ch: KrausChannel) -> np.ndarray:
     """Explicit Kraus set of the switched channel on probe (x) control.
 
-    W_jk = K_j K_k (x) |0><0| + K_k K_j (x) |1><1|; the set satisfies
-    completeness on the joint space.
+    W_jk = K_j K_k (x) |0><0| + K_k K_j (x) |1><1|, stacked with j major; the
+    set satisfies completeness on the joint space.
     """
-    return [
-        np.kron(kj @ kk, _KET0) + np.kron(kk @ kj, _KET1) for kj in ch for kk in ch
-    ]
+    pairs = ch.kraus[:, None] @ ch.kraus[None, :]  # [j, k] holds K_j K_k
+    w = _kron(pairs, _KET0) + _kron(pairs.transpose(1, 0, 2, 3), _KET1)
+    return w.reshape(-1, 2 * ch.dim, 2 * ch.dim)
 
 
 def switch_kraus_apply(ch: KrausChannel, rho: np.ndarray, p_c: float) -> np.ndarray:
@@ -145,11 +149,8 @@ def switch_kraus_apply(ch: KrausChannel, rho: np.ndarray, p_c: float) -> np.ndar
     rho = as_cmatrix(rho)
     psi = np.array([np.sqrt(p_c), np.sqrt(1.0 - p_c)], dtype=np.complex128)
     rho_c = np.outer(psi, psi.conj())
-    joint_in = np.kron(rho, rho_c)
-    out = np.zeros_like(joint_in)
-    for w in switch_kraus_ops(ch):
-        out += w @ joint_in @ w.conj().T
-    return out
+    w = switch_kraus_ops(ch)
+    return (w @ _kron(rho, rho_c) @ w.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def reduced_control(ch: KrausChannel, rho: np.ndarray, p_c: float) -> np.ndarray:

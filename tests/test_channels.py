@@ -237,3 +237,30 @@ class TestKrausChannel:
         ops = list(ch)
         assert len(ops) == len(ch) == 2
         np.testing.assert_array_equal(ops[0], np.sqrt(0.75) * I2)
+
+    @pytest.mark.parametrize(
+        "ops, message",
+        [
+            ((np.ones((2, 3)) / np.sqrt(2),), "expected a square matrix, got shape (2, 3)"),
+            ((np.array([[np.nan, 0], [0, 1]]),), "matrix contains non-finite entries"),
+            (
+                (I2, np.array([[0, complex(0, np.inf)], [0, 0]])),
+                "matrix contains non-finite entries",
+            ),
+        ],
+    )
+    def test_non_square_and_non_finite_rejected(self, ops, message):
+        with pytest.raises(ValueError) as info:
+            KrausChannel(ops)
+        assert str(info.value) == message
+
+    def test_operators_held_as_one_read_only_stack(self):
+        ops = [np.sqrt(0.5) * I2, np.sqrt(0.5) * SIGMA_Z]
+        ch = KrausChannel(ops)
+        assert ch.kraus.shape == (2, 2, 2) and ch.kraus.dtype == np.complex128
+        np.testing.assert_array_equal(ch.kraus[1], ops[1])
+        assert ch.dim == 2
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 2.0
+        ops[0][0, 0] = 7.0  # the channel holds a copy, not the caller's arrays
+        assert ch.kraus[0, 0, 0] == np.sqrt(0.5)

@@ -31,6 +31,20 @@ def random_density(rng, n):
     return rho / np.trace(rho)
 
 
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(random_complex(rng, n))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def assert_matches_eigh(a, n):
+    """herm_eig against numpy's LAPACK eigh: values to 1e-12, vectors by residuals."""
+    vals, vecs = herm_eig(a)
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(a), rtol=0, atol=1e-12)
+    rebuilt = vecs @ np.diag(vals) @ vecs.conj().T
+    assert np.max(np.abs(rebuilt - a)) < ATOL_RECON * max(1.0, np.linalg.norm(a))
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) < ATOL_RECON
+
+
 class TestAsCmatrix:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -111,10 +125,7 @@ class TestHermEig:
         rng = np.random.default_rng(9 + n)
         for _ in range(5):
             a = random_hermitian(rng, n)
-            vals, vecs = herm_eig(a)
-            rebuilt = vecs @ np.diag(vals) @ vecs.conj().T
-            assert np.max(np.abs(rebuilt - a)) < ATOL_RECON * max(1.0, np.linalg.norm(a))
-            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(n))) < ATOL_RECON
+            assert_matches_eigh(a, n)
 
     def test_eigenvalue_sum_is_trace(self):
         rng = np.random.default_rng(10)
@@ -137,6 +148,59 @@ class TestHermEig:
         a = random_hermitian(rng, 4)
         first = herm_eig(a)
         second = herm_eig(a.copy())
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+
+
+class TestHermEigContract:
+    """The cyclic Jacobi solver against np.linalg.eigh on the oracle's kinds of input."""
+
+    @pytest.mark.parametrize("n, ranks", [(4, (1, 2, 3)), (16, (1, 4, 8, 15))])
+    def test_rank_deficient_gram(self, n, ranks):
+        # sum_m v_m v_m^dag, the shape of a Choi matrix of m Kraus operators.
+        rng = np.random.default_rng(200 + n)
+        for rank in ranks:
+            v = rng.normal(size=(rank, n)) + 1j * rng.normal(size=(rank, n))
+            gram = v.T @ v.conj()
+            vals, _ = herm_eig(gram)
+            assert np.all(np.abs(vals[: n - rank]) < 1e-12 * np.linalg.norm(gram))
+            assert_matches_eigh(gram, n)
+
+    @pytest.mark.parametrize("spectrum", [(0.3, 0.3, 0.7, 0.7), (1.0, 1.0, 1.0, -2.0), (0.25,) * 4])
+    def test_repeated_eigenvalues(self, spectrum):
+        rng = np.random.default_rng(300)
+        u = random_unitary(rng, 4)
+        a = u @ np.diag(spectrum) @ u.conj().T
+        assert_matches_eigh((a + a.conj().T) / 2, 4)
+
+    def test_diagonal_input_makes_no_rotation(self):
+        diag = np.array([0.7, -1.5, 0.0, 2.25, 0.7])
+        vals, vecs = herm_eig(np.diag(diag).astype(complex))
+        order = np.argsort(diag, kind="stable")
+        np.testing.assert_array_equal(vals, diag[order])
+        np.testing.assert_array_equal(vecs, np.eye(5)[:, order])
+
+    def test_entries_below_pivot_skip_are_not_rotated(self):
+        # Only the (0, 1) pivot exceeds 1e-18 ||A||_F.  The (2, 3) entry is
+        # skipped, so the result equals that of the matrix without it, bit
+        # for bit; a rotation there would put ~1e-19 into the eigenvectors.
+        a = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        a[0, 1], a[1, 0] = 0.5 + 0.25j, 0.5 - 0.25j
+        tiny = a.copy()
+        tiny[2, 3], tiny[3, 2] = 1e-19j, -1e-19j
+        with_tiny, without = herm_eig(tiny), herm_eig(a)
+        np.testing.assert_array_equal(with_tiny.eigenvalues, without.eigenvalues)
+        np.testing.assert_array_equal(with_tiny.eigenvectors, without.eigenvectors)
+        assert_matches_eigh(tiny, 4)
+
+    def test_sweep_limit_raises(self):
+        with pytest.raises(ArithmeticError, match="0 sweeps"):
+            herm_eig(SIGMA_X, max_sweeps=0)
+
+    @pytest.mark.parametrize("n", [2, 16])  # 4x4: TestHermEig.test_deterministic
+    def test_bit_identical_repeat(self, n):
+        a = random_hermitian(np.random.default_rng(400 + n), n)
+        first, second = herm_eig(a), herm_eig(a.copy())
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
         np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
 

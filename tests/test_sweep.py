@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icoswitch import sweep
+from icoswitch import cli, sweep
 from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
 from icoswitch.metrology import qfi_joint
@@ -369,6 +369,29 @@ class TestCli:
             )
             assert code == 0
             float(capsys.readouterr().out)  # parses as a number
+
+    def test_consecutive_calls_share_no_parsed_state(self, capsys):
+        # The parser is built once per process; each call must still print
+        # what a freshly built parser would.
+        runs = (
+            ["point", "--p", "0.3", "--pc", "0.2", "--quantity", "fq_con"],
+            ["point", "--p", "0.3", "--quantity", "fq_con"],
+            ["fig2", "--steps", "3"],
+        )
+
+        def outputs(fresh):
+            printed = []
+            for argv in runs:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                assert main(argv) == 0
+                printed.append(capsys.readouterr().out)
+            return printed
+
+        expected = outputs(fresh=True)
+        assert expected[0] != expected[1]  # a leaked --pc would show
+        assert outputs(fresh=False) == expected
+        assert cli._build_parser() is cli._build_parser()
 
     def test_fig2_writes_csv_and_svg(self, tmp_path, capsys):
         csv_path = tmp_path / "fig2.csv"

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icoswitch.channels import (
+    KrausChannel,
+    apply_channel,
     bloch_to_density,
     check_density,
     noisy_phase_channel,
@@ -171,6 +173,79 @@ class TestSwitchKraus:
             ch, *_ = random_pauli_setup(rng)
             vals, _ = herm_eig(channel_choi(switch_kraus_ops(ch)))
             assert vals[0] > -1e-10
+
+
+def random_isometry_channel(rng, m, d=2):
+    """m Kraus operators cut from a random isometry V (V^dag V = I): not Pauli, not commuting."""
+    z = rng.normal(size=(m * d, d)) + 1j * rng.normal(size=(m * d, d))
+    v, _ = np.linalg.qr(z)
+    return KrausChannel(tuple(v[i * d : (i + 1) * d] for i in range(m)))
+
+
+def random_density(rng, d=2):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
+
+
+# The textbook double loops that the batched kernels replace.
+def loop_apply(ops, rho):
+    out = np.zeros_like(rho)
+    for k in ops:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+def loop_s01(ops, rho):
+    out = np.zeros_like(rho)
+    for kj in ops:
+        for kk in ops:
+            out += kj @ kk @ rho @ kj.conj().T @ kk.conj().T
+    return out
+
+
+def loop_switch_kraus_ops(ops):
+    ket0, ket1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    return [np.kron(kj @ kk, ket0) + np.kron(kk @ kj, ket1) for kj in ops for kk in ops]
+
+
+def loop_switch_kraus_apply(ops, rho, p_c):
+    psi = np.array([np.sqrt(p_c), np.sqrt(1.0 - p_c)], dtype=complex)
+    joint_in = np.kron(rho, np.outer(psi, psi.conj()))
+    out = np.zeros_like(joint_in)
+    for w in loop_switch_kraus_ops(ops):
+        out += w @ joint_in @ w.conj().T
+    return out
+
+
+class TestBatchedKernelsMatchLoops:
+    """The stacked Kraus kernels against literal loops, on non-Pauli Kraus sets."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_kernels(self, m):
+        rng = np.random.default_rng(50 + m)
+        for _ in range(10):
+            ch = random_isometry_channel(rng, m)
+            ops = [np.array(k) for k in ch]
+            rho = random_density(rng)
+            p_c = rng.uniform()
+            assert np.max(np.abs(apply_channel(ch, rho) - loop_apply(ops, rho))) < 1e-15
+            assert np.max(np.abs(s01(ch, rho) - loop_s01(ops, rho))) < 1e-15
+            got = switch_kraus_ops(ch)
+            want = loop_switch_kraus_ops(ops)
+            assert len(got) == len(want) == m * m
+            assert max(np.max(np.abs(g - w)) for g, w in zip(got, want)) < 1e-15
+            oracle = loop_switch_kraus_apply(ops, rho, p_c)
+            assert np.max(np.abs(switch_kraus_apply(ch, rho, p_c) - oracle)) < 1e-15
+
+    def test_s01_dagger_order_matters(self):
+        # On these sets sum_jk K_j K_k rho K_k^dag K_j^dag (reversed daggers) is
+        # far from s01, so the comparison above can tell the two orders apart.
+        rng = np.random.default_rng(60)
+        ch = random_isometry_channel(rng, 2)
+        rho = random_density(rng)
+        reversed_order = sum(kj @ kk @ rho @ (kj @ kk).conj().T for kj in ch for kk in ch)
+        assert np.max(np.abs(s01(ch, rho) - reversed_order)) > 1e-2
 
 
 class TestReducedControl:
