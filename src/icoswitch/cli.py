@@ -5,6 +5,8 @@ Subcommands:
     sweep   run a config-file driven parameter sweep to CSV
     point   evaluate one quantity at one parameter point
     verify  run the seeded oracle-equivalence and invariant suite
+            (--json PATH also writes each check's name, outcome, detail
+            line and printed numbers as a JSON list)
 
 Exit code is 0 on success and 1 with a one-line diagnostic on any error.
 """
@@ -72,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--probe", type=_parse_triple, default=DEFAULT_PROBE, help="probe Bloch X,Y,Z")
     point.add_argument("--quantity", choices=QUANTITIES, required=True)
 
-    sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
+    verify = sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
+    verify.add_argument(
+        "--json", default=None, metavar="PATH", help="also write the results here as JSON"
+    )
     return parser
 
 
@@ -82,6 +87,23 @@ def _write_csv(columns, rows, out_path) -> None:
         sys.stdout.buffer.flush()
     else:
         emit_csv(rows, out_path, columns)
+
+
+def _write_json(results, path) -> None:
+    import json  # only verify --json needs it; kept out of the import time of every call
+
+    doc = [
+        {
+            "name": r.name,
+            "passed": bool(r.passed),
+            "detail": r.detail,
+            "values": {label: float(v) for label, v in r.values.items()},
+        }
+        for r in results
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
             failed = sum(not r.passed for r in results)
             print(f"{len(results) - failed}/{len(results)} checks passed")
+            if args.json is not None:
+                _write_json(results, args.json)
             if failed:
                 return 1
         return 0

@@ -6,6 +6,12 @@ probe-first: for a bipartite operator, the first factor of a Kronecker
 product indexes the coarse blocks (probe), the second the fine blocks
 (control).
 
+Two small kernels run in Python complex arithmetic, with no LAPACK, so
+their results are deterministic.  ``psd_within`` answers the positivity
+check with a Cholesky factorization shifted by the structural tolerance.
+``herm_eig`` is a cyclic Jacobi eigensolver; it serves the routes that
+need the spectrum itself (the SLD sum and the Choi-matrix eigenvalues).
+
 Tolerances are centralized here: structural checks at 1e-10,
 eigendecomposition reconstruction at 1e-11, Jacobi convergence at 1e-13
 relative.  Double precision sustains these comfortably at these dimensions.
@@ -25,6 +31,8 @@ ATOL_RECON = 1e-11
 # Jacobi sweep termination: off-diagonal Frobenius norm relative to ||A||_F.
 JACOBI_REL_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
+# herm_eig rescales a matrix whose largest |entry| lies outside this range.
+_SCALE_LO, _SCALE_HI = math.ldexp(1.0, -500), math.ldexp(1.0, 500)
 
 I2 = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -77,7 +85,10 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     Van Loan, *Matrix Computations*, section 8.5).  Each rotation is applied
     only to rows and columns p and q, and to eigenvector columns p and q, in
     Python complex arithmetic (no LAPACK).  The fixed pivot order makes the
-    result bit-stable across runs.
+    result bit-stable across runs.  A matrix whose largest |entry| lies
+    outside [2^-500, 2^500] is scaled by an exact power of two first and its
+    eigenvalues scaled back, so the squared norms neither under- nor
+    overflow; any other input runs unscaled.
 
     Raises:
         ValueError: if the input is not Hermitian within 1e-10.
@@ -87,6 +98,12 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     if np.max(np.abs(a - a.conj().T)) >= ATOL_STRUCT:
         raise ValueError("herm_eig requires a Hermitian matrix")
     n = a.shape[0]
+    big = float(np.max(np.abs(a))) if n else 0.0
+    exponent = math.frexp(big)[1] if big > _SCALE_HI or 0.0 < big < _SCALE_LO else 0
+    # Two half steps keep each factor representable down to subnormal inputs.
+    half = exponent // 2
+    if exponent:
+        a = a * math.ldexp(1.0, -half) * math.ldexp(1.0, half - exponent)
     # Fold roundoff asymmetry so the iteration starts exactly Hermitian.
     work = ((a + a.conj().T) / 2.0).tolist()
     # Rotations preserve the Frobenius norm, so the reference is fixed.
@@ -130,8 +147,37 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
         raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
     vals = np.array([work[i][i].real for i in range(n)])
+    if exponent:
+        vals = vals * math.ldexp(1.0, half) * math.ldexp(1.0, exponent - half)
     order = np.argsort(vals, kind="stable")
     return EigDecomp(vals[order], np.array(vecs)[:, order])
+
+
+def psd_within(a: np.ndarray) -> bool:
+    """Whether every eigenvalue of the Hermitian part of ``a`` exceeds -1e-10.
+
+    Factors (a + a^dag)/2 + t I, t = ``ATOL_STRUCT``, as U^dag U with U upper
+    triangular, reading the upper triangle of the symmetrized matrix.  The
+    factorization exists, every pivot positive, exactly when that matrix is
+    positive definite, that is when lambda_min((a + a^dag)/2) > -t; a matrix
+    with lambda_min = -t exactly is rejected.  Runs in Python complex
+    arithmetic on a square complex matrix (as ``as_cmatrix`` returns it).
+    """
+    rows = a.tolist()
+    n = len(rows)
+    u = [[0j] * n for _ in range(n)]
+    for j in range(n):
+        cols = [r[j] for r in u[:j]]  # column j of U above the diagonal
+        pivot = rows[j][j].real + ATOL_STRUCT - sum(x.real * x.real + x.imag * x.imag for x in cols)
+        if not pivot > 0.0:
+            return False
+        d = math.sqrt(pivot)
+        uj = u[j]
+        uj[j] = d
+        for i in range(j + 1, n):
+            h = (rows[j][i] + rows[i][j].conjugate()) / 2.0
+            uj[i] = (h - sum(x.conjugate() * r[i] for x, r in zip(cols, u))) / d
+    return True
 
 
 def channel_choi(kraus: Iterable[np.ndarray]) -> np.ndarray:

@@ -9,7 +9,7 @@ All randomness is seeded, so a pass/fail outcome is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -53,9 +53,13 @@ _KIND_OF_PAULI = {pauli: kind for kind, pauli in PAULI_OF_KIND.items()}
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome.  ``values`` maps each number the detail line
+    prints to its value, under the label that precedes it there."""
+
     name: str
     passed: bool
     detail: str
+    values: dict[str, float] = field(default_factory=dict)
 
 
 def _rand_axis(rng) -> np.ndarray:
@@ -99,6 +103,7 @@ def check_joint_state_oracle() -> CheckResult:
         worst < 1e-12 and engine_diff < 1e-12,
         f"max |diff| = {worst:.3e} over 200 draws; max |engine - Kraus| = {engine_diff:.3e} "
         "on 20 draws",
+        {"max |diff|": worst, "max |engine - Kraus|": engine_diff},
     )
 
 
@@ -116,7 +121,10 @@ def check_qc_closed_form() -> CheckResult:
         want = qc_closed_form(p, xi, axis[pauli.index])
         worst = max(worst, abs(got - want))
     return CheckResult(
-        "coupling scalar closed form", worst < 1e-10, f"max |diff| = {worst:.3e} over 1000 draws"
+        "coupling scalar closed form",
+        worst < 1e-10,
+        f"max |diff| = {worst:.3e} over 1000 draws",
+        {"max |diff|": worst},
     )
 
 
@@ -136,6 +144,7 @@ def check_qc_probe_independence() -> CheckResult:
         "coupling probe independence",
         worst < 1e-10,
         f"max spread = {worst:.3e} over 5 x 50 probes",
+        {"max spread": worst},
     )
 
 
@@ -161,6 +170,7 @@ def check_qfi_closed_vs_sld() -> CheckResult:
         "control QFI closed form vs SLD",
         worst < 1e-6 and engine_diff < 1e-6,
         f"max |diff| = {worst:.3e} over 200 draws; max |engine - SLD| = {engine_diff:.3e}",
+        {"max |diff|": worst, "max |engine - SLD|": engine_diff},
     )
 
 
@@ -182,6 +192,7 @@ def check_measurement_optimality() -> CheckResult:
         "Hadamard measurement optimality",
         worst < 1e-9 and argmax_ok,
         f"max |cfi - qfi| = {worst:.3e} on 20x20 grid; argmax at 0.5: {argmax_ok}",
+        {"max |cfi - qfi|": worst},
     )
 
 
@@ -214,6 +225,11 @@ def check_commuting_degeneracy() -> CheckResult:
         worst < 1e-12 and zero == 0.0 and flip_diff < 1e-12,
         f"max |s01 - s00| = {worst:.3e}; aligned-axis QFI = {zero}; "
         f"bit-flip vs phase-flip at e_y = {flip_diff:.3e} on 11 noise levels",
+        {
+            "max |s01 - s00|": worst,
+            "aligned-axis QFI": zero,
+            "bit-flip vs phase-flip at e_y": flip_diff,
+        },
     )
 
 
@@ -237,6 +253,7 @@ def check_cptp() -> CheckResult:
         "switched channel CPTP",
         worst_eig > -1e-10 and worst_comp < 1e-10,
         f"min Choi eigenvalue = {worst_eig:.3e}, completeness residual = {worst_comp:.3e}",
+        {"min Choi eigenvalue": worst_eig, "completeness residual": worst_comp},
     )
 
 
@@ -265,6 +282,7 @@ def check_depolarizing_invariance() -> CheckResult:
         "depolarizing probe/axis independence",
         spread < 1e-8,
         f"spread = {spread:.3e} over 20 random axes and 20 random probes",
+        {"spread": spread},
     )
 
 
@@ -298,6 +316,7 @@ def check_symmetry_and_limits() -> CheckResult:
         worst < 1e-12 and exact_ok and worst_limit < 1e-4,
         f"max symmetry residual = {worst:.3e} over 100 draws; closed-form limit exact: "
         f"{exact_ok}; SLD limit at xi = 1e-4 within {worst_limit:.3e}",
+        {"max symmetry residual": worst, "SLD limit at xi = 1e-4 within": worst_limit},
     )
 
 
@@ -327,6 +346,7 @@ def check_fig2_shape() -> CheckResult:
         sym < 1e-12 and peak_ok and cross_ok and engine_diff < 1e-6,
         f"symmetry residual = {sym:.3e}; peak at p = 0.5: {peak_ok}; "
         f"high-noise crossover: {cross_ok}; max |engine - SLD| = {engine_diff:.3e} on 20 points",
+        {"symmetry residual": sym, "max |engine - SLD|": engine_diff},
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for qubit states, the phase rotation, and the noise channels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from icoswitch.channels import (
     noisy_phase_channel,
     pauli_channel,
     rotation_unitary,
+    unit_axis,
 )
 from icoswitch.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, herm_eig
 
@@ -69,6 +72,65 @@ class TestBlochMaps:
             check_density(np.diag([1.5, -0.5]).astype(complex))
         with pytest.raises(ValueError, match="Hermitian"):
             check_density(np.array([[1, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.array([[1, 1], [0, 0]]), "joint is not Hermitian"),
+            (np.diag([1.0, 1.0]), "joint does not have unit trace"),
+            (np.diag([1.0 + 2e-10, -2e-10]), "joint is not positive semidefinite"),
+            (np.diag([0.5, 0.5, 0.5, -0.5]), "joint is not positive semidefinite"),
+        ],
+    )
+    def test_check_density_messages(self, rho, message):
+        with pytest.raises(ValueError) as info:
+            check_density(rho.astype(complex), "joint")
+        assert str(info.value) == message
+
+    def test_check_density_tolerates_roundoff_negatives(self):
+        check_density(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
+        check_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+
+    @pytest.mark.parametrize(
+        "check, what", [(bloch_vector, "Bloch vector"), (unit_axis, "axis")]
+    )
+    def test_triple_messages(self, check, what):
+        for bad, message in (
+            ((1.0, 0.0), f"{what} must have 3 components, got shape (2,)"),
+            (np.zeros((3, 1)), f"{what} must have 3 components, got shape (3, 1)"),
+            ((0.0, np.nan, 0.0), f"{what} has non-finite components"),
+            ((0.0, 0.0, -np.inf), f"{what} has non-finite components"),
+        ):
+            with pytest.raises(ValueError) as info:
+                check(bad)
+            assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            unit_axis((0.0, 0.6, 0.6))
+        assert str(info.value) == f"axis must be a unit vector, |n| = {np.sqrt(0.72)}"
+
+    def test_constructions_match_pauli_sums_bit_for_bit(self):
+        # The density matrix and the rotation are built entry by entry from
+        # three floats; they equal the Pauli-sum formulas exactly.
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            r = random_bloch(rng)
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            phase = rng.uniform(-10, 10)
+            rho = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0
+            np.testing.assert_array_equal(bloch_to_density(r), rho)
+            n_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+            half = 0.5 * phase
+            u = math.cos(half) * I2 - 1j * math.sin(half) * n_sigma
+            np.testing.assert_array_equal(rotation_unitary(n, phase), u)
+
+    def test_overshoot_rescaled_by_numpy_norm(self):
+        # |v| - 1 = 1.9e-13; here np.linalg.norm and a plain sum of squares
+        # round differently, and the rescale keeps numpy's bits.
+        v = np.array([-0.10614122989532501, -0.17338671377952858, -0.979117504082845])
+        np.testing.assert_array_equal(bloch_vector(v), v / np.linalg.norm(v))
+        np.testing.assert_array_equal(bloch_to_density(v), bloch_to_density(v / np.linalg.norm(v)))
+        np.testing.assert_array_equal(bloch_vector((0.3, 0.4, 0.5)), [0.3, 0.4, 0.5])
 
 
 class TestRotationUnitary:
@@ -253,6 +315,30 @@ class TestKrausChannel:
         with pytest.raises(ValueError) as info:
             KrausChannel(ops)
         assert str(info.value) == message
+
+    def test_non_finite_real_part_rejected(self):
+        with pytest.raises(ValueError) as info:
+            KrausChannel(np.array([[[np.inf, 0], [0, 1]]]))
+        assert str(info.value) == "matrix contains non-finite entries"
+
+    def test_compares_and_hashes_by_identity(self):
+        a, b = pauli_channel("x", 0.2), pauli_channel("x", 0.2)
+        assert a == a and a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b} and len({a, b}) == 2
+        assert {a: 1}[a] == 1
+
+    def test_stack_and_list_inputs_agree(self):
+        ops = [np.sqrt(0.5) * I2, np.sqrt(0.5) * SIGMA_Y]
+        np.testing.assert_array_equal(KrausChannel(np.array(ops)).kraus, KrausChannel(ops).kraus)
+        np.testing.assert_array_equal(
+            pauli_channel("y", 0.5).kraus, KrausChannel(ops).kraus
+        )
+        w = np.sqrt(0.3 / 4)
+        np.testing.assert_array_equal(
+            depolarizing_channel(0.3).kraus,
+            np.array([np.sqrt(1 - 0.75 * 0.3) * I2, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z]),
+        )
 
     def test_operators_held_as_one_read_only_stack(self):
         ops = [np.sqrt(0.5) * I2, np.sqrt(0.5) * SIGMA_Z]

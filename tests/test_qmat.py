@@ -13,6 +13,7 @@ from icoswitch.qmat import (
     channel_choi,
     herm_eig,
     partial_trace,
+    psd_within,
 )
 
 
@@ -203,6 +204,82 @@ class TestHermEigContract:
         first, second = herm_eig(a), herm_eig(a.copy())
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
         np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+
+
+class TestHermEigScaling:
+    """Entries outside [2^-500, 2^500] are scaled by a power of two, not squared raw."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_scaled_sigma_x(self, scale):
+        vals, vecs = herm_eig(scale * SIGMA_X)
+        np.testing.assert_allclose(vals, [-scale, scale], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(vecs, herm_eig(SIGMA_X).eigenvectors)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+    def test_scaled_hermitian_matches_unscaled(self, scale):
+        a = random_hermitian(np.random.default_rng(500), 4)
+        np.testing.assert_allclose(
+            herm_eig(scale * a).eigenvalues, scale * herm_eig(a).eigenvalues, rtol=1e-12, atol=0
+        )
+
+
+def spectrum_matrix(rng, spectrum):
+    u = random_unitary(rng, len(spectrum))
+    a = u @ np.diag(spectrum) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+class TestPsdWithin:
+    """The shifted Cholesky test against the eigenvalue predicate it replaces."""
+
+    @pytest.mark.parametrize("n, draws", [(2, 400), (4, 400), (16, 40)])
+    def test_agrees_with_eigenvalue_predicate(self, n, draws):
+        # Spectra from {-1e-9, -2e-10, -5e-11, 0, 1e-12, 0.3}: the smallest
+        # level is drawn first, so a third of the draws have lambda_min below
+        # -1e-10, and none has it within a factor 2 of -1e-10.
+        rng = np.random.default_rng(600 + n)
+        levels = np.array([-1e-9, -2e-10, -5e-11, 0.0, 1e-12, 0.3])
+        accepted = 0
+        for _ in range(draws):
+            lowest = rng.choice(levels)
+            spectrum = np.append(rng.choice(levels[levels >= lowest], size=n - 1), lowest)
+            a = spectrum_matrix(rng, spectrum)
+            want = herm_eig(a).eigenvalues[0] >= -ATOL_STRUCT
+            assert psd_within(a) == want
+            accepted += want
+        assert 0 < accepted < draws
+
+    @pytest.mark.parametrize("diag", [(0.5, -1e-10), (-1e-10, 0.5), (0.25, 0.25, 0.5, -1e-10)])
+    def test_bound_is_strict(self, diag):
+        # lambda_min = -1e-10 exactly: the shifted pivot is exactly 0.
+        assert not psd_within(np.diag(diag).astype(complex))
+        assert psd_within(np.diag(diag).astype(complex) + 1e-12 * np.eye(len(diag)))
+
+    def test_rank_one_projectors_pass(self):
+        rng = np.random.default_rng(610)
+        for n in (2, 4, 16):
+            for _ in range(20):
+                v = rng.normal(size=n) + 1j * rng.normal(size=n)
+                v /= np.linalg.norm(v)
+                assert psd_within(np.outer(v, v.conj()))
+
+    def test_symmetrizes_before_reading_a_triangle(self):
+        # Eigenvalues a +- b with b = 0.5 + 8e-11: lambda_min = -8e-11 passes.
+        # An asymmetry of +-4e-11 on the off-diagonal entries gives an upper
+        # triangle with lambda_min = -1.2e-10 and a lower one with -4e-11, so
+        # a kernel reading either raw triangle fails one of the two cases.
+        b = 0.5 + 8e-11
+        a = np.array([[0.5, b + 4e-11], [b - 4e-11, 0.5]], dtype=complex)
+        for m in (a, a.T):
+            assert np.max(np.abs(m - m.conj().T)) < ATOL_STRUCT
+            assert psd_within(m)
+            assert not psd_within(m - 1e-10 * np.eye(2))
+
+    def test_deterministic_and_leaves_input(self):
+        a = spectrum_matrix(np.random.default_rng(611), [0.0, 0.2, 0.3, 0.5])
+        before = a.copy()
+        assert psd_within(a) and psd_within(a)
+        np.testing.assert_array_equal(a, before)
 
 
 class TestChannelChoi:

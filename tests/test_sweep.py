@@ -1,5 +1,6 @@
 """Tests for config parsing, the sweep engine, CSV/SVG output, and the CLI."""
 
+import json
 import math
 
 import numpy as np
@@ -462,6 +463,34 @@ class TestCli:
         assert main(["verify"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["FAIL  broken: diff = 1", "PASS  fine: ok", "1/2 checks passed"]
+
+    def test_verify_json(self, tmp_path, capsys):
+        # One full verify run: stdout is the text report alone, and the JSON
+        # file holds the same checks with the numbers each detail line prints.
+        path = tmp_path / "verify.json"
+        assert main(["verify", "--json", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "10/10 checks passed"
+        doc = json.loads(path.read_text())
+        assert [f"PASS  {r['name']}: {r['detail']}" for r in doc] == lines[:-1]
+        for r in doc:
+            assert set(r) == {"name", "passed", "detail", "values"} and r["passed"] is True
+            assert r["values"], r["name"]
+            for label, value in r["values"].items():
+                # Each number follows its label, after " = " or " ", as the
+                # detail line formats it: .3e, or str for an exact value.
+                printed = r["detail"].split(label, 1)[1].removeprefix(" = ").removeprefix(" ")
+                assert printed.startswith((f"{value:.3e}", str(value))), (label, r["detail"])
+
+    def test_verify_json_written_on_failure(self, monkeypatch, tmp_path, capsys):
+        results = [CheckResult("broken", False, "diff = 1", {"diff": 1.0})]
+        monkeypatch.setattr("icoswitch.cli.run_all_checks", lambda: results)
+        path = tmp_path / "verify.json"
+        assert main(["verify", "--json", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == ["FAIL  broken: diff = 1", "0/1 checks passed"]
+        assert json.loads(path.read_text()) == [
+            {"name": "broken", "passed": False, "detail": "diff = 1", "values": {"diff": 1.0}}
+        ]
 
     def test_fig2_steps_capped(self, capsys):
         assert main(["fig2", "--steps", "1000001"]) == 1

@@ -1,5 +1,7 @@
 """Tests for the switched-channel superoperators, the joint state, and q_c."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from icoswitch.channels import (
     pauli_channel,
     rotation_unitary,
 )
+from icoswitch.metrology import qfi_joint
 from icoswitch.qmat import I2, SIGMA_X, channel_choi, herm_eig, partial_trace
 from icoswitch.switch import (
     qc_closed_form,
@@ -126,6 +129,40 @@ class TestSwitchState:
             res = switch_state(ch, rho, rng.uniform())
             check_density(res.joint)
             assert abs(np.trace(res.joint) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("p_c", [0.0, 1.0])
+    @pytest.mark.parametrize("p, rank", [(0.0, 1), (0.3, 2)])
+    def test_rank_deficient_joint_states_pass(self, p, rank, p_c):
+        # A pure probe through a unitary (p = 0) or a two-Kraus Pauli channel,
+        # with the control in a basis state: the joint state has rank 1 or 2,
+        # so two or three of its eigenvalues are zero up to roundoff.
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            probe = random_axis(rng)
+            ch = noisy_phase_channel(pauli_channel("x", p), random_axis(rng), rng.uniform(0, 6))
+            joint = switch_state(ch, bloch_to_density(probe), p_c).joint
+            vals = np.linalg.eigvalsh(joint)
+            assert np.sum(vals > 1e-12) == rank and vals[0] > -1e-15
+
+    def test_makes_no_eigendecomposition(self, monkeypatch):
+        # Positivity of the joint state is the Cholesky test, not herm_eig.
+        # The counter replaces herm_eig in every module namespace holding it.
+        calls = []
+
+        def counted(a, *rest):
+            calls.append(a.shape)
+            return herm_eig(a, *rest)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("icoswitch") and hasattr(module, "herm_eig"):
+                monkeypatch.setattr(module, "herm_eig", counted)
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            ch, rho, *_ = random_pauli_setup(rng)
+            switch_state(ch, rho, rng.uniform())
+        assert calls == []
+        qfi_joint(pauli_channel("x", 0.3), E_Y, XI, bloch_to_density((0, 0, 1)), 0.5)
+        assert calls == [(4, 4)]  # the counter does see the SLD route's solve
 
     def test_probe_marginal_is_cascade(self):
         rng = np.random.default_rng(36)
