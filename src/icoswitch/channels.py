@@ -8,7 +8,6 @@ fixed axis followed by noise,  rho -> N(U rho U^dag).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +36,10 @@ class PauliAxis(Enum):
     Z = "z"
 
     @property
+    def matrix(self) -> np.ndarray:
+        return {PauliAxis.X: SIGMA_X, PauliAxis.Y: SIGMA_Y, PauliAxis.Z: SIGMA_Z}[self]
+
+    @property
     def index(self) -> int:
         """Cartesian component index (0, 1, 2) selected by this Pauli."""
         return ("x", "y", "z").index(self.value)
@@ -48,49 +51,18 @@ class PauliAxis(Enum):
         return cls(str(value).lower())
 
 
-# Unweighted Kraus operators: I and the three Paulis (depolarizing noise),
-# and I with each single Pauli (Pauli noise).
-_PAULI_STACK = np.array((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
-_PAULI_PAIRS = {axis: _PAULI_STACK[[0, 1 + axis.index]] for axis in PauliAxis}
-
-
 def _check_probability(p: float, name: str = "p") -> float:
     p = float(p)
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
+    if not np.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
     return p
 
 
 def _check_phase(xi: float) -> float:
     xi = float(xi)
-    if not math.isfinite(xi):
+    if not np.isfinite(xi):
         raise ValueError(f"xi must be a finite number of radians, got {xi}")
     return xi
-
-
-def _real_triple(v, what: str) -> tuple[np.ndarray, float, float, float]:
-    """A finite real 3-vector as a float64 array and its three components."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"{what} must have 3 components, got shape {arr.shape}")
-    x, y, z = arr.tolist()
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"{what} has non-finite components")
-    return arr, x, y, z
-
-
-def _bloch_components(r) -> tuple[np.ndarray, float, float, float]:
-    v, x, y, z = _real_triple(r, "Bloch vector")
-    # Well inside the ball no rescale can apply.  Near or past the sphere the
-    # norm decides one, so it comes from np.linalg.norm as before, bit for bit.
-    if x * x + y * y + z * z > 1.0 - 1e-9:
-        norm = float(np.linalg.norm(v))
-        if norm > 1.0 + BLOCH_NORM_TOL:
-            raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-        if norm > 1.0:
-            v = v / norm
-            x, y, z = v.tolist()
-    return v, x, y, z
 
 
 def bloch_vector(r) -> np.ndarray:
@@ -99,29 +71,35 @@ def bloch_vector(r) -> np.ndarray:
     A norm overshoot of at most 1e-12 is rescaled silently (roundoff from
     upstream arithmetic); anything larger is an error.
     """
-    return _bloch_components(r)[0]
-
-
-def _axis_components(n) -> tuple[np.ndarray, float, float, float]:
-    v, x, y, z = _real_triple(n, "axis")
-    norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) > AXIS_UNIT_TOL:
-        raise ValueError(f"axis must be a unit vector, |n| = {norm}")
-    return v, x, y, z
+    v = np.asarray(r, dtype=np.float64)
+    if v.shape != (3,):
+        raise ValueError(f"Bloch vector must have 3 components, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("Bloch vector has non-finite components")
+    norm = float(np.linalg.norm(v))
+    if norm > 1.0 + BLOCH_NORM_TOL:
+        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    if norm > 1.0:
+        v = v / norm
+    return v
 
 
 def unit_axis(n) -> np.ndarray:
     """Validate a rotation axis: real 3-vector with unit norm within 1e-12."""
-    return _axis_components(n)[0]
+    v = np.asarray(n, dtype=np.float64)
+    if v.shape != (3,):
+        raise ValueError(f"axis must have 3 components, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("axis has non-finite components")
+    if abs(float(np.linalg.norm(v)) - 1.0) > AXIS_UNIT_TOL:
+        raise ValueError(f"axis must be a unit vector, |n| = {np.linalg.norm(v)}")
+    return v
 
 
 def bloch_to_density(r) -> np.ndarray:
     """Density matrix (I + r.sigma)/2 of a Bloch vector."""
-    _, x, y, z = _bloch_components(r)
-    return np.array(
-        [[(1.0 + z) / 2.0, complex(x / 2.0, -y / 2.0)], [complex(x / 2.0, y / 2.0), (1.0 - z) / 2.0]],
-        dtype=np.complex128,
-    )
+    v = bloch_vector(r)
+    return (I2 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z) / 2.0
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -155,13 +133,10 @@ def rotation_unitary(axis, phase: float) -> np.ndarray:
     Built as cos(phase/2) I - i sin(phase/2) (n.sigma), which is exact and
     deterministic; no matrix exponential is involved.
     """
-    _, x, y, z = _axis_components(axis)
+    n = unit_axis(axis)
+    n_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     half = 0.5 * float(phase)
-    c, s = math.cos(half), math.sin(half)
-    return np.array(
-        [[complex(c, -s * z), complex(-s * y, -s * x)], [complex(s * y, -s * x), complex(c, s * z)]],
-        dtype=np.complex128,
-    )
+    return np.cos(half) * I2 - 1j * np.sin(half) * n_sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,22 +144,18 @@ class KrausChannel:
     """Ordered Kraus operators of a channel rho -> sum_m K_m rho K_m^dag.
 
     Construction coerces the operators into one read-only (m, d, d)
-    complex stack, ``kraus``, and checks it once: one shared square shape,
-    finite entries and the completeness relation sum_m K_m^dag K_m = I
-    within 1e-10.  Channels compare and hash by identity, so a channel can
-    be a set member or a dict key; two channels built from equal operators
-    are not equal.
+    complex stack, ``kraus``, and checks it once: finite entries and the
+    completeness relation sum_m K_m^dag K_m = I within 1e-10.  Channels
+    compare and hash by identity, so a channel can be a set member or a dict
+    key; two channels built from equal operators are not equal.
     """
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        ops = self.kraus
-        # A stack that is already one (m, d, d) array cannot be ragged.
-        if not (isinstance(ops, np.ndarray) and ops.ndim == 3):
-            if len({np.shape(k) for k in ops}) > 1:
-                raise ValueError("Kraus operators must share one dimension")
-        ops = np.array(ops, dtype=np.complex128)
+        if len({np.shape(k) for k in self.kraus}) > 1:
+            raise ValueError("Kraus operators must share one dimension")
+        ops = np.array(self.kraus, dtype=np.complex128)
         if ops.shape[:1] == (0,):
             raise ValueError("a channel needs at least one Kraus operator")
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
@@ -222,8 +193,7 @@ def pauli_channel(axis: PauliAxis | str, p: float) -> KrausChannel:
     """
     axis = PauliAxis.coerce(axis)
     p = _check_probability(p)
-    weights = np.array((math.sqrt(1.0 - p), math.sqrt(p)))
-    return KrausChannel(weights[:, None, None] * _PAULI_PAIRS[axis])
+    return KrausChannel((np.sqrt(1.0 - p) * I2, np.sqrt(p) * axis.matrix))
 
 
 def depolarizing_channel(p: float) -> KrausChannel:
@@ -233,9 +203,10 @@ def depolarizing_channel(p: float) -> KrausChannel:
     sqrt(p/4) sigma_z}.
     """
     p = _check_probability(p)
-    w = math.sqrt(p / 4.0)
-    weights = np.array((math.sqrt(1.0 - 3.0 * p / 4.0), w, w, w))
-    return KrausChannel(weights[:, None, None] * _PAULI_STACK)
+    w = np.sqrt(p / 4.0)
+    return KrausChannel(
+        (np.sqrt(1.0 - 3.0 * p / 4.0) * I2, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z)
+    )
 
 
 def noisy_phase_channel(noise: KrausChannel, axis, phase: float) -> KrausChannel:

@@ -97,7 +97,7 @@ def _write_json(results, path) -> None:
             "name": r.name,
             "passed": bool(r.passed),
             "detail": r.detail,
-            "values": {label: float(v) for label, v in r.values.items()},
+            "values": dict(r.values),
         }
         for r in results
     ]

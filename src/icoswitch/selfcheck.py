@@ -9,7 +9,7 @@ All randomness is seeded, so a pass/fail outcome is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,13 +53,34 @@ _KIND_OF_PAULI = {pauli: kind for kind, pauli in PAULI_OF_KIND.items()}
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check's outcome.  ``values`` maps each number the detail line
-    prints to its value, under the label that precedes it there."""
+    """One check's outcome.  ``values`` pairs each number the detail line
+    prints with the label that precedes it there."""
 
     name: str
     passed: bool
     detail: str
-    values: dict[str, float] = field(default_factory=dict)
+    values: tuple[tuple[str, float], ...] = ()
+
+
+_NUMBER = "{} = {:.3e}"
+
+
+def _result(name: str, passed: bool, *parts) -> CheckResult:
+    """Build a result whose detail line and ``values`` come from one list.
+
+    A part is literal text or a ``(label, value)`` pair, printed as
+    ``label = value`` to four significant digits; a third item replaces
+    that template, e.g. ``"{} within {:.3e}"``.
+    """
+    text, values = [], []
+    for part in parts:
+        if isinstance(part, str):
+            text.append(part)
+            continue
+        label, value, *template = part
+        text.append((template[0] if template else _NUMBER).format(label, value))
+        values.append((label, float(value)))
+    return CheckResult(name, passed, "".join(text), tuple(values))
 
 
 def _rand_axis(rng) -> np.ndarray:
@@ -98,12 +119,13 @@ def check_joint_state_oracle() -> CheckResult:
         if i % 10 == 0:
             engine = switch_state_grid(_KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)[0][0]
             engine_diff = max(engine_diff, float(np.max(np.abs(engine - oracle))))
-    return CheckResult(
+    return _result(
         "joint state vs Kraus oracle",
         worst < 1e-12 and engine_diff < 1e-12,
-        f"max |diff| = {worst:.3e} over 200 draws; max |engine - Kraus| = {engine_diff:.3e} "
-        "on 20 draws",
-        {"max |diff|": worst, "max |engine - Kraus|": engine_diff},
+        ("max |diff|", worst),
+        " over 200 draws; ",
+        ("max |engine - Kraus|", engine_diff),
+        " on 20 draws",
     )
 
 
@@ -120,11 +142,8 @@ def check_qc_closed_form() -> CheckResult:
         got = qc_numeric(ch, bloch_to_density(_rand_bloch(rng)))
         want = qc_closed_form(p, xi, axis[pauli.index])
         worst = max(worst, abs(got - want))
-    return CheckResult(
-        "coupling scalar closed form",
-        worst < 1e-10,
-        f"max |diff| = {worst:.3e} over 1000 draws",
-        {"max |diff|": worst},
+    return _result(
+        "coupling scalar closed form", worst < 1e-10, ("max |diff|", worst), " over 1000 draws"
     )
 
 
@@ -140,11 +159,11 @@ def check_qc_probe_independence() -> CheckResult:
         )
         values = [qc_numeric(ch, bloch_to_density(_rand_bloch(rng))) for _ in range(50)]
         worst = max(worst, max(values) - min(values))
-    return CheckResult(
+    return _result(
         "coupling probe independence",
         worst < 1e-10,
-        f"max spread = {worst:.3e} over 5 x 50 probes",
-        {"max spread": worst},
+        ("max spread", worst),
+        " over 5 x 50 probes",
     )
 
 
@@ -166,11 +185,12 @@ def check_qfi_closed_vs_sld() -> CheckResult:
         engine = evaluate_grid(("fq_con",), _KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)
         worst = max(worst, abs(numeric - closed))
         engine_diff = max(engine_diff, abs(numeric - float(engine["fq_con"][0])))
-    return CheckResult(
+    return _result(
         "control QFI closed form vs SLD",
         worst < 1e-6 and engine_diff < 1e-6,
-        f"max |diff| = {worst:.3e} over 200 draws; max |engine - SLD| = {engine_diff:.3e}",
-        {"max |diff|": worst, "max |engine - SLD|": engine_diff},
+        ("max |diff|", worst),
+        " over 200 draws; ",
+        ("max |engine - SLD|", engine_diff),
     )
 
 
@@ -188,11 +208,11 @@ def check_measurement_optimality() -> CheckResult:
     for p, xi, nl in ((0.3, 0.7, 0.0), (0.5, np.pi / 5, 0.2), (0.8, 2.0, -0.4)):
         values = [qfi_control(pc, p, xi, nl).value for pc in grid]
         argmax_ok &= abs(grid[int(np.argmax(values))] - 0.5) < 1e-12
-    return CheckResult(
+    return _result(
         "Hadamard measurement optimality",
         worst < 1e-9 and argmax_ok,
-        f"max |cfi - qfi| = {worst:.3e} on 20x20 grid; argmax at 0.5: {argmax_ok}",
-        {"max |cfi - qfi|": worst},
+        ("max |cfi - qfi|", worst),
+        f" on 20x20 grid; argmax at 0.5: {argmax_ok}",
     )
 
 
@@ -220,16 +240,15 @@ def check_commuting_degeneracy() -> CheckResult:
         )
         for p in np.linspace(0.0, 1.0, 11)
     )
-    return CheckResult(
+    return _result(
         "commuting-noise degeneracy",
         worst < 1e-12 and zero == 0.0 and flip_diff < 1e-12,
-        f"max |s01 - s00| = {worst:.3e}; aligned-axis QFI = {zero}; "
-        f"bit-flip vs phase-flip at e_y = {flip_diff:.3e} on 11 noise levels",
-        {
-            "max |s01 - s00|": worst,
-            "aligned-axis QFI": zero,
-            "bit-flip vs phase-flip at e_y": flip_diff,
-        },
+        ("max |s01 - s00|", worst),
+        "; ",
+        ("aligned-axis QFI", zero, "{} = {}"),
+        "; ",
+        ("bit-flip vs phase-flip at e_y", flip_diff),
+        " on 11 noise levels",
     )
 
 
@@ -249,11 +268,12 @@ def check_cptp() -> CheckResult:
         worst_comp = max(worst_comp, float(np.max(np.abs(total - np.eye(4)))))
         smallest = herm_eig(channel_choi(ops)).eigenvalues[0]
         worst_eig = min(worst_eig, float(smallest))
-    return CheckResult(
+    return _result(
         "switched channel CPTP",
         worst_eig > -1e-10 and worst_comp < 1e-10,
-        f"min Choi eigenvalue = {worst_eig:.3e}, completeness residual = {worst_comp:.3e}",
-        {"min Choi eigenvalue": worst_eig, "completeness residual": worst_comp},
+        ("min Choi eigenvalue", worst_eig),
+        ", ",
+        ("completeness residual", worst_comp),
     )
 
 
@@ -278,11 +298,11 @@ def check_depolarizing_invariance() -> CheckResult:
         for _ in range(20)
     ]
     spread = max(values) - min(values)
-    return CheckResult(
+    return _result(
         "depolarizing probe/axis independence",
         spread < 1e-8,
-        f"spread = {spread:.3e} over 20 random axes and 20 random probes",
-        {"spread": spread},
+        ("spread", spread),
+        " over 20 random axes and 20 random probes",
     )
 
 
@@ -311,12 +331,12 @@ def check_symmetry_and_limits() -> CheckResult:
             pauli_channel(PauliAxis.X, p), axis, bloch_to_density((0.0, 0.0, 0.5)), 0.5
         )
         worst_limit = max(worst_limit, abs(qfi_numeric(family, 1e-4).value - want))
-    return CheckResult(
+    return _result(
         "p <-> 1-p symmetry and small-phase limit",
         worst < 1e-12 and exact_ok and worst_limit < 1e-4,
-        f"max symmetry residual = {worst:.3e} over 100 draws; closed-form limit exact: "
-        f"{exact_ok}; SLD limit at xi = 1e-4 within {worst_limit:.3e}",
-        {"max symmetry residual": worst, "SLD limit at xi = 1e-4 within": worst_limit},
+        ("max symmetry residual", worst),
+        f" over 100 draws; closed-form limit exact: {exact_ok}; ",
+        ("SLD limit at xi = 1e-4", worst_limit, "{} within {:.3e}"),
     )
 
 
@@ -341,12 +361,13 @@ def check_fig2_shape() -> CheckResult:
             cas = qfi_cascade(pauli_channel(PauliAxis.X, p), (0.0, 1.0, 0.0), xi, (0.0, 0.0, r)).value
             cross_ok &= qfi_control_opt(p, xi, 0.0).value > cas
             engine_diff = max(engine_diff, abs(fast - cas))
-    return CheckResult(
+    return _result(
         "control-vs-cascade comparison shape",
         sym < 1e-12 and peak_ok and cross_ok and engine_diff < 1e-6,
-        f"symmetry residual = {sym:.3e}; peak at p = 0.5: {peak_ok}; "
-        f"high-noise crossover: {cross_ok}; max |engine - SLD| = {engine_diff:.3e} on 20 points",
-        {"symmetry residual": sym, "max |engine - SLD|": engine_diff},
+        ("symmetry residual", sym),
+        f"; peak at p = 0.5: {peak_ok}; high-noise crossover: {cross_ok}; ",
+        ("max |engine - SLD|", engine_diff),
+        " on 20 points",
     )
 
 

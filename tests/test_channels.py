@@ -1,7 +1,5 @@
 """Tests for qubit states, the phase rotation, and the noise channels."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,7 +92,7 @@ class TestBlochMaps:
     @pytest.mark.parametrize(
         "check, what", [(bloch_vector, "Bloch vector"), (unit_axis, "axis")]
     )
-    def test_triple_messages(self, check, what):
+    def test_three_vector_messages(self, check, what):
         for bad, message in (
             ((1.0, 0.0), f"{what} must have 3 components, got shape (2,)"),
             (np.zeros((3, 1)), f"{what} must have 3 components, got shape (3, 1)"),
@@ -107,30 +105,6 @@ class TestBlochMaps:
         with pytest.raises(ValueError) as info:
             unit_axis((0.0, 0.6, 0.6))
         assert str(info.value) == f"axis must be a unit vector, |n| = {np.sqrt(0.72)}"
-
-    def test_constructions_match_pauli_sums_bit_for_bit(self):
-        # The density matrix and the rotation are built entry by entry from
-        # three floats; they equal the Pauli-sum formulas exactly.
-        rng = np.random.default_rng(25)
-        for _ in range(200):
-            r = random_bloch(rng)
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            phase = rng.uniform(-10, 10)
-            rho = (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0
-            np.testing.assert_array_equal(bloch_to_density(r), rho)
-            n_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-            half = 0.5 * phase
-            u = math.cos(half) * I2 - 1j * math.sin(half) * n_sigma
-            np.testing.assert_array_equal(rotation_unitary(n, phase), u)
-
-    def test_overshoot_rescaled_by_numpy_norm(self):
-        # |v| - 1 = 1.9e-13; here np.linalg.norm and a plain sum of squares
-        # round differently, and the rescale keeps numpy's bits.
-        v = np.array([-0.10614122989532501, -0.17338671377952858, -0.979117504082845])
-        np.testing.assert_array_equal(bloch_vector(v), v / np.linalg.norm(v))
-        np.testing.assert_array_equal(bloch_to_density(v), bloch_to_density(v / np.linalg.norm(v)))
-        np.testing.assert_array_equal(bloch_vector((0.3, 0.4, 0.5)), [0.3, 0.4, 0.5])
 
 
 class TestRotationUnitary:
@@ -331,14 +305,6 @@ class TestKrausChannel:
     def test_stack_and_list_inputs_agree(self):
         ops = [np.sqrt(0.5) * I2, np.sqrt(0.5) * SIGMA_Y]
         np.testing.assert_array_equal(KrausChannel(np.array(ops)).kraus, KrausChannel(ops).kraus)
-        np.testing.assert_array_equal(
-            pauli_channel("y", 0.5).kraus, KrausChannel(ops).kraus
-        )
-        w = np.sqrt(0.3 / 4)
-        np.testing.assert_array_equal(
-            depolarizing_channel(0.3).kraus,
-            np.array([np.sqrt(1 - 0.75 * 0.3) * I2, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z]),
-        )
 
     def test_operators_held_as_one_read_only_stack(self):
         ops = [np.sqrt(0.5) * I2, np.sqrt(0.5) * SIGMA_Z]

@@ -10,7 +10,7 @@ from icoswitch import cli, sweep
 from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
 from icoswitch.metrology import qfi_joint
-from icoswitch.selfcheck import CheckResult
+from icoswitch.selfcheck import CheckResult, _result
 from icoswitch.sweep import (
     MAX_GRID_POINTS,
     ConfigError,
@@ -477,13 +477,28 @@ class TestCli:
             assert set(r) == {"name", "passed", "detail", "values"} and r["passed"] is True
             assert r["values"], r["name"]
             for label, value in r["values"].items():
-                # Each number follows its label, after " = " or " ", as the
-                # detail line formats it: .3e, or str for an exact value.
-                printed = r["detail"].split(label, 1)[1].removeprefix(" = ").removeprefix(" ")
-                assert printed.startswith((f"{value:.3e}", str(value))), (label, r["detail"])
+                # Each number follows its label as the detail line prints it:
+                # .3e after " = " or " within ", or str for an exact value.
+                printed = r["detail"].split(label, 1)[1]
+                assert printed.startswith(
+                    (f" = {value:.3e}", f" within {value:.3e}", f" = {value}")
+                ), (label, r["detail"])
+
+    def test_result_prints_each_value_once(self):
+        res = _result(
+            "n", True, ("a", 0.5), "; b: True; ", ("c", 0.0, "{} = {}"), ", ",
+            ("d", 2e-5, "{} within {:.3e}"),
+        )
+        assert res.detail == "a = 5.000e-01; b: True; c = 0.0, d within 2.000e-05"
+        assert res.values == (("a", 0.5), ("c", 0.0), ("d", 2e-5))
+
+    def test_check_result_is_hashable(self):
+        res = CheckResult("a", True, "x = 1", (("x", 1.0),))
+        assert hash(res) == hash(CheckResult("a", True, "x = 1", (("x", 1.0),)))
+        assert len({res, CheckResult("a", True, "x")}) == 2
 
     def test_verify_json_written_on_failure(self, monkeypatch, tmp_path, capsys):
-        results = [CheckResult("broken", False, "diff = 1", {"diff": 1.0})]
+        results = [CheckResult("broken", False, "diff = 1", (("diff", 1.0),))]
         monkeypatch.setattr("icoswitch.cli.run_all_checks", lambda: results)
         path = tmp_path / "verify.json"
         assert main(["verify", "--json", str(path)]) == 1
