@@ -4,6 +4,11 @@ States live in two interchangeable representations: a real Bloch vector r
 with |r| <= 1, and the 2x2 density matrix (I + r.sigma)/2.  Noise is a
 Kraus channel; the noisy process under study applies a rotation about a
 fixed axis followed by noise,  rho -> N(U rho U^dag).
+
+Every constructor and check here broadcasts over leading batch axes: an
+array of noise levels, phases or axes (shape ``(..., 3)``) gives a stack
+of channels, and a stack of states ``(..., d, d)`` goes through a stack of
+channels member by member.  A single value is the empty batch shape.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ import numpy as np
 from .qmat import (
     ATOL_STRUCT,
     I2,
+    PAULI_MATRICES,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     as_cmatrix,
+    dagger,
     psd_within,
 )
 
@@ -51,7 +58,14 @@ class PauliAxis(Enum):
         return cls(str(value).lower())
 
 
-def _check_probability(p: float, name: str = "p") -> float:
+def _check_probability(p, name: str = "p", stack: bool = False):
+    """``p`` as a float in [0, 1]; with ``stack``, an array of them as float64."""
+    if stack:
+        p = np.asarray(p, dtype=np.float64)
+        bad = ~((p >= 0.0) & (p <= 1.0))
+        if bad.any():
+            raise ValueError(f"{name} must be a probability in [0, 1], got {p[bad][0]}")
+        return p
     p = float(p)
     if not np.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
@@ -65,41 +79,55 @@ def _check_phase(xi: float) -> float:
     return xi
 
 
-def bloch_vector(r) -> np.ndarray:
-    """Validate a Bloch vector: real 3-vector with norm <= 1.
+def _three_vectors(x, what: str, stack: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as one float64 3-vector (or with ``stack`` a stack of them), and each norm.
+
+    The norm is the square root of one (1, 3) @ (3, 1) product per vector,
+    the dot product ``np.linalg.norm`` takes for a single vector.  A
+    non-finite component makes its norm NaN or infinite, so callers test
+    finiteness only once the norm test has failed.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape[-1:] != (3,) or not (stack or v.ndim == 1):
+        raise ValueError(f"{what} must have 3 components, got shape {v.shape}")
+    return v, np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0][()])
+
+
+def _reject_non_finite(v: np.ndarray, what: str) -> None:
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} has non-finite components")
+
+
+def bloch_vector(r, stack: bool = False) -> np.ndarray:
+    """Validate a Bloch vector, or with ``stack`` an array ``(..., 3)`` of them: norm <= 1.
 
     A norm overshoot of at most 1e-12 is rescaled silently (roundoff from
     upstream arithmetic); anything larger is an error.
     """
-    v = np.asarray(r, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("Bloch vector has non-finite components")
-    norm = float(np.linalg.norm(v))
-    if norm > 1.0 + BLOCH_NORM_TOL:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    if norm > 1.0:
-        v = v / norm
+    v, norm = _three_vectors(r, "Bloch vector", stack)
+    if not (norm <= 1.0).all():
+        _reject_non_finite(v, "Bloch vector")
+        over = norm > 1.0 + BLOCH_NORM_TOL
+        if over.any():
+            raise ValueError(f"Bloch vector norm {np.asarray(norm)[over][0]} exceeds 1")
+        v = v / np.maximum(norm, 1.0)[..., None]
     return v
 
 
-def unit_axis(n) -> np.ndarray:
-    """Validate a rotation axis: real 3-vector with unit norm within 1e-12."""
-    v = np.asarray(n, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"axis must have 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("axis has non-finite components")
-    if abs(float(np.linalg.norm(v)) - 1.0) > AXIS_UNIT_TOL:
-        raise ValueError(f"axis must be a unit vector, |n| = {np.linalg.norm(v)}")
+def unit_axis(n, stack: bool = False) -> np.ndarray:
+    """Validate a rotation axis, or with ``stack`` an array ``(..., 3)`` of them: |n| = 1 to 1e-12."""
+    v, norm = _three_vectors(n, "axis", stack)
+    off = ~(abs(norm - 1.0) <= AXIS_UNIT_TOL)
+    if off.any():
+        _reject_non_finite(v, "axis")
+        raise ValueError(f"axis must be a unit vector, |n| = {np.asarray(norm)[off][0]}")
     return v
 
 
 def bloch_to_density(r) -> np.ndarray:
-    """Density matrix (I + r.sigma)/2 of a Bloch vector."""
-    v = bloch_vector(r)
-    return (I2 + v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z) / 2.0
+    """Density matrix (I + r.sigma)/2 of each Bloch vector."""
+    x, y, z = np.moveaxis(bloch_vector(r, stack=True)[..., None, None], -3, 0)
+    return (I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -111,119 +139,153 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
 
 
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Assert the density-operator invariants: Hermitian, unit trace, PSD.
+    """Assert the density-operator invariants on every member: Hermitian, unit trace, PSD.
 
     Hermiticity and the trace are held to 1e-10.  Positivity is the shifted
     Cholesky test ``psd_within``: every eigenvalue must exceed -1e-10, with
-    no eigendecomposition.
+    no eigendecomposition.  One failing member fails the stack.
     """
     rho = as_cmatrix(rho)
-    if np.max(np.abs(rho - rho.conj().T)) >= ATOL_STRUCT:
+    if np.max(np.abs(rho - dagger(rho))) >= ATOL_STRUCT:
         raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) >= ATOL_STRUCT or abs(np.trace(rho).imag) >= ATOL_STRUCT:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if not ((abs(trace.real - 1.0) < ATOL_STRUCT) & (abs(trace.imag) < ATOL_STRUCT)).all():
         raise ValueError(f"{name} does not have unit trace")
-    if not psd_within(rho):
+    if not psd_within(rho).all():
         raise ValueError(f"{name} is not positive semidefinite")
     return rho
 
 
-def rotation_unitary(axis, phase: float) -> np.ndarray:
-    """SU(2) rotation exp(-i phase n.sigma / 2) in closed form.
+def rotation_unitary(axis, phase) -> np.ndarray:
+    """SU(2) rotation exp(-i phase n.sigma / 2) in closed form, per axis and phase.
 
     Built as cos(phase/2) I - i sin(phase/2) (n.sigma), which is exact and
-    deterministic; no matrix exponential is involved.
+    deterministic; no matrix exponential is involved.  Axes ``(..., 3)`` and
+    phases ``(...)`` broadcast against each other.
     """
-    n = unit_axis(axis)
-    n_sigma = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    half = 0.5 * float(phase)
+    x, y, z = np.moveaxis(unit_axis(axis, stack=True)[..., None, None], -3, 0)
+    n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+    half = 0.5 * np.asarray(phase, dtype=np.float64)[..., None, None]
     return np.cos(half) * I2 - 1j * np.sin(half) * n_sigma
 
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Ordered Kraus operators of a channel rho -> sum_m K_m rho K_m^dag.
+    """Ordered Kraus operators of a channel rho -> sum_m K_m rho K_m^dag, or a stack of channels.
 
-    Construction coerces the operators into one read-only (m, d, d)
-    complex stack, ``kraus``, and checks it once: finite entries and the
-    completeness relation sum_m K_m^dag K_m = I within 1e-10.  Channels
-    compare and hash by identity, so a channel can be a set member or a dict
-    key; two channels built from equal operators are not equal.
+    Construction coerces the operators into one read-only complex array,
+    ``kraus``, of shape ``(..., m, d, d)``: m operators of dimension d for
+    each channel of the batch shape ``...`` (empty for one channel).  It
+    checks every member once: finite entries and the completeness relation
+    sum_m K_m^dag K_m = I within 1e-10, all members from one batched
+    product.  Iterating yields the m operators, each a stack over the
+    batch.  Channels compare and hash by identity, so a channel can be a
+    set member or a dict key; two channels built from equal operators are
+    not equal.
     """
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        if len({np.shape(k) for k in self.kraus}) > 1:
+        # A sequence of operators may be ragged; an array is not.
+        if not isinstance(self.kraus, np.ndarray) and len({np.shape(k) for k in self.kraus}) > 1:
             raise ValueError("Kraus operators must share one dimension")
         ops = np.array(self.kraus, dtype=np.complex128)
-        if ops.shape[:1] == (0,):
+        if ops.shape[:1] == (0,) or ops.shape[-3:-2] == (0,):
             raise ValueError("a channel needs at least one Kraus operator")
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValueError(f"expected a square matrix, got shape {ops.shape[1:]}")
+        if ops.ndim < 3:
+            raise ValueError(f"expected a stack of Kraus operators, got shape {ops.shape}")
+        if ops.shape[-1] != ops.shape[-2]:
+            raise ValueError(f"expected a square matrix, got shape {ops.shape[-2:]}")
         if not np.isfinite(ops).all():
             raise ValueError("matrix contains non-finite entries")
-        d = ops.shape[1]
+        d = ops.shape[-1]
         # sum_m K_m^dag K_m = A^dag A for the operators stacked as rows, A = (m d, d).
-        rows = ops.reshape(-1, d)
-        residual = (rows.conj().T @ rows).tolist()
-        for i in range(d):
-            residual[i][i] -= 1.0
-        if not all(abs(x) < ATOL_STRUCT for row in residual for x in row):
+        rows = ops.reshape(*ops.shape[:-3], -1, d)
+        if not (np.abs(dagger(rows) @ rows - np.eye(d)) < ATOL_STRUCT).all():
             raise ValueError("Kraus operators violate completeness sum K^dag K = I")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
 
     @property
     def dim(self) -> int:
-        return self.kraus.shape[1]
+        return self.kraus.shape[-1]
 
     def __iter__(self):
-        return iter(self.kraus)
+        return iter(np.moveaxis(self.kraus, -3, 0))
 
     def __len__(self) -> int:
-        return len(self.kraus)
+        return self.kraus.shape[-3]
 
 
-def pauli_channel(axis: PauliAxis | str, p: float) -> KrausChannel:
+def _pauli_matrices(axis) -> np.ndarray:
+    """sigma_l for one Pauli axis, or a stack of them for an array of axes."""
+    if isinstance(axis, (PauliAxis, str)):
+        return PauliAxis.coerce(axis).matrix
+    axes = np.asarray(axis, dtype=object)
+    index = [PauliAxis.coerce(a).index for a in axes.flat]
+    return np.stack(PAULI_MATRICES)[index].reshape(*axes.shape, 2, 2)
+
+
+def _levels(x) -> np.ndarray:
+    """Scalars, one per channel, shaped to multiply a stack of matrices."""
+    return np.asarray(x)[..., None, None]
+
+
+def pauli_channel(axis, p) -> KrausChannel:
     """Noise that applies one Pauli operator with probability p.
 
     Kraus set {sqrt(1-p) I, sqrt(p) sigma_l}; action
     rho -> (1-p) rho + p sigma_l rho sigma_l.  l = x is bit flip, l = z
-    phase flip, l = y bit-phase flip.
+    phase flip, l = y bit-phase flip.  ``axis`` is one ``PauliAxis`` (or its
+    letter) or an array of them, and broadcasts against an array ``p``.
     """
-    axis = PauliAxis.coerce(axis)
-    p = _check_probability(p)
-    return KrausChannel((np.sqrt(1.0 - p) * I2, np.sqrt(p) * axis.matrix))
+    sigma = _pauli_matrices(axis)
+    p = _check_probability(p, stack=True)
+    ops = np.broadcast_arrays(_levels(np.sqrt(1.0 - p)) * I2, _levels(np.sqrt(p)) * sigma)
+    return KrausChannel(np.stack(ops, axis=-3))
 
 
-def depolarizing_channel(p: float) -> KrausChannel:
+def depolarizing_channel(p) -> KrausChannel:
     """Isotropic noise rho -> (1-p) rho + p I/2.
 
     Kraus set {sqrt(1-3p/4) I, sqrt(p/4) sigma_x, sqrt(p/4) sigma_y,
-    sqrt(p/4) sigma_z}.
+    sqrt(p/4) sigma_z}.  An array ``p`` gives one channel per level.
     """
-    p = _check_probability(p)
-    w = np.sqrt(p / 4.0)
-    return KrausChannel(
-        (np.sqrt(1.0 - 3.0 * p / 4.0) * I2, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z)
-    )
+    p = _check_probability(p, stack=True)
+    w = _levels(np.sqrt(p / 4.0))
+    keep = _levels(np.sqrt(1.0 - 3.0 * p / 4.0)) * I2
+    return KrausChannel(np.stack((keep, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z), axis=-3))
 
 
-def noisy_phase_channel(noise: KrausChannel, axis, phase: float) -> KrausChannel:
-    """The noisy phase process E(rho) = N(U rho U^dag) as one Kraus set.
+def noisy_phase_channel(noise: KrausChannel, axis, phase) -> KrausChannel:
+    """The noisy phase process E(rho) = N(U rho U^dag) as one Kraus set per member.
 
     Each noise operator N_m becomes N_m U, so completeness is inherited
-    from the noise channel by unitarity of U.
+    from the noise channel by unitarity of U.  The batch shapes of the
+    noise, the axes ``(..., 3)`` and the phases broadcast.
     """
     if noise.dim != 2:
         raise ValueError(f"noise channel must act on a qubit, got dim {noise.dim}")
-    return KrausChannel(noise.kraus @ rotation_unitary(axis, phase))
+    return KrausChannel(noise.kraus @ rotation_unitary(axis, phase)[..., None, :, :])
+
+
+def _matching_state(ch: KrausChannel, rho) -> np.ndarray:
+    """``rho`` coerced to a complex stack of states of the channel's dimension."""
+    rho = as_cmatrix(rho)
+    if rho.shape[-1] != ch.dim:
+        raise ValueError(f"dimension mismatch: state {rho.shape}, channel dim {ch.dim}")
+    return rho
+
+
+def _act(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_m K_m rho K_m^dag per member of a checked Kraus stack and state stack.
+
+    The sum runs over the operators in order, one (..., d, d) term at a time.
+    """
+    return sum(k @ rho @ dagger(k) for k in np.moveaxis(kraus, -3, 0))
 
 
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel action sum_m K_m rho K_m^dag."""
-    rho = as_cmatrix(rho)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"dimension mismatch: state {rho.shape}, channel dim {ch.dim}")
-    ops = ch.kraus
-    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
+    """Channel action sum_m K_m rho K_m^dag, member by member."""
+    return _act(ch.kraus, _matching_state(ch, rho))

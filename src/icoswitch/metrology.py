@@ -38,7 +38,7 @@ from .channels import (
     noisy_phase_channel,
     unit_axis,
 )
-from .qmat import ATOL_STRUCT, herm_eig
+from .qmat import ATOL_STRUCT, dagger, herm_eig
 from .switch import qc_numeric, s00, switch_state
 
 # Pairs with lambda_j + lambda_k below this are in the kernel of the SLD
@@ -58,12 +58,16 @@ StateFamily = Callable[[float], np.ndarray]
 class FisherResult:
     """A Fisher-information value and the route that produced it."""
 
-    value: float
+    value: float | np.ndarray
     method: str  # "closed_form" | "sld_numeric" | "classical"
 
 
-def _fisher(value: float, method: str) -> FisherResult:
+def _fisher(value, method: str) -> FisherResult:
     # Clamp roundoff-negative values to zero; a real negative is a bug.
+    if isinstance(value, np.ndarray) and value.ndim:  # one per member of a stack (qfi_numeric)
+        if value.min() < -1e-12:
+            raise ArithmeticError(f"negative Fisher information {value.min()}")
+        return FisherResult(np.where(value < 0.0, 0.0, value), method)
     if value < 0.0:
         if value < -1e-12:
             raise ArithmeticError(f"negative Fisher information {value}")
@@ -71,28 +75,29 @@ def _fisher(value: float, method: str) -> FisherResult:
     return FisherResult(float(value), method)
 
 
-def qfi_numeric(family: StateFamily, xi0: float, step: float = DEFAULT_STEP) -> FisherResult:
+def qfi_numeric(family: StateFamily, xi0, step: float = DEFAULT_STEP) -> FisherResult:
     """Quantum Fisher information of a state family by the SLD spectral formula.
 
-    ``family`` maps a phase to a density matrix of fixed dimension.  The
-    derivative is the central difference (rho(xi0+h) - rho(xi0-h)) / 2h.
+    ``family`` maps a phase to a density matrix of fixed dimension, or to a
+    stack of them; ``xi0`` may be an array of phases, one per member, and
+    ``value`` is then an array of the batch shape.  The derivative is the
+    central difference (rho(xi0+h) - rho(xi0-h)) / 2h.  The spectra of the
+    whole stack come from one lockstep ``herm_eig`` call.
     """
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     rho0 = family(xi0)
     vals, vecs = herm_eig(rho0)
-    if vals[0] < -ATOL_STRUCT or abs(vals.sum() - 1.0) >= ATOL_STRUCT:
+    if not ((vals[..., 0] >= -ATOL_STRUCT) & (abs(vals.sum(axis=-1) - 1.0) < ATOL_STRUCT)).all():
         raise ValueError("family did not produce a density operator")
     drho = (family(xi0 + step) - family(xi0 - step)) / (2.0 * step)
-    overlap = vecs.conj().T @ drho @ vecs
-    total = 0.0
-    n = len(vals)
-    for j in range(n):
-        for k in range(n):
-            weight = vals[j] + vals[k]
-            if weight > SLD_EIGENVALUE_CUTOFF:
-                total += 2.0 * abs(overlap[j, k]) ** 2 / weight
-    return _fisher(total, "sld_numeric")
+    overlap = dagger(vecs) @ drho @ vecs
+    weight = vals[..., :, None] + vals[..., None, :]
+    kept = weight > SLD_EIGENVALUE_CUTOFF
+    terms = 2.0 * np.hypot(overlap.real, overlap.imag) ** 2 / np.where(kept, weight, 1.0)
+    terms = np.where(kept, terms, 0.0).reshape(*weight.shape[:-2], -1)
+    # Summed left to right over (j, k) in row-major order.
+    return _fisher(np.cumsum(terms, axis=-1)[..., -1], "sld_numeric")
 
 
 def _pauli_qc_pieces(p: float, xi: float, overlap: float) -> tuple[float, float, float]:
@@ -172,8 +177,8 @@ def cfi_control(p_c: float, p: float, xi: float, overlap: float) -> FisherResult
 
 def cascade_family(noise: KrausChannel, axis, probe) -> StateFamily:
     """Family xi -> cascade output s00 for a fixed noise level and probe."""
-    axis = unit_axis(axis)
-    rho = bloch_to_density(bloch_vector(probe))
+    axis = unit_axis(axis, stack=True)
+    rho = bloch_to_density(bloch_vector(probe, stack=True))
 
     def family(xi: float) -> np.ndarray:
         return s00(noisy_phase_channel(noise, axis, xi), rho)
@@ -181,10 +186,14 @@ def cascade_family(noise: KrausChannel, axis, probe) -> StateFamily:
     return family
 
 
-def control_family(noise: KrausChannel, axis, rho: np.ndarray, p_c: float) -> StateFamily:
-    """Family xi -> reduced control state of the switched channel."""
-    axis = unit_axis(axis)
-    p_c = _check_probability(p_c, "p_c")
+def control_family(noise: KrausChannel, axis, rho: np.ndarray, p_c) -> StateFamily:
+    """Family xi -> reduced control state of the switched channel.
+
+    Noise, axes ``(..., 3)``, states, p_c and the phase broadcast, so one
+    family can stand for a whole stack of draws.
+    """
+    axis = unit_axis(axis, stack=True)
+    p_c = _check_probability(p_c, "p_c", stack=True)
 
     def family(xi: float) -> np.ndarray:
         return switch_state(noisy_phase_channel(noise, axis, xi), rho, p_c).control_reduced
@@ -194,8 +203,8 @@ def control_family(noise: KrausChannel, axis, rho: np.ndarray, p_c: float) -> St
 
 def joint_family(noise: KrausChannel, axis, rho: np.ndarray, p_c: float) -> StateFamily:
     """Family xi -> joint probe-control output of the switched channel."""
-    axis = unit_axis(axis)
-    p_c = _check_probability(p_c, "p_c")
+    axis = unit_axis(axis, stack=True)
+    p_c = _check_probability(p_c, "p_c", stack=True)
 
     def family(xi: float) -> np.ndarray:
         return switch_state(noisy_phase_channel(noise, axis, xi), rho, p_c).joint

@@ -1,16 +1,20 @@
-"""Dense complex linear algebra for small matrices (dim 2 and 4).
+"""Dense complex linear algebra on stacks of small matrices.
 
 Everything is carried by plain ``numpy`` arrays of dtype complex128 in
-row-major layout.  The tensor convention throughout the package is
+row-major layout.  A function of matrices takes a stack ``(..., n, n)``
+and works on every member at once; a single matrix is the stack with an
+empty batch shape.  The tensor convention throughout the package is
 probe-first: for a bipartite operator, the first factor of a Kronecker
 product indexes the coarse blocks (probe), the second the fine blocks
 (control).
 
-Two small kernels run in Python complex arithmetic, with no LAPACK, so
-their results are deterministic.  ``psd_within`` answers the positivity
-check with a Cholesky factorization shifted by the structural tolerance.
-``herm_eig`` is a cyclic Jacobi eigensolver; it serves the routes that
-need the spectrum itself (the SLD sum and the Choi-matrix eigenvalues).
+Two kernels run elementwise in real arithmetic on the real and imaginary
+parts, with no LAPACK and no fused multiply-add, so each member's result
+is deterministic and does not depend on the stack it came in.
+``psd_within`` answers the positivity check with a Cholesky factorization
+shifted by the structural tolerance.  ``herm_eig`` is a cyclic Jacobi
+eigensolver; it serves the routes that need the spectrum itself (the SLD
+sum and the Choi-matrix eigenvalues).
 
 Tolerances are centralized here: structural checks at 1e-10,
 eigendecomposition reconstruction at 1e-11, Jacobi convergence at 1e-13
@@ -20,7 +24,7 @@ relative.  Double precision sustains these comfortably at these dimensions.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,32 +44,48 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULI_MATRICES = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+# Elementwise factors on a stacked (real, imaginary) pair: applied to the
+# swapped pair (y, x) of x + iy, _TIMES_I gives i (x + iy); _CONJ conjugates.
+_TIMES_I = np.array([[-1.0], [1.0]])
+_CONJ = np.array([[1.0], [-1.0]])
+# Coefficient signs of the partner term for the first and second of a pivot pair.
+_PAIR_SIGN = np.array([[-1.0], [1.0]])
+
 
 def as_cmatrix(entries) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting NaN/Inf entries."""
-    m = np.array(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Coerce to a complex stack of square matrices, rejecting NaN/Inf entries.
+
+    A complex128 array comes back as it is, not copied; nothing in the
+    package writes to a coerced input.
+    """
+    m = np.asarray(entries, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in the stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
+    """Trace out one factor of each bipartite operator in the stack.
 
     ``keep`` is ``"probe"`` for the first tensor factor or ``"control"``
     for the second; ``dims`` gives the factor dimensions (probe, control).
     The total trace is preserved.
     """
     da, db = dims
-    if m.shape != (da * db, da * db):
+    if m.shape[-2:] != (da * db, da * db):
         raise ValueError(f"dimension mismatch: {m.shape} vs dims {dims}")
-    blocks = m.reshape(da, db, da, db)
+    blocks = m.reshape(*m.shape[:-2], da, db, da, db)
     if keep == "probe":
-        return np.trace(blocks, axis1=1, axis2=3)
+        return np.trace(blocks, axis1=-3, axis2=-1)
     if keep == "control":
-        return np.trace(blocks, axis1=0, axis2=2)
+        return np.trace(blocks, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'probe' or 'control', got {keep!r}")
 
 
@@ -76,131 +96,181 @@ class EigDecomp(NamedTuple):
     eigenvectors: np.ndarray
 
 
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right sum along axis 0, one total per remaining index; overwrites ``terms``."""
+    return np.cumsum(terms, axis=0, out=terms)[-1]
+
+
 def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of each Hermitian matrix in a stack by cyclic Jacobi rotations.
 
     Sweeps the pivots (p, q), p < q, in a fixed row-cyclic order and applies
     complex Givens rotations until the off-diagonal Frobenius norm falls
     below ``JACOBI_REL_TOL`` times the Frobenius norm of the input (Golub &
-    Van Loan, *Matrix Computations*, section 8.5).  Each rotation is applied
-    only to rows and columns p and q, and to eigenvector columns p and q, in
-    Python complex arithmetic (no LAPACK).  The fixed pivot order makes the
-    result bit-stable across runs.  A matrix whose largest |entry| lies
-    outside [2^-500, 2^500] is scaled by an exact power of two first and its
+    Van Loan, *Matrix Computations*, section 8.5).  Each rotation touches
+    only rows and columns p and q, and eigenvector columns p and q.  All
+    matrices of the stack rotate in lockstep: each has its own scaling,
+    norms, stop test and pivot skip, and one that has converged is frozen
+    (c = 1, s = 0), so every member gets exactly the rotations it would get
+    alone.  The arithmetic is elementwise and real, with the norms summed
+    left to right in row-major order, so the result is bit-stable across
+    runs and stacks.  A matrix whose largest |entry| lies outside
+    [2^-500, 2^500] is scaled by an exact power of two first and its
     eigenvalues scaled back, so the squared norms neither under- nor
     overflow; any other input runs unscaled.
 
     Raises:
-        ValueError: if the input is not Hermitian within 1e-10.
-        ArithmeticError: if the sweep limit is exhausted before convergence.
+        ValueError: if a member is not Hermitian within 1e-10.
+        ArithmeticError: if the sweep limit is exhausted before every member converged.
     """
     a = as_cmatrix(a)
-    if np.max(np.abs(a - a.conj().T)) >= ATOL_STRUCT:
+    batch, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    members = a.shape[0]
+    # Batch on the last axis: z[i, j, 0] and z[i, j, 1] are the real and
+    # imaginary parts of entry (i, j) of every member.  Rows 0..n-1 hold the
+    # matrix W, rows n..2n-1 the eigenvectors V; a column rotation acts on both.
+    z = np.zeros((2 * n, n, 2, members))
+    w = z[:n]
+    w[:, :, 0], w[:, :, 1] = a.real.transpose(1, 2, 0), a.imag.transpose(1, 2, 0)
+    z[np.arange(n, 2 * n), np.arange(n), 0] = 1.0
+    re, im = w[:, :, 0], w[:, :, 1]
+    asymmetry = re - re.swapaxes(0, 1)  # |a - a^dag| from its real and imaginary parts
+    if np.max(np.hypot(asymmetry, im + im.swapaxes(0, 1), out=asymmetry)) >= ATOL_STRUCT:
         raise ValueError("herm_eig requires a Hermitian matrix")
-    n = a.shape[0]
-    big = float(np.max(np.abs(a))) if n else 0.0
-    exponent = math.frexp(big)[1] if big > _SCALE_HI or 0.0 < big < _SCALE_LO else 0
+    big = np.max(np.hypot(re, im), axis=(0, 1))
+    exponent = np.frexp(big)[1] * ((big > _SCALE_HI) | ((0.0 < big) & (big < _SCALE_LO)))
     # Two half steps keep each factor representable down to subnormal inputs.
     half = exponent // 2
-    if exponent:
-        a = a * math.ldexp(1.0, -half) * math.ldexp(1.0, half - exponent)
+    w *= np.ldexp(1.0, -half)
+    w *= np.ldexp(1.0, half - exponent)
     # Fold roundoff asymmetry so the iteration starts exactly Hermitian.
-    work = ((a + a.conj().T) / 2.0).tolist()
+    w[...] = (w + w.transpose(1, 0, 2, 3) * _CONJ) / 2.0
+    offdiag = ~np.eye(n, dtype=bool).ravel()
+
+    def squares():
+        sq = np.hypot(z[:n, :, 0], z[:n, :, 1])
+        sq *= sq
+        return sq.reshape(n * n, members)
+
     # Rotations preserve the Frobenius norm, so the reference is fixed.
-    fro = math.sqrt(sum(abs(x) ** 2 for row in work for x in row))
+    fro = np.sqrt(_sum_in_order(squares()))
     off_tol = JACOBI_REL_TOL * fro
     pivot_skip = 1e-18 * fro
-    vecs = np.eye(n, dtype=np.complex128).tolist()
-    both = work + vecs  # the same row lists: updated in place, never replaced
+    active = np.ones(members, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_sweeps):
+            active &= ~(np.sqrt(_sum_in_order(squares()[offdiag])) <= off_tol)
+            if not active.any():
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    _rotate(z, n, p, q, active, pivot_skip)
+        else:
+            raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
-    for _ in range(max_sweeps):
-        off = math.sqrt(sum(abs(x) ** 2 for i, r in enumerate(work) for x in r[:i] + r[i + 1 :]))
-        if off <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                rp, rq = work[p], work[q]
-                apq = rp[q]
-                mag = abs(apq)
-                if mag <= pivot_skip:
-                    continue
-                phase = apq / mag
-                tau = (rq[q].real - rp[p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                # R is the identity but for R[p, p] = R[q, q] = c, R[p, q] = sp and
-                # R[q, p] = -conj(sp).  work <- R^dag work R: rows, then columns.
-                sp = t * c * phase
-                spc = sp.conjugate()
-                for j in range(n):
-                    x, y = rp[j], rq[j]
-                    rp[j] = c * x - sp * y
-                    rq[j] = spc * x + c * y
-                for row in both:  # columns p and q of work and vecs: X <- X R
-                    x, y = row[p], row[q]
-                    row[p] = c * x - spc * y
-                    row[q] = sp * x + c * y
-    else:
-        raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-    vals = np.array([work[i][i].real for i in range(n)])
-    if exponent:
-        vals = vals * math.ldexp(1.0, half) * math.ldexp(1.0, exponent - half)
-    order = np.argsort(vals, kind="stable")
-    return EigDecomp(vals[order], np.array(vecs)[:, order])
+    vals = z[np.arange(n), np.arange(n), 0].T * np.ldexp(1.0, half)[:, None]
+    vals = vals * np.ldexp(1.0, exponent - half)[:, None]
+    vecs = np.empty((members, n, n), dtype=np.complex128)
+    vecs.real, vecs.imag = z[n:, :, 0].transpose(2, 0, 1), z[n:, :, 1].transpose(2, 0, 1)
+    order = np.argsort(vals, axis=-1, kind="stable")
+    member = np.arange(members)[:, None]
+    vals = vals[member, order]
+    vecs = vecs[member[:, :, None], np.arange(n)[:, None], order[:, None, :]]
+    return EigDecomp(vals.reshape(*batch, n), vecs.reshape(*batch, n, n))
 
 
-def psd_within(a: np.ndarray) -> bool:
-    """Whether every eigenvalue of the Hermitian part of ``a`` exceeds -1e-10.
+def _rotate(z: np.ndarray, n: int, p: int, q: int, active: np.ndarray, pivot_skip) -> None:
+    """One Jacobi rotation at pivot (p, q) for every active member of ``z``, in place.
+
+    R is the identity but for R[p, p] = R[q, q] = c, R[p, q] = s and
+    R[q, p] = -conj(s), s = t c apq / |apq|; the matrix rows of ``z`` become
+    R^dag W R and the eigenvector rows V R.  A member that is frozen, or
+    whose |apq| is at most its pivot skip, gets c = 1 and s = 0.  Both rows
+    (and both columns) of the pair are updated by one expression, with
+    signs folded into the coefficients; negation is exact, so each entry is
+    the value complex arithmetic gives, c x - s y = c x + (-s0 y - s1 iy).
+    """
+    apq = z[p, q]
+    mag = np.hypot(apq[0], apq[1])
+    turn = active & (mag > pivot_skip)
+    if not turn.any():
+        return
+    mag = np.where(turn, mag, 1.0)
+    tau = (z[q, q, 0] - z[p, p, 0]) / (2.0 * mag)
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s0, s1 = np.where(turn, t * c, 0.0) * (apq / mag)  # s = s0 + i s1
+    c = np.where(turn, c, 1.0)
+    s0 = s0 * _PAIR_SIGN
+    # Rows p and q: W[p] <- c W[p] - s W[q] and W[q] <- c W[q] + conj(s) W[p].
+    pair = slice(p, q + 1, q - p)
+    rows, other = z[pair, :n], z[pair, :n][::-1]
+    z[pair, :n] = c * rows + (s0[:, None, None] * other + -s1 * (other[..., ::-1, :] * _TIMES_I))
+    # Columns p and q of W and V: X[:, p] <- c X[:, p] - conj(s) X[:, q] and
+    # X[:, q] <- c X[:, q] + s X[:, p].
+    cols, other = z[:, pair], z[:, pair][:, ::-1]
+    z[:, pair] = c * cols + (s0[:, None] * other + s1 * (other[..., ::-1, :] * _TIMES_I))
+
+
+def psd_within(a: np.ndarray) -> np.ndarray:
+    """Whether every eigenvalue of the Hermitian part of each member exceeds -1e-10.
 
     Factors (a + a^dag)/2 + t I, t = ``ATOL_STRUCT``, as U^dag U with U upper
     triangular, reading the upper triangle of the symmetrized matrix.  The
     factorization exists, every pivot positive, exactly when that matrix is
     positive definite, that is when lambda_min((a + a^dag)/2) > -t; a matrix
-    with lambda_min = -t exactly is rejected.  Runs in Python complex
-    arithmetic on a square complex matrix (as ``as_cmatrix`` returns it).
+    with lambda_min = -t exactly is rejected.  Runs in lockstep over a stack
+    of square complex matrices (as ``as_cmatrix`` returns it), elementwise
+    in real arithmetic, with each sum taken left to right; a member stops
+    counting once a pivot fails.  Returns a bool of the batch shape.
     """
-    rows = a.tolist()
-    n = len(rows)
-    u = [[0j] * n for _ in range(n)]
-    for j in range(n):
-        cols = [r[j] for r in u[:j]]  # column j of U above the diagonal
-        pivot = rows[j][j].real + ATOL_STRUCT - sum(x.real * x.real + x.imag * x.imag for x in cols)
-        if not pivot > 0.0:
-            return False
-        d = math.sqrt(pivot)
-        uj = u[j]
-        uj[j] = d
-        for i in range(j + 1, n):
-            h = (rows[j][i] + rows[i][j].conjugate()) / 2.0
-            uj[i] = (h - sum(x.conjugate() * r[i] for x, r in zip(cols, u))) / d
-    return True
+    batch, n = a.shape[:-2], a.shape[-1]
+    re = a.real.reshape(-1, n, n).transpose(1, 2, 0)
+    im = a.imag.reshape(-1, n, n).transpose(1, 2, 0)
+    u_re, u_im = np.zeros_like(re), np.zeros_like(im)
+    ok = np.ones(re.shape[-1], dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(n):
+            cr, ci = u_re[:j, j], u_im[:j, j]  # column j of U above the diagonal
+            pivot = re[j, j] + ATOL_STRUCT - sum(cr * cr + ci * ci)
+            ok &= pivot > 0.0
+            d = np.sqrt(np.where(ok, pivot, 1.0))
+            u_re[j, j] = d
+            # Row j right of the diagonal: (h - sum_k conj(U[k, j]) U[k, i]) / d.
+            h_re = (re[j, j + 1 :] + re[j + 1 :, j]) / 2.0
+            h_im = (im[j, j + 1 :] - im[j + 1 :, j]) / 2.0
+            acc_re, acc_im = 0, 0
+            for k in range(j):
+                r_re, r_im = u_re[k, j + 1 :], u_im[k, j + 1 :]
+                acc_re = acc_re + (cr[k] * r_re + ci[k] * r_im)
+                acc_im = acc_im + (cr[k] * r_im - ci[k] * r_re)
+            u_re[j, j + 1 :] = (h_re - acc_re) / d
+            u_im[j, j + 1 :] = (h_im - acc_im) / d
+    return ok.reshape(batch)
 
 
-def channel_choi(kraus: Iterable[np.ndarray]) -> np.ndarray:
+def channel_choi(kraus) -> np.ndarray:
     """Choi matrix sum_jk |j><k| (x) sum_m K_m |j><k| K_m^dag of a Kraus set.
 
-    The first factor carries the input index, the second the output.  For a
-    completely positive trace-preserving map the result is positive
-    semidefinite and its partial trace over the output factor is the
-    identity.
+    ``kraus`` is a sequence of operators or a stack ``(..., m, d, d)`` of
+    Kraus sets.  The first factor carries the input index, the second the
+    output.  For a completely positive trace-preserving map the result is
+    positive semidefinite and its partial trace over the output factor is
+    the identity.
     """
-    ops = [as_cmatrix(k) for k in kraus]
-    if not ops:
+    if not len(kraus):
         raise ValueError("channel_choi requires a nonempty Kraus set")
-    d = ops[0].shape[0]
-    if any(k.shape != (d, d) for k in ops):
+    if not isinstance(kraus, np.ndarray) and len({np.shape(k) for k in kraus}) > 1:
         raise ValueError("Kraus operators must share one dimension")
-    # sum_jk |j><k| (x) K|j><k|K^dag  ==  (I (x) K) |omega><omega| (I (x) K)^dag
-    # with the unnormalized maximally entangled vector |omega> = sum_j |jj>.
-    omega = np.zeros(d * d, dtype=np.complex128)
-    omega[:: d + 1] = 1.0
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    eye = np.eye(d, dtype=np.complex128)
-    for k in ops:
-        v = np.kron(eye, k) @ omega
-        choi += np.outer(v, v.conj())
+    ops = as_cmatrix(kraus)
+    if ops.ndim < 3:
+        raise ValueError(f"expected a stack of Kraus operators, got shape {ops.shape}")
+    d = ops.shape[-1]
+    # sum_jk |j><k| (x) K|j><k|K^dag  ==  sum_m v_m v_m^dag with
+    # v_m = (I (x) K_m) sum_j |jj>, whose entry (j, a) is K_m[a, j].
+    v = np.swapaxes(ops, -1, -2).reshape(*ops.shape[:-2], d * d)
+    choi = np.zeros((*v.shape[:-2], d * d, d * d), dtype=np.complex128)
+    for u in np.moveaxis(v, -2, 0):
+        choi += u[..., :, None] * u[..., None, :].conj()
     return choi

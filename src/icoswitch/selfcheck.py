@@ -4,7 +4,10 @@ Each check pits an independent construction against the primary one
 (closed form vs matrix trace, direct joint state vs explicit Kraus set,
 closed-form Fisher information vs the numeric SLD route) or asserts a
 structural invariant (complete positivity, probe independence, symmetry).
-All randomness is seeded, so a pass/fail outcome is reproducible.
+All randomness is seeded, so a pass/fail outcome is reproducible.  A
+check that loops over random draws makes them all first, in a fixed order,
+and then hands the whole stack to the density-matrix routes in one call;
+only the per-draw grid-engine comparisons stay in a loop.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import (
+    KrausChannel,
     PauliAxis,
     bloch_to_density,
     depolarizing_channel,
@@ -36,7 +40,7 @@ from .metrology import (
     qfi_control_opt,
     qfi_numeric,
 )
-from .qmat import channel_choi, herm_eig
+from .qmat import channel_choi, dagger, herm_eig
 from .switch import (
     qc_closed_form,
     qc_numeric,
@@ -98,27 +102,45 @@ def _rand_pauli(rng) -> PauliAxis:
     return (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)[rng.integers(3)]
 
 
+def _draws(count: int, draw: Callable[[], tuple], **fields) -> np.ndarray:
+    """``count`` calls of ``draw`` in order, as a structured array with one field per item.
+
+    ``fields`` names the items of the tuple ``draw`` returns, in order, with
+    their dtypes (a PauliAxis is an object, a 3-vector ``(float, 3)``).  The
+    draws are written into the array as they are made.
+    """
+    return np.fromiter((draw() for _ in range(count)), dtype=list(fields.items()), count=count)
+
+
+_VEC = (np.float64, 3)
+
+
+def _noisy_pauli(d: np.ndarray) -> KrausChannel:
+    """The noisy phase channels of the draws' ``pauli``, ``p``, ``axis`` and ``xi`` fields."""
+    return noisy_phase_channel(pauli_channel(d["pauli"], d["p"]), d["axis"], d["xi"])
+
+
 def check_joint_state_oracle() -> CheckResult:
     """Direct joint output equals the explicit W_jk Kraus reconstruction.
 
     Every tenth draw also holds the grid engine's joint state to it.
     """
     rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    engine_diff = 0.0
-    for i in range(200):
-        pauli, p, axis = _rand_pauli(rng), rng.uniform(), _rand_axis(rng)
-        xi = rng.uniform(0.0, 2.0 * np.pi)
-        ch = noisy_phase_channel(pauli_channel(pauli, p), axis, xi)
-        probe = _rand_bloch(rng)
-        rho = bloch_to_density(probe)
-        p_c = rng.uniform()
-        direct = switch_state(ch, rho, p_c).joint
-        oracle = switch_kraus_apply(ch, rho, p_c)
-        worst = max(worst, float(np.max(np.abs(direct - oracle))))
-        if i % 10 == 0:
-            engine = switch_state_grid(_KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)[0][0]
-            engine_diff = max(engine_diff, float(np.max(np.abs(engine - oracle))))
+    d = _draws(
+        200,
+        lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi),
+                 _rand_bloch(rng), rng.uniform()),
+        pauli=object, p=float, axis=_VEC, xi=float, probe=_VEC, p_c=float,
+    )  # fmt: skip
+    ch = _noisy_pauli(d)
+    rho = bloch_to_density(d["probe"])
+    oracle = switch_kraus_apply(ch, rho, d["p_c"])
+    worst = float(np.max(np.abs(switch_state(ch, rho, d["p_c"]).joint - oracle)))
+    engine = [
+        switch_state_grid(_KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)[0][0]
+        for pauli, p, axis, xi, probe, p_c in d[::10]
+    ]
+    engine_diff = float(np.max(np.abs(engine - oracle[::10])))
     return _result(
         "joint state vs Kraus oracle",
         worst < 1e-12 and engine_diff < 1e-12,
@@ -132,16 +154,15 @@ def check_joint_state_oracle() -> CheckResult:
 def check_qc_closed_form() -> CheckResult:
     """Trace of the order-interference term equals the Pauli closed form."""
     rng = np.random.default_rng(_SEED + 1)
-    worst = 0.0
-    for _ in range(1000):
-        pauli = _rand_pauli(rng)
-        p = rng.uniform()
-        xi = rng.uniform(0.0, 2.0 * np.pi)
-        axis = _rand_axis(rng)
-        ch = noisy_phase_channel(pauli_channel(pauli, p), axis, xi)
-        got = qc_numeric(ch, bloch_to_density(_rand_bloch(rng)))
-        want = qc_closed_form(p, xi, axis[pauli.index])
-        worst = max(worst, abs(got - want))
+    d = _draws(
+        1000,
+        lambda: (_rand_pauli(rng), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), _rand_axis(rng),
+                 _rand_bloch(rng)),
+        pauli=object, p=float, xi=float, axis=_VEC, probe=_VEC,
+    )  # fmt: skip
+    got = qc_numeric(_noisy_pauli(d), bloch_to_density(d["probe"]))
+    want = [qc_closed_form(p, xi, axis[pauli.index]) for pauli, p, xi, axis, _ in d]
+    worst = float(np.max(np.abs(got - want)))
     return _result(
         "coupling scalar closed form", worst < 1e-10, ("max |diff|", worst), " over 1000 draws"
     )
@@ -150,15 +171,16 @@ def check_qc_closed_form() -> CheckResult:
 def check_qc_probe_independence() -> CheckResult:
     """The coupling scalar does not depend on the input probe (Pauli noise)."""
     rng = np.random.default_rng(_SEED + 2)
-    worst = 0.0
-    for _ in range(5):
-        ch = noisy_phase_channel(
-            pauli_channel(_rand_pauli(rng), rng.uniform()),
-            _rand_axis(rng),
-            rng.uniform(0.0, 2.0 * np.pi),
-        )
-        values = [qc_numeric(ch, bloch_to_density(_rand_bloch(rng))) for _ in range(50)]
-        worst = max(worst, max(values) - min(values))
+    d = _draws(
+        5,
+        lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi),
+                 [_rand_bloch(rng) for _ in range(50)]),
+        pauli=object, p=float, axis=_VEC, xi=float, probes=(np.float64, (50, 3)),
+    )  # fmt: skip
+    # Channels of batch shape (5, 1) against probes of (5, 50): row i is channel i.
+    d = d[:, None]
+    values = qc_numeric(_noisy_pauli(d), bloch_to_density(d["probes"][:, 0]))
+    worst = float(np.max(values.max(axis=1) - values.min(axis=1)))
     return _result(
         "coupling probe independence",
         worst < 1e-10,
@@ -170,21 +192,22 @@ def check_qc_probe_independence() -> CheckResult:
 def check_qfi_closed_vs_sld() -> CheckResult:
     """Control-qubit QFI: closed form and grid engine both match the numeric SLD route."""
     rng = np.random.default_rng(_SEED + 3)
-    worst = 0.0
-    engine_diff = 0.0
-    for _ in range(200):
-        pauli = _rand_pauli(rng)
-        p = rng.uniform()
-        p_c = rng.uniform()
-        xi = rng.uniform(0.0, 2.0 * np.pi)
-        axis = _rand_axis(rng)
-        noise = pauli_channel(pauli, p)
-        probe = _rand_bloch(rng)
-        numeric = qfi_numeric(control_family(noise, axis, bloch_to_density(probe), p_c), xi).value
-        closed = qfi_control(p_c, p, xi, axis[pauli.index]).value
-        engine = evaluate_grid(("fq_con",), _KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)
-        worst = max(worst, abs(numeric - closed))
-        engine_diff = max(engine_diff, abs(numeric - float(engine["fq_con"][0])))
+    d = _draws(
+        200,
+        lambda: (_rand_pauli(rng), rng.uniform(), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi),
+                 _rand_axis(rng), _rand_bloch(rng)),
+        pauli=object, p=float, p_c=float, xi=float, axis=_VEC, probe=_VEC,
+    )  # fmt: skip
+    rho = bloch_to_density(d["probe"])
+    family = control_family(pauli_channel(d["pauli"], d["p"]), d["axis"], rho, d["p_c"])
+    numeric = qfi_numeric(family, d["xi"]).value
+    closed = [qfi_control(p_c, p, xi, axis[pauli.index]).value for pauli, p, p_c, xi, axis, _ in d]
+    engine = [
+        evaluate_grid(("fq_con",), _KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)["fq_con"][0]
+        for pauli, p, p_c, xi, axis, probe in d
+    ]
+    worst = float(np.max(np.abs(numeric - closed)))
+    engine_diff = float(np.max(np.abs(numeric - engine)))
     return _result(
         "control QFI closed form vs SLD",
         worst < 1e-6 and engine_diff < 1e-6,
@@ -255,19 +278,15 @@ def check_commuting_degeneracy() -> CheckResult:
 def check_cptp() -> CheckResult:
     """The switched channel is completely positive and trace preserving."""
     rng = np.random.default_rng(_SEED + 5)
-    worst_eig = 0.0
-    worst_comp = 0.0
-    for _ in range(50):
-        ch = noisy_phase_channel(
-            pauli_channel(_rand_pauli(rng), rng.uniform()),
-            _rand_axis(rng),
-            rng.uniform(0.0, 2.0 * np.pi),
-        )
-        ops = switch_kraus_ops(ch)
-        total = sum(w.conj().T @ w for w in ops)
-        worst_comp = max(worst_comp, float(np.max(np.abs(total - np.eye(4)))))
-        smallest = herm_eig(channel_choi(ops)).eigenvalues[0]
-        worst_eig = min(worst_eig, float(smallest))
+    d = _draws(
+        50,
+        lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi)),
+        pauli=object, p=float, axis=_VEC, xi=float,
+    )  # fmt: skip
+    ops = switch_kraus_ops(_noisy_pauli(d))
+    total = (dagger(ops) @ ops).sum(axis=-3)
+    worst_comp = float(np.max(np.abs(total - np.eye(4))))
+    worst_eig = min(0.0, float(np.min(herm_eig(channel_choi(ops)).eigenvalues[..., 0])))
     return _result(
         "switched channel CPTP",
         worst_eig > -1e-10 and worst_comp < 1e-10,
@@ -284,20 +303,12 @@ def check_depolarizing_invariance() -> CheckResult:
     probes at the fixed axis e_y; the spread is taken over all 40 values.
     """
     rng = np.random.default_rng(_SEED + 6)
-    noise = depolarizing_channel(0.4)
-    xi = np.pi / 5
-    rho = bloch_to_density((0.1, 0.2, 0.3))
-    values = [
-        qfi_numeric(control_family(noise, _rand_axis(rng), rho, 0.5), xi).value
-        for _ in range(20)
-    ]
-    values += [
-        qfi_numeric(
-            control_family(noise, (0.0, 1.0, 0.0), bloch_to_density(_rand_bloch(rng)), 0.5), xi
-        ).value
-        for _ in range(20)
-    ]
-    spread = max(values) - min(values)
+    axes = [_rand_axis(rng) for _ in range(20)] + [(0.0, 1.0, 0.0)] * 20
+    probes = [(0.1, 0.2, 0.3)] * 20 + [_rand_bloch(rng) for _ in range(20)]
+    rho = bloch_to_density(probes)
+    family = control_family(depolarizing_channel(0.4), np.array(axes), rho, 0.5)
+    values = qfi_numeric(family, np.pi / 5).value
+    spread = float(values.max() - values.min())
     return _result(
         "depolarizing probe/axis independence",
         spread < 1e-8,

@@ -19,8 +19,11 @@ rotation axis whose component along the noise direction is n_l,
 
     q_c = 1 - 2 (1 - n_l^2) (1 - p) p (1 - cos xi).
 
-Every construction here has an independent counterpart used for
-cross-validation: the joint state is rebuilt from the explicit Kraus set
+Every function here broadcasts over a stack of channels and a stack of
+states (and an array of p_c), as in the channels module; a single channel
+and state is the empty batch shape.  Every construction has an
+independent counterpart used for cross-validation: the joint state is
+rebuilt from the explicit Kraus set
 W_jk = K_j K_k (x) |0><0| + K_k K_j (x) |1><1| acting on rho (x) |psi_c><psi_c|,
 and q_c is available both in closed form and as the trace of s01.
 """
@@ -31,8 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, check_density, _check_probability
-from .qmat import as_cmatrix, partial_trace
+from .channels import (
+    KrausChannel,
+    _act,
+    _check_probability,
+    _levels,
+    _matching_state,
+    check_density,
+)
+from .qmat import dagger, partial_trace
 
 # s01 must come out Hermitian ((j,k) and (k,j) terms are mutual adjoints);
 # a larger residual signals a broken channel construction, not noise.
@@ -45,9 +55,10 @@ _FLIP = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron(a, b) for each square matrix in the stack a and one square b."""
+    """np.kron(a, b) for each pair of square matrices in the stacks a and b."""
     d = a.shape[-1] * b.shape[-1]
-    return (a[..., :, None, :, None] * b[:, None, :]).reshape(*a.shape[:-2], d, d)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], d, d)
 
 
 @dataclass(frozen=True)
@@ -56,12 +67,22 @@ class SwitchResult:
 
     joint: np.ndarray
     control_reduced: np.ndarray
-    q_c: float
+    q_c: float | np.ndarray
 
 
 def s00(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Cascade of the channel with itself, with independent Kraus sums."""
-    return apply_channel(ch, apply_channel(ch, rho))
+    return _act(ch.kraus, _act(ch.kraus, _matching_state(ch, rho)))
+
+
+def _interference(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """s01 of a checked Kraus stack and state stack, with its Hermiticity check."""
+    ops = list(np.moveaxis(kraus, -3, 0))
+    # K_j^dag K_k^dag = (K_k K_j)^dag; the terms are summed with j major.
+    out = sum(kj @ kk @ rho @ dagger(kk @ kj) for kj in ops for kk in ops)
+    if np.max(np.abs(out - dagger(out))) >= S01_HERMITICITY_TOL:
+        raise ArithmeticError("order-interference term came out non-Hermitian")
+    return out
 
 
 def s01(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -70,23 +91,21 @@ def s01(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     Note the dagger order: j then k, not reversed.  The output is Hermitian
     but generally not a density operator.
     """
-    rho = as_cmatrix(rho)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"dimension mismatch: state {rho.shape}, channel dim {ch.dim}")
-    pairs = ch.kraus[:, None] @ ch.kraus[None, :]  # [j, k] holds K_j K_k
-    # K_j^dag K_k^dag = (K_k K_j)^dag: the [k, j] pair, daggered.
-    out = (pairs @ rho @ pairs.conj().transpose(1, 0, 3, 2)).sum(axis=(0, 1))
-    if np.max(np.abs(out - out.conj().T)) >= S01_HERMITICITY_TOL:
-        raise ArithmeticError("order-interference term came out non-Hermitian")
-    return out
+    return _interference(ch.kraus, _matching_state(ch, rho))
 
 
-def qc_numeric(ch: KrausChannel, rho: np.ndarray) -> float:
+def _coupling(s01_part: np.ndarray):
+    """q_c = tr s01 for each member; its imaginary part must vanish."""
+    t = np.trace(s01_part, axis1=-2, axis2=-1)
+    stray = ~(abs(t.imag) < QC_IMAG_TOL)
+    if stray.any():
+        raise ArithmeticError(f"coupling trace has imaginary part {np.asarray(t.imag)[stray][0]}")
+    return t.real
+
+
+def qc_numeric(ch: KrausChannel, rho: np.ndarray):
     """Coupling scalar as the trace of the order-interference term."""
-    t = np.trace(s01(ch, rho))
-    if abs(t.imag) >= QC_IMAG_TOL:
-        raise ArithmeticError(f"coupling trace has imaginary part {t.imag}")
-    return float(t.real)
+    return _coupling(s01(ch, rho))
 
 
 def qc_closed_form(p: float, xi: float, overlap: float) -> float:
@@ -106,38 +125,48 @@ def qc_closed_form(p: float, xi: float, overlap: float) -> float:
     return 1.0 - 4.0 * (1.0 - overlap**2) * flip_weight * half_sin * half_sin
 
 
-def switch_state(ch: KrausChannel, rho: np.ndarray, p_c: float) -> SwitchResult:
+def _control_diagonal(p_c) -> np.ndarray:
+    """p_c |0><0| + (1-p_c) |1><1| per member."""
+    return _levels(p_c) * _KET0 + _levels(1.0 - p_c) * _KET1
+
+
+def switch_state(ch: KrausChannel, rho: np.ndarray, p_c) -> SwitchResult:
     """Joint probe-control output of the switched channel.
 
     The joint state is assembled from s00 and s01; the reduced control
-    state is its partial trace over the probe, and q_c = tr s01.
+    state is its partial trace over the probe, and q_c = tr s01.  The state
+    stack is coerced once, and every joint state passes ``check_density``.
     """
-    p_c = _check_probability(p_c, "p_c")
-    s00_part = s00(ch, rho)
-    s01_part = s01(ch, rho)
+    p_c = _check_probability(p_c, "p_c", stack=True)
+    rho = _matching_state(ch, rho)
+    s00_part = _act(ch.kraus, _act(ch.kraus, rho))
+    s01_part = _interference(ch.kraus, rho)
     coherence = np.sqrt((1.0 - p_c) * p_c)
-    diag = p_c * _KET0 + (1.0 - p_c) * _KET1
-    joint = _kron(s00_part, diag) + _kron(s01_part, coherence * _FLIP)
+    joint = _kron(s00_part, _control_diagonal(p_c)) + _kron(s01_part, _levels(coherence) * _FLIP)
     check_density(joint, "joint switch output")
     control = partial_trace(joint, keep="control", dims=(ch.dim, 2))
-    t = np.trace(s01_part)
-    if abs(t.imag) >= QC_IMAG_TOL:
-        raise ArithmeticError(f"coupling trace has imaginary part {t.imag}")
-    return SwitchResult(joint=joint, control_reduced=control, q_c=float(t.real))
+    return SwitchResult(joint=joint, control_reduced=control, q_c=_coupling(s01_part))
 
 
 def switch_kraus_ops(ch: KrausChannel) -> np.ndarray:
     """Explicit Kraus set of the switched channel on probe (x) control.
 
-    W_jk = K_j K_k (x) |0><0| + K_k K_j (x) |1><1|, stacked with j major; the
-    set satisfies completeness on the joint space.
+    W_jk = K_j K_k (x) |0><0| + K_k K_j (x) |1><1|, stacked with j major
+    into shape ``(..., m^2, 2d, 2d)``; the set satisfies completeness on the
+    joint space.
     """
-    pairs = ch.kraus[:, None] @ ch.kraus[None, :]  # [j, k] holds K_j K_k
-    w = _kron(pairs, _KET0) + _kron(pairs.transpose(1, 0, 2, 3), _KET1)
-    return w.reshape(-1, 2 * ch.dim, 2 * ch.dim)
+    k = ch.kraus
+    pairs = k[..., :, None, :, :] @ k[..., None, :, :, :]  # [..., j, k] holds K_j K_k
+    d = ch.dim
+    # Entry ((a, c), (b, c')) of W_jk is zero unless c = c'; the probe factor
+    # is K_j K_k for c = 0 and K_k K_j for c = 1.
+    w = np.zeros((*pairs.shape[:-2], d, 2, d, 2), dtype=np.complex128)
+    w[..., 0, :, 0] = pairs
+    w[..., 1, :, 1] = np.swapaxes(pairs, -4, -3)
+    return w.reshape(*w.shape[:-6], -1, 2 * d, 2 * d)
 
 
-def switch_kraus_apply(ch: KrausChannel, rho: np.ndarray, p_c: float) -> np.ndarray:
+def switch_kraus_apply(ch: KrausChannel, rho: np.ndarray, p_c) -> np.ndarray:
     """Independent reconstruction of the joint output from the W_jk Kraus set.
 
     Applies sum_jk W_jk (rho (x) |psi_c><psi_c|) W_jk^dag with the control
@@ -145,22 +174,20 @@ def switch_kraus_apply(ch: KrausChannel, rho: np.ndarray, p_c: float) -> np.ndar
     switch_state joint; kept as a separate code path so a transcription
     error in either construction is caught by comparison.
     """
-    p_c = _check_probability(p_c, "p_c")
-    rho = as_cmatrix(rho)
-    psi = np.array([np.sqrt(p_c), np.sqrt(1.0 - p_c)], dtype=np.complex128)
-    rho_c = np.outer(psi, psi.conj())
-    w = switch_kraus_ops(ch)
-    return (w @ _kron(rho, rho_c) @ w.conj().transpose(0, 2, 1)).sum(axis=0)
+    p_c = _check_probability(p_c, "p_c", stack=True)
+    rho = _matching_state(ch, rho)
+    psi = np.stack((np.sqrt(p_c), np.sqrt(1.0 - p_c)), axis=-1).astype(np.complex128)
+    rho_c = psi[..., :, None] * psi[..., None, :].conj()
+    return _act(switch_kraus_ops(ch), _kron(rho, rho_c))
 
 
-def reduced_control(ch: KrausChannel, rho: np.ndarray, p_c: float) -> np.ndarray:
+def reduced_control(ch: KrausChannel, rho: np.ndarray, p_c) -> np.ndarray:
     """Reduced control state, built directly rather than by partial trace.
 
     p_c |0><0| + (1-p_c) |1><1| + q_c sqrt((1-p_c) p_c) (|0><1| + |1><0|),
     with q_c the trace of the order-interference term.  Agrees with the
     partial trace of the joint output over the probe.
     """
-    p_c = _check_probability(p_c, "p_c")
-    q_c = qc_numeric(ch, rho)
-    coherence = q_c * np.sqrt((1.0 - p_c) * p_c)
-    return p_c * _KET0 + (1.0 - p_c) * _KET1 + coherence * _FLIP
+    p_c = _check_probability(p_c, "p_c", stack=True)
+    coherence = qc_numeric(ch, rho) * np.sqrt((1.0 - p_c) * p_c)
+    return _control_diagonal(p_c) + _levels(coherence) * _FLIP

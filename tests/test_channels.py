@@ -316,3 +316,74 @@ class TestKrausChannel:
             ch.kraus[0, 0, 0] = 2.0
         ops[0][0, 0] = 7.0  # the channel holds a copy, not the caller's arrays
         assert ch.kraus[0, 0, 0] == np.sqrt(0.5)
+
+
+class TestStacks:
+    """Constructors and checks broadcast over a batch; one bad member fails the stack."""
+
+    def test_check_density_rejects_one_non_psd_member(self):
+        rng = np.random.default_rng(25)
+        for bad in (np.diag([1.0 + 2e-10, -2e-10]), np.diag([0.5, 0.5, 0.5, -0.5])):
+            n = len(bad)
+            stack = np.array([np.eye(n) / n] * 6, dtype=complex)
+            if n == 2:
+                stack = bloch_to_density(np.array([random_bloch(rng) for _ in range(6)]))
+            check_density(stack, "joint")
+            stack[3] = bad
+            with pytest.raises(ValueError) as info:
+                check_density(stack, "joint")
+            assert str(info.value) == "joint is not positive semidefinite"
+
+    def test_levels_and_axes_broadcast(self):
+        levels = np.array([0.0, 0.3, 1.0])
+        flips = pauli_channel(np.array(["x", "y", "z"]), levels)
+        depol = depolarizing_channel(levels)
+        for i, (axis, p) in enumerate(zip("xyz", levels)):
+            np.testing.assert_array_equal(flips.kraus[i], pauli_channel(axis, p).kraus)
+            np.testing.assert_array_equal(depol.kraus[i], depolarizing_channel(p).kraus)
+        assert flips.kraus.shape == (3, 2, 2, 2) and depol.kraus.shape == (3, 4, 2, 2)
+        one_axis = pauli_channel("y", levels[:, None] * np.ones(4))
+        assert one_axis.kraus.shape == (3, 4, 2, 2, 2)
+
+    def test_one_bad_member_is_named(self):
+        with pytest.raises(ValueError) as info:
+            pauli_channel("x", np.array([0.2, 1.2, np.nan]))
+        assert str(info.value) == "p must be a probability in [0, 1], got 1.2"
+        with pytest.raises(ValueError) as info:
+            unit_axis(np.array([[0.0, 1.0, 0.0], [0.0, 0.6, 0.6]]), stack=True)
+        assert str(info.value) == f"axis must be a unit vector, |n| = {np.sqrt(0.72)}"
+        with pytest.raises(ValueError, match="non-finite"):
+            bloch_vector(np.array([[0.0, 0.0, 0.5], [np.inf, 0.0, 0.0]]), stack=True)
+        ops = np.array([pauli_channel("x", 0.3).kraus] * 3)
+        ops[1, 0] *= 0.5
+        with pytest.raises(ValueError, match="completeness"):
+            KrausChannel(ops)
+
+    def test_bloch_overshoot_rescales_only_its_member(self):
+        v = bloch_vector(np.array([[0.0, 0.0, 1.0 + 5e-13], [0.1, 0.2, 0.3]]), stack=True)
+        assert abs(np.linalg.norm(v[0]) - 1.0) <= 1e-15
+        np.testing.assert_array_equal(v[1], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("check, what", [(bloch_vector, "Bloch vector"), (unit_axis, "axis")])
+    def test_single_vector_checks_refuse_a_stack(self, check, what):
+        # The grid engine validates its axis and probe with these; a stack
+        # passes only when asked for.
+        axes = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError) as info:
+            check(axes)
+        assert str(info.value) == f"{what} must have 3 components, got shape (2, 3)"
+        np.testing.assert_array_equal(check(axes, stack=True), axes)
+
+    def test_rotation_and_noisy_channel_per_member(self):
+        rng = np.random.default_rng(26)
+        axes = np.array([random_bloch(rng) for _ in range(5)])
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        phases = rng.uniform(0, 2 * np.pi, size=5)
+        noise = depolarizing_channel(0.4)
+        ch = noisy_phase_channel(noise, axes, phases)
+        rotations = rotation_unitary(axes, phases)
+        for i in range(5):
+            np.testing.assert_array_equal(rotations[i], rotation_unitary(axes[i], phases[i]))
+            one = noisy_phase_channel(noise, axes[i], phases[i])
+            np.testing.assert_array_equal(ch.kraus[i], one.kraus)
+        assert [op.shape for op in ch] == [(5, 2, 2)] * 4

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icoswitch.qmat import (
     ATOL_RECON,
@@ -221,6 +223,77 @@ class TestHermEigScaling:
         np.testing.assert_allclose(
             herm_eig(scale * a).eigenvalues, scale * herm_eig(a).eigenvalues, rtol=1e-12, atol=0
         )
+
+
+def stack_member(rng, kind, n):
+    """One Hermitian member of a test stack.
+
+    "dense" has complex entries of one size and takes the most sweeps (5 or
+    6 at n = 4); "tiny" is a dense member scaled to entries near 1e-170, so
+    herm_eig scales it by a power of two; "diagonal" makes no rotation.
+    """
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n)).astype(complex)
+    dense = random_hermitian(rng, n)
+    return 1e-170 * dense if kind == "tiny" else dense
+
+
+@st.composite
+def hermitian_stacks(draw):
+    """A stack of 2, 4 or 16 Hermitian matrices mixing the kinds of ``stack_member``."""
+    size = draw(st.sampled_from([2, 4, 16]))
+    n = draw(st.sampled_from([2, 3, 4]))
+    kinds = draw(st.permutations((["diagonal", "tiny", "dense"] * 6)[:size]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array([stack_member(rng, kind, n) for kind in kinds])
+
+
+class TestHermEigStacks:
+    """A stack rotates in lockstep, yet each member gets the result it gets alone."""
+
+    @given(stack=hermitian_stacks())
+    @settings(max_examples=30, deadline=None)
+    def test_stack_equals_members(self, stack):
+        # Entry for entry, with no tolerance: a frozen member's rotations are
+        # exactly c = 1, s = 0 (a zero may come out with the other sign).
+        together = herm_eig(stack)
+        assert together.eigenvalues.shape == stack.shape[:-1]
+        assert together.eigenvectors.shape == stack.shape
+        for i, member in enumerate(stack):
+            alone = herm_eig(member)
+            np.testing.assert_array_equal(together.eigenvalues[i], alone.eigenvalues)
+            np.testing.assert_array_equal(together.eigenvectors[i], alone.eigenvectors)
+
+    @given(stack=hermitian_stacks(), data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_one_bad_member_fails_the_stack(self, stack, data):
+        with pytest.raises(ArithmeticError, match="1 sweeps"):
+            herm_eig(stack, max_sweeps=1)
+        broken = stack.copy()
+        broken[data.draw(st.integers(0, len(stack) - 1)), 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            herm_eig(broken)
+
+    def test_choi_sized_stack(self):
+        rng = np.random.default_rng(410)
+        kinds = ("dense", "diagonal", "tiny", "dense")
+        stack = np.array([stack_member(rng, kind, 16) for kind in kinds])
+        together = herm_eig(stack.reshape(2, 2, 16, 16))
+        for i, member in enumerate(stack):
+            alone = herm_eig(member)
+            np.testing.assert_array_equal(together.eigenvalues[i // 2, i % 2], alone.eigenvalues)
+            np.testing.assert_array_equal(together.eigenvectors[i // 2, i % 2], alone.eigenvectors)
+            assert_matches_eigh(member, 16)
+
+
+class TestPsdWithinStacks:
+    def test_stack_equals_members(self):
+        rng = np.random.default_rng(620)
+        levels = np.array([-1e-9, -2e-10, 0.0, 0.3])
+        stack = np.array([spectrum_matrix(rng, rng.choice(levels, size=4)) for _ in range(40)])
+        together = psd_within(stack)
+        assert together.shape == (40,) and 0 < together.sum() < 40
+        assert list(together) == [psd_within(member) for member in stack]
 
 
 def spectrum_matrix(rng, spectrum):

@@ -12,11 +12,12 @@ from icoswitch.channels import (
     apply_channel,
     bloch_to_density,
     check_density,
+    depolarizing_channel,
     noisy_phase_channel,
     pauli_channel,
     rotation_unitary,
 )
-from icoswitch.metrology import qfi_joint
+from icoswitch.metrology import control_family, qfi_joint, qfi_numeric
 from icoswitch.qmat import I2, SIGMA_X, channel_choi, herm_eig, partial_trace
 from icoswitch.switch import (
     qc_closed_form,
@@ -371,3 +372,79 @@ class TestQcNumeric:
             qc_numeric(ch, bloch_to_density(random_bloch(rng))) for _ in range(50)
         ]
         assert max(values) - min(values) < 1e-10
+
+
+def mixed_noise_stack(rng, size):
+    """Noise channels of every kind in one stack, each as four Kraus operators.
+
+    Depolarizing noise is depolarizing_channel itself; a Pauli channel is
+    pauli_channel padded with two zero operators, which changes no action.
+    """
+    sets = []
+    for i in range(size):
+        kind, p = ("x", "y", "z", "depolarizing")[i % 4], rng.uniform()
+        if kind == "depolarizing":
+            sets.append(depolarizing_channel(p).kraus)
+        else:
+            sets.append(np.concatenate([pauli_channel(kind, p).kraus, np.zeros((2, 2, 2))]))
+    return KrausChannel(np.array(sets))
+
+
+class TestStackedOracleMatchesPerDraw:
+    """Each oracle function on a stack of draws equals its calls draw by draw, entry for entry."""
+
+    def test_mixed_noise_stack(self):
+        rng = np.random.default_rng(70)
+        size = 12
+        noise = mixed_noise_stack(rng, size)
+        axes = np.array([random_axis(rng) for _ in range(size)])
+        xis = rng.uniform(0, 2 * np.pi, size=size)
+        rho = bloch_to_density(np.array([random_bloch(rng) for _ in range(size)]))
+        p_cs = rng.uniform(size=size)
+        ch = noisy_phase_channel(noise, axes, xis)
+        assert ch.kraus.shape == (size, 4, 2, 2) and len(ch) == 4
+        res = switch_state(ch, rho, p_cs)
+        stacked = {
+            "s00": s00(ch, rho),
+            "s01": s01(ch, rho),
+            "joint": res.joint,
+            "control_reduced": res.control_reduced,
+            "q_c": res.q_c,
+            "kraus_apply": switch_kraus_apply(ch, rho, p_cs),
+            "choi": channel_choi(switch_kraus_ops(ch)),
+            "qfi": qfi_numeric(control_family(noise, axes, rho, p_cs), xis).value,
+        }
+        for i in range(size):
+            one_noise = KrausChannel(noise.kraus[i])
+            one = noisy_phase_channel(one_noise, axes[i], xis[i])
+            res = switch_state(one, rho[i], p_cs[i])
+            family = control_family(one_noise, axes[i], rho[i], p_cs[i])
+            per_draw = {
+                "s00": s00(one, rho[i]),
+                "s01": s01(one, rho[i]),
+                "joint": res.joint,
+                "control_reduced": res.control_reduced,
+                "q_c": res.q_c,
+                "kraus_apply": switch_kraus_apply(one, rho[i], p_cs[i]),
+                "choi": channel_choi(switch_kraus_ops(one)),
+                "qfi": qfi_numeric(family, xis[i]).value,
+            }
+            np.testing.assert_array_equal(ch.kraus[i], one.kraus)
+            for name, value in per_draw.items():
+                np.testing.assert_array_equal(stacked[name][i], value, err_msg=f"{name}, draw {i}")
+        assert isinstance(per_draw["qfi"], float)
+
+    def test_channel_and_state_stacks_broadcast(self):
+        # One channel against a stack of states, and a (3, 1) stack of
+        # channels against (3, 5) states: row i is channel i.
+        rng = np.random.default_rng(71)
+        probes = np.array([[random_bloch(rng) for _ in range(5)] for _ in range(3)])
+        rho = bloch_to_density(probes)
+        ch = noisy_phase_channel(pauli_channel("z", rng.uniform(size=(3, 1))), random_axis(rng), XI)
+        q = qc_numeric(ch, rho)
+        assert q.shape == (3, 5)
+        for i in range(3):
+            for j in range(5):
+                assert q[i, j] == qc_numeric(KrausChannel(ch.kraus[i, 0]), rho[i, j])
+        single = KrausChannel(ch.kraus[0, 0])
+        np.testing.assert_array_equal(s00(single, rho)[1, 2], s00(single, rho[1, 2]))
