@@ -64,15 +64,13 @@ class FisherResult:
 
 def _fisher(value, method: str) -> FisherResult:
     # Clamp roundoff-negative values to zero; a real negative is a bug.
-    if isinstance(value, np.ndarray) and value.ndim:  # one per member of a stack (qfi_numeric)
-        if value.min() < -1e-12:
-            raise ArithmeticError(f"negative Fisher information {value.min()}")
-        return FisherResult(np.where(value < 0.0, 0.0, value), method)
-    if value < 0.0:
-        if value < -1e-12:
-            raise ArithmeticError(f"negative Fisher information {value}")
-        value = 0.0
-    return FisherResult(float(value), method)
+    value = np.asarray(value, dtype=np.float64)
+    low = value.min()
+    if low < 0.0:
+        if low < -1e-12:
+            raise ArithmeticError(f"negative Fisher information {low}")
+        value = np.where(value < 0.0, 0.0, value)
+    return FisherResult(value if value.ndim else float(value), method)
 
 
 def qfi_numeric(family: StateFamily, xi0, step: float = DEFAULT_STEP) -> FisherResult:

@@ -247,13 +247,14 @@ def check_commuting_degeneracy() -> CheckResult:
     though the overlap comes from different axis components (n_x, n_z).
     """
     rng = np.random.default_rng(_SEED + 4)
-    worst = 0.0
-    for _ in range(20):
-        p = rng.uniform()
-        xi = rng.uniform(0.0, 2.0 * np.pi)
-        ch = noisy_phase_channel(pauli_channel(PauliAxis.X, p), (1.0, 0.0, 0.0), xi)
-        rho = bloch_to_density(_rand_bloch(rng))
-        worst = max(worst, float(np.max(np.abs(s01(ch, rho) - s00(ch, rho)))))
+    d = _draws(
+        20,
+        lambda: (rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), _rand_bloch(rng)),
+        p=float, xi=float, probe=_VEC,
+    )  # fmt: skip
+    ch = noisy_phase_channel(pauli_channel(PauliAxis.X, d["p"]), (1.0, 0.0, 0.0), d["xi"])
+    rho = bloch_to_density(d["probe"])
+    worst = float(np.max(np.abs(s01(ch, rho) - s00(ch, rho))))
     zero = qfi_control_opt(0.37, 1.234, 1.0).value
     axis = (0.0, 1.0, 0.0)
     flip_diff = max(
@@ -332,16 +333,15 @@ def check_symmetry_and_limits() -> CheckResult:
         worst = max(
             worst, abs(qfi_control_opt(p, xi, nl).value - qfi_control_opt(1.0 - p, xi, nl).value)
         )
-    exact_ok = True
-    worst_limit = 0.0
-    for p, nl in ((0.5, 0.0), (0.3, 0.4), (0.8, -0.6)):
-        want = 2.0 * (1.0 - nl**2) * ((1.0 - p) * p)
-        exact_ok &= qfi_control_opt(p, 0.0, nl).value == want
-        axis = (nl, np.sqrt(1.0 - nl * nl), 0.0)
-        family = control_family(
-            pauli_channel(PauliAxis.X, p), axis, bloch_to_density((0.0, 0.0, 0.5)), 0.5
-        )
-        worst_limit = max(worst_limit, abs(qfi_numeric(family, 1e-4).value - want))
+    cases = ((0.5, 0.0), (0.3, 0.4), (0.8, -0.6))
+    wants = [2.0 * (1.0 - nl**2) * ((1.0 - p) * p) for p, nl in cases]
+    exact_ok = all(qfi_control_opt(p, 0.0, nl).value == w for (p, nl), w in zip(cases, wants))
+    levels, nls = zip(*cases)
+    axes = [(nl, np.sqrt(1.0 - nl * nl), 0.0) for nl in nls]
+    family = control_family(
+        pauli_channel(PauliAxis.X, levels), axes, bloch_to_density((0.0, 0.0, 0.5)), 0.5
+    )
+    worst_limit = float(np.max(np.abs(qfi_numeric(family, 1e-4).value - wants)))
     return _result(
         "p <-> 1-p symmetry and small-phase limit",
         worst < 1e-12 and exact_ok and worst_limit < 1e-4,
@@ -362,16 +362,16 @@ def check_fig2_shape() -> CheckResult:
     con = [qfi_control_opt(p, xi, 0.0).value for p in ps]
     sym = max(abs(con[i] - con[10 - i]) for i in range(11))
     peak_ok = int(np.argmax(con)) == 5
-    cross_ok = True
-    engine_diff = 0.0
     high = (0.6, 0.7, 0.8, 0.9)
+    probes = [(0.0, 0.0, r) for r in (1.0, 0.8, 0.6, 0.4, 0.2)]
+    # Channels of batch shape (4,) against probes of (5, 1): row i is probe i.
+    cas = qfi_cascade(
+        pauli_channel(PauliAxis.X, high), (0.0, 1.0, 0.0), xi, np.array(probes)[:, None]
+    ).value
+    cross_ok = bool((np.array([qfi_control_opt(p, xi, 0.0).value for p in high]) > cas).all())
     contraction = noise_contraction("bitflip", high)
-    for r in (1.0, 0.8, 0.6, 0.4, 0.2):
-        engine = cascade_qfi_grid(contraction, (0.0, 1.0, 0.0), xi, (0.0, 0.0, r))
-        for p, fast in zip(high, engine):
-            cas = qfi_cascade(pauli_channel(PauliAxis.X, p), (0.0, 1.0, 0.0), xi, (0.0, 0.0, r)).value
-            cross_ok &= qfi_control_opt(p, xi, 0.0).value > cas
-            engine_diff = max(engine_diff, abs(fast - cas))
+    engine = [cascade_qfi_grid(contraction, (0.0, 1.0, 0.0), xi, probe) for probe in probes]
+    engine_diff = float(np.max(np.abs(np.array(engine) - cas)))
     return _result(
         "control-vs-cascade comparison shape",
         sym < 1e-12 and peak_ok and cross_ok and engine_diff < 1e-6,

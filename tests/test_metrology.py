@@ -16,6 +16,7 @@ from icoswitch.channels import (
 from icoswitch.cli import main
 from icoswitch.engine import NOISE_KINDS, cascade_qfi_grid, noise_contraction
 from icoswitch.metrology import (
+    _fisher,
     cascade_family,
     cfi_control,
     cfi_numeric,
@@ -100,6 +101,24 @@ class TestQfiNumeric:
     def test_rejects_non_density_family(self):
         with pytest.raises(ValueError, match="density"):
             qfi_numeric(lambda xi: np.diag([2.0, 0.0]).astype(complex), 0.1)
+
+
+class TestFisherClamp:
+    """Roundoff negatives clamp to 0 member by member; a real negative raises."""
+
+    def test_single_value(self):
+        for value, want in ((-1e-13, 0.0), (-0.0, -0.0), (0.25, 0.25)):
+            res = _fisher(value, "closed_form")
+            assert type(res.value) is float and res.value == want
+            assert np.signbit(res.value) == np.signbit(want)
+        with pytest.raises(ArithmeticError, match="negative Fisher information -2e-12"):
+            _fisher(-2e-12, "closed_form")
+
+    def test_stack(self):
+        res = _fisher(np.array([[0.5, -1e-13], [-0.0, 1e-3]]), "sld_numeric")
+        np.testing.assert_array_equal(res.value, [[0.5, 0.0], [-0.0, 1e-3]])
+        with pytest.raises(ArithmeticError, match="-1e-09"):
+            _fisher(np.array([0.5, -1e-9, -1e-13]), "sld_numeric")
 
 
 class TestQfiControl:
