@@ -228,25 +228,24 @@ def psd_within(a: np.ndarray) -> np.ndarray:
     batch, n = a.shape[:-2], a.shape[-1]
     re = a.real.reshape(-1, n, n).transpose(1, 2, 0)
     im = a.imag.reshape(-1, n, n).transpose(1, 2, 0)
-    u_re, u_im = np.zeros_like(re), np.zeros_like(im)
+    # Row k of U is stored as row k + 1; row 0 stays zero, so every sum over
+    # the rows above row j starts from 0 and runs down in order.
+    u_re, u_im = np.zeros((2, n + 1, *re.shape[1:]))
     ok = np.ones(re.shape[-1], dtype=bool)
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(n):
-            cr, ci = u_re[:j, j], u_im[:j, j]  # column j of U above the diagonal
-            pivot = re[j, j] + ATOL_STRUCT - sum(cr * cr + ci * ci)
+            cr, ci = u_re[: j + 1, j], u_im[: j + 1, j]  # column j of U above the diagonal
+            pivot = re[j, j] + ATOL_STRUCT - _sum_in_order(cr * cr + ci * ci)
             ok &= pivot > 0.0
             d = np.sqrt(np.where(ok, pivot, 1.0))
-            u_re[j, j] = d
+            u_re[j + 1, j] = d
             # Row j right of the diagonal: (h - sum_k conj(U[k, j]) U[k, i]) / d.
             h_re = (re[j, j + 1 :] + re[j + 1 :, j]) / 2.0
             h_im = (im[j, j + 1 :] - im[j + 1 :, j]) / 2.0
-            acc_re, acc_im = 0, 0
-            for k in range(j):
-                r_re, r_im = u_re[k, j + 1 :], u_im[k, j + 1 :]
-                acc_re = acc_re + (cr[k] * r_re + ci[k] * r_im)
-                acc_im = acc_im + (cr[k] * r_im - ci[k] * r_re)
-            u_re[j, j + 1 :] = (h_re - acc_re) / d
-            u_im[j, j + 1 :] = (h_im - acc_im) / d
+            cr, ci = cr[:, None], ci[:, None]
+            r_re, r_im = u_re[: j + 1, j + 1 :], u_im[: j + 1, j + 1 :]
+            u_re[j + 1, j + 1 :] = (h_re - _sum_in_order(cr * r_re + ci * r_im)) / d
+            u_im[j + 1, j + 1 :] = (h_im - _sum_in_order(cr * r_im - ci * r_re)) / d
     return ok.reshape(batch)
 
 
