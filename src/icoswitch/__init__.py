@@ -15,7 +15,6 @@ from .channels import (
     bloch_to_density,
     bloch_vector,
     check_density,
-    density_to_bloch,
     depolarizing_channel,
     noisy_phase_channel,
     pauli_channel,
@@ -23,23 +22,18 @@ from .channels import (
     unit_axis,
 )
 from .engine import (
-    cascade_qfi_grid,
     evaluate_grid,
-    noise_contraction,
     noise_weights,
     switch_state_grid,
 )
 from .metrology import (
-    FisherResult,
     cascade_family,
     cfi_control,
     cfi_numeric,
     control_family,
     joint_family,
-    measure_control,
     qfi_cascade,
     qfi_control,
-    qfi_control_opt,
     qfi_joint,
     qfi_numeric,
 )
@@ -80,7 +74,6 @@ __all__ = [
     "CheckResult",
     "ConfigError",
     "EigDecomp",
-    "FisherResult",
     "KrausChannel",
     "PauliAxis",
     "SweepConfig",
@@ -90,13 +83,11 @@ __all__ = [
     "bloch_to_density",
     "bloch_vector",
     "cascade_family",
-    "cascade_qfi_grid",
     "cfi_control",
     "cfi_numeric",
     "channel_choi",
     "check_density",
     "control_family",
-    "density_to_bloch",
     "depolarizing_channel",
     "emit_csv",
     "emit_svg",
@@ -104,8 +95,6 @@ __all__ = [
     "fig2_preset",
     "herm_eig",
     "joint_family",
-    "measure_control",
-    "noise_contraction",
     "noise_weights",
     "noisy_phase_channel",
     "parse_config",
@@ -115,7 +104,6 @@ __all__ = [
     "qc_numeric",
     "qfi_cascade",
     "qfi_control",
-    "qfi_control_opt",
     "qfi_joint",
     "qfi_numeric",
     "reduced_control",

@@ -130,14 +130,6 @@ def bloch_to_density(r) -> np.ndarray:
     return (I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0
 
 
-def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch components r_k = tr(rho sigma_k) of a qubit state."""
-    rho = as_cmatrix(rho)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 density matrix, got {rho.shape}")
-    return np.array([np.trace(rho @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
-
-
 def check_density(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Assert the density-operator invariants on every member: Hermitian, unit trace, PSD.
 

@@ -37,9 +37,11 @@ rotation about n.  The columns come from three routes, each exact in xi:
   eigenvalues far below the finite-difference oracle's 1e-10 cutoff keep
   their information.
 
-Inputs are validated once, at the public entries; xi is reduced mod 2 pi
-there.  The density-matrix code in switch and metrology is the independent
-oracle the tests and ``verify`` hold these routes against.
+evaluate_grid is the one entry that computes a column; fig2, sweep and
+point all go through it.  It validates every input once and reduces xi
+mod 2 pi, as switch_state_grid does for the joint states.  The
+density-matrix code in switch and metrology is the independent oracle the
+tests and ``verify`` hold these routes against.
 """
 
 from __future__ import annotations
@@ -87,17 +89,6 @@ def _flip_weights(weights: np.ndarray) -> np.ndarray:
     return np.stack((w[:, 2] + w[:, 3], w[:, 1] + w[:, 3], w[:, 1] + w[:, 2]), axis=1)
 
 
-def noise_contraction(kind: str, p_array) -> np.ndarray:
-    """Bloch-space contraction factors of the noise, one row per level p.
-
-    Pauli noise with sigma_l keeps the l component of the Bloch vector and
-    scales the other two by 1 - 2p; depolarizing noise scales all three by
-    1 - p.  Row i is the diagonal of D(p_i), the input of cascade_qfi_grid.
-    Each factor is D_l = w_0 + w_l - w_j - w_k = 1 - 2 (w_j + w_k).
-    """
-    return 1.0 - 2.0 * _flip_weights(noise_weights(kind, p_array))
-
-
 def _reduce_phase(xi: float) -> float:
     """xi mod 2 pi in [-pi, pi], the identity there.
 
@@ -109,10 +100,12 @@ def _reduce_phase(xi: float) -> float:
     return math.remainder(_check_phase(xi), 2.0 * math.pi)
 
 
-def _cascade_qfi(factors: np.ndarray, loss: np.ndarray, n, xi: float, r) -> np.ndarray:
-    """Cascade QFI per row of ``factors`` (diag D); ``loss`` is 1 - D^2 formed without cancelling.
+def _cascade_qfi(flips: np.ndarray, n, xi: float, r) -> np.ndarray:
+    """Cascade QFI per row of ``flips`` (w_j + w_k per Bloch axis, from _flip_weights).
 
-    With x = R r and y = R D x, the output is v = D y and
+    The contraction factors are D = 1 - 2 flips and the losses
+    1 - D^2 = 2 flips (1 + D), formed without cancelling.  With x = R r and
+    y = R D x, the output is v = D y and
     1 - |v|^2 = (1 - |r|^2) + sum_i loss_i (x_i^2 + y_i^2), a sum of
     nonnegative terms; its derivative gives v.v' = -sum_i loss_i (x_i x_i' +
     y_i y_i').  Both stay exact to roundoff as the output nears a pure
@@ -120,6 +113,8 @@ def _cascade_qfi(factors: np.ndarray, loss: np.ndarray, n, xi: float, r) -> np.n
     density-matrix oracle, (v.v')^2 / (1 - |v|^2) is dropped where
     1 - |v|^2 <= SLD_EIGENVALUE_CUTOFF.
     """
+    factors = 1.0 - 2.0 * flips
+    loss = 2.0 * flips * (1.0 + factors)
     cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     # 1 - cos xi as 2 sin^2(xi/2): no cancellation at small xi.
     rot = np.cos(xi) * np.eye(3) + np.sin(xi) * cross
@@ -140,26 +135,6 @@ def _cascade_qfi(factors: np.ndarray, loss: np.ndarray, n, xi: float, r) -> np.n
     mixed = gap > SLD_EIGENVALUE_CUTOFF
     info[mixed] += along[mixed] ** 2 / gap[mixed]
     return info
-
-
-def cascade_qfi_grid(contraction, axis, xi: float, probe) -> np.ndarray:
-    """Quantum Fisher information of the plain cascade on a grid of noise levels.
-
-    ``contraction`` has one row diag D(p) per noise level: the factors by
-    which the noise scales the x, y and z Bloch components.  With R the
-    rotation by xi about ``axis`` (Rodrigues' formula) and dR/dxi =
-    [n]_x R, the cascade output is v = (D R)^2 r and the result is
-    |v'|^2 + (v.v')^2 / (1 - |v|^2), one value per row.  The second term
-    is dropped where 1 - |v|^2 <= SLD_EIGENVALUE_CUTOFF, as the oracle
-    qfi_cascade drops eigenvalues below that cutoff.
-    """
-    factors = np.asarray(contraction, dtype=np.float64)
-    if factors.ndim != 2 or factors.shape[1] != 3:
-        raise ValueError(f"contraction must have shape (m, 3), got {factors.shape}")
-    if not np.all(np.abs(factors) <= 1.0):
-        raise ValueError("contraction factors must lie in [-1, 1]")
-    loss = (1.0 - factors) * (1.0 + factors)
-    return _cascade_qfi(factors, loss, unit_axis(axis), _check_phase(xi), bloch_vector(probe))
 
 
 def _control_columns(weights: np.ndarray, n: np.ndarray, xi: float, p_c: float) -> dict:
@@ -276,9 +251,7 @@ def evaluate_grid(names, kind: str, p_array, p_c: float, xi: float, axis, probe)
     if {"qc", "fq_con", "fc_con"} & set(names):
         out.update(_control_columns(weights, n, xi, p_c))
     if "fq_cas" in names:
-        flips = _flip_weights(weights)
-        factors = 1.0 - 2.0 * flips
-        out["fq_cas"] = _cascade_qfi(factors, 2.0 * flips * (1.0 + factors), n, xi, r)
+        out["fq_cas"] = _cascade_qfi(_flip_weights(weights), n, xi, r)
     if "fq_joint" in names:
         blocks, dblocks = _kraus_blocks(n, xi, r, p_c)
         out["fq_joint"] = np.concatenate(

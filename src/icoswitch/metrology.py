@@ -18,14 +18,15 @@ with drho by central finite difference and (lambda, v) from the Jacobi
 eigensolver.  The closed forms use analytic derivatives throughout, so the
 two routes are genuinely independent and are compared in the tests.
 
-The numbers the sweeps print come from the grid engine (engine.py); the
-density-matrix routes here (qfi_cascade, qfi_joint, cfi_numeric and
-qfi_numeric on control_family) are its independent oracle.
+Every evaluator returns a plain float, or an array of the batch shape for
+a stack.  The numbers the sweeps print come from the grid engine
+(engine.evaluate_grid); the density-matrix routes here (qfi_cascade,
+qfi_joint, cfi_numeric and qfi_numeric on control_family) are its
+independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +40,7 @@ from .channels import (
     unit_axis,
 )
 from .qmat import ATOL_STRUCT, dagger, herm_eig
-from .switch import qc_numeric, s00, switch_state
+from .switch import _pauli_qc_pieces, qc_numeric, s00, switch_state
 
 # Pairs with lambda_j + lambda_k below this are in the kernel of the SLD
 # formula and are excluded (standard regularization).
@@ -54,31 +55,26 @@ QC_DEGENERACY_TOL = 1e-12
 StateFamily = Callable[[float], np.ndarray]
 
 
-@dataclass(frozen=True)
-class FisherResult:
-    """A Fisher-information value and the route that produced it."""
+def _fisher(value):
+    """``value`` as a float (or an array for a stack), roundoff negatives clamped to zero.
 
-    value: float | np.ndarray
-    method: str  # "closed_form" | "sld_numeric" | "classical"
-
-
-def _fisher(value, method: str) -> FisherResult:
-    # Clamp roundoff-negative values to zero; a real negative is a bug.
+    A negative below -1e-12 is a bug, not roundoff, and raises.
+    """
     value = np.asarray(value, dtype=np.float64)
     low = value.min()
     if low < 0.0:
         if low < -1e-12:
             raise ArithmeticError(f"negative Fisher information {low}")
         value = np.where(value < 0.0, 0.0, value)
-    return FisherResult(value if value.ndim else float(value), method)
+    return value if value.ndim else float(value)
 
 
-def qfi_numeric(family: StateFamily, xi0, step: float = DEFAULT_STEP) -> FisherResult:
+def qfi_numeric(family: StateFamily, xi0, step: float = DEFAULT_STEP) -> float | np.ndarray:
     """Quantum Fisher information of a state family by the SLD spectral formula.
 
     ``family`` maps a phase to a density matrix of fixed dimension, or to a
     stack of them; ``xi0`` may be an array of phases, one per member, and
-    ``value`` is then an array of the batch shape.  The derivative is the
+    the result is then an array of the batch shape.  The derivative is the
     central difference (rho(xi0+h) - rho(xi0-h)) / 2h.  The spectra of the
     whole stack come from one lockstep ``herm_eig`` call.
     """
@@ -95,30 +91,10 @@ def qfi_numeric(family: StateFamily, xi0, step: float = DEFAULT_STEP) -> FisherR
     terms = 2.0 * np.hypot(overlap.real, overlap.imag) ** 2 / np.where(kept, weight, 1.0)
     terms = np.where(kept, terms, 0.0).reshape(*weight.shape[:-2], -1)
     # Summed left to right over (j, k) in row-major order.
-    return _fisher(np.cumsum(terms, axis=-1)[..., -1], "sld_numeric")
+    return _fisher(np.cumsum(terms, axis=-1)[..., -1])
 
 
-def _pauli_qc_pieces(p: float, xi: float, overlap: float) -> tuple[float, float, float]:
-    """(1 - q_c, dq_c/dxi, limit) shared by the closed forms.
-
-    ``limit`` is 2 (1 - n_l^2) (1 - p) p, the analytic value of
-    (dq_c)^2 / (1 - q_c^2) as xi -> 0; it doubles as the degeneracy marker
-    since 1 - q_c vanishes exactly when limit * (1 - cos xi) does.
-    """
-    p = _check_probability(p)
-    overlap = float(overlap)
-    if abs(overlap) > 1.0:
-        raise ValueError(f"axis component must lie in [-1, 1], got {overlap}")
-    xi = float(xi)
-    flip_weight = (1.0 - p) * p
-    limit = 2.0 * (1.0 - overlap**2) * flip_weight
-    half_sin = np.sin(0.5 * xi)
-    one_minus_q = 2.0 * limit * half_sin * half_sin  # exact: 1-cos = 2 sin^2(xi/2)
-    dq = -limit * np.sin(xi)
-    return one_minus_q, dq, limit
-
-
-def qfi_control(p_c: float, p: float, xi: float, overlap: float) -> FisherResult:
+def qfi_control(p_c: float, p: float, xi: float, overlap: float) -> float:
     """Quantum Fisher information of the control qubit under Pauli noise.
 
     4 (1-p_c) p_c (dq_c)^2 / (1 - q_c^2) with the analytic derivative
@@ -131,32 +107,11 @@ def qfi_control(p_c: float, p: float, xi: float, overlap: float) -> FisherResult
     weight = 4.0 * (1.0 - p_c) * p_c
     denom = one_minus_q * (2.0 - one_minus_q)  # = 1 - q_c^2, cancellation-free
     if denom < QC_DEGENERACY_TOL:
-        return _fisher(weight * limit, "closed_form")
-    return _fisher(weight * dq * dq / denom, "closed_form")
+        return _fisher(weight * limit)
+    return _fisher(weight * dq * dq / denom)
 
 
-def qfi_control_opt(p: float, xi: float, overlap: float) -> FisherResult:
-    """Control-qubit quantum Fisher information at the optimal p_c = 1/2."""
-    return qfi_control(0.5, p, xi, overlap)
-
-
-def measure_control(p_c: float, q_c: float) -> tuple[float, float]:
-    """Outcome probabilities of the Hadamard-basis measurement of the control.
-
-    P_pm = 1/2 pm sqrt((1-p_c) p_c) q_c.  The Hadamard basis is a fixed,
-    phase-independent measurement; at p_c = 1/2 it attains the quantum
-    Fisher information of the control.
-    """
-    p_c = _check_probability(p_c, "p_c")
-    q_c = float(q_c)
-    if abs(q_c) > 1.0 + 1e-10:
-        raise ValueError(f"|q_c| must not exceed 1, got {q_c}")
-    shift = np.sqrt((1.0 - p_c) * p_c) * q_c
-    p_plus = min(max(0.5 + shift, 0.0), 1.0)
-    return p_plus, 1.0 - p_plus
-
-
-def cfi_control(p_c: float, p: float, xi: float, overlap: float) -> FisherResult:
+def cfi_control(p_c: float, p: float, xi: float, overlap: float) -> float:
     """Classical Fisher information of the Hadamard measurement of the control.
 
     (dP_+)^2 / ((1-P_+) P_+) with P_+ = 1/2 + s q_c and s = sqrt((1-p_c) p_c),
@@ -168,9 +123,9 @@ def cfi_control(p_c: float, p: float, xi: float, overlap: float) -> FisherResult
     one_minus_q, dq, limit = _pauli_qc_pieces(p, xi, overlap)
     spread = one_minus_q * (2.0 - one_minus_q)  # = 1 - q_c^2
     if p_c == 0.5:
-        return _fisher(limit if spread < QC_DEGENERACY_TOL else dq * dq / spread, "classical")
+        return _fisher(limit if spread < QC_DEGENERACY_TOL else dq * dq / spread)
     s2 = (1.0 - p_c) * p_c
-    return _fisher(s2 * dq * dq / ((p_c - 0.5) ** 2 + s2 * spread), "classical")
+    return _fisher(s2 * dq * dq / ((p_c - 0.5) ** 2 + s2 * spread))
 
 
 def cascade_family(noise: KrausChannel, axis, probe) -> StateFamily:
@@ -210,7 +165,9 @@ def joint_family(noise: KrausChannel, axis, rho: np.ndarray, p_c: float) -> Stat
     return family
 
 
-def qfi_cascade(noise: KrausChannel, axis, xi: float, probe, step: float = DEFAULT_STEP) -> FisherResult:
+def qfi_cascade(
+    noise: KrausChannel, axis, xi: float, probe, step: float = DEFAULT_STEP
+) -> float | np.ndarray:
     """Quantum Fisher information of the plain cascade, evaluated numerically.
 
     No closed form is transcribed for this quantity; the SLD route on the
@@ -221,7 +178,7 @@ def qfi_cascade(noise: KrausChannel, axis, xi: float, probe, step: float = DEFAU
 
 def qfi_joint(
     noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float, step: float = DEFAULT_STEP
-) -> FisherResult:
+) -> float | np.ndarray:
     """Quantum Fisher information of the joint probe-control output (numeric).
 
     Never below the control-only value (partial tracing cannot increase
@@ -233,7 +190,7 @@ def qfi_joint(
 
 def cfi_numeric(
     noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float, step: float = DEFAULT_STEP
-) -> FisherResult:
+) -> float:
     """Classical Fisher information of the Hadamard measurement, any noise.
 
     Differentiates P_+(xi) = 1/2 + sqrt((1-p_c) p_c) q_c(xi) by central
@@ -258,5 +215,5 @@ def cfi_numeric(
             raise ArithmeticError(
                 f"measurement distribution degenerate (P_+ = {center}) with nonzero derivative"
             )
-        return _fisher(0.0, "classical")
-    return _fisher(slope * slope / denom, "classical")
+        return _fisher(0.0)
+    return _fisher(slope * slope / denom)

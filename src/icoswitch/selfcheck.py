@@ -25,19 +25,12 @@ from .channels import (
     noisy_phase_channel,
     pauli_channel,
 )
-from .engine import (
-    PAULI_OF_KIND,
-    cascade_qfi_grid,
-    evaluate_grid,
-    noise_contraction,
-    switch_state_grid,
-)
+from .engine import PAULI_OF_KIND, evaluate_grid, switch_state_grid
 from .metrology import (
     cfi_control,
     control_family,
     qfi_cascade,
     qfi_control,
-    qfi_control_opt,
     qfi_numeric,
 )
 from .qmat import channel_choi, dagger, herm_eig
@@ -200,8 +193,8 @@ def check_qfi_closed_vs_sld() -> CheckResult:
     )  # fmt: skip
     rho = bloch_to_density(d["probe"])
     family = control_family(pauli_channel(d["pauli"], d["p"]), d["axis"], rho, d["p_c"])
-    numeric = qfi_numeric(family, d["xi"]).value
-    closed = [qfi_control(p_c, p, xi, axis[pauli.index]).value for pauli, p, p_c, xi, axis, _ in d]
+    numeric = qfi_numeric(family, d["xi"])
+    closed = [qfi_control(p_c, p, xi, axis[pauli.index]) for pauli, p, p_c, xi, axis, _ in d]
     engine = [
         evaluate_grid(("fq_con",), _KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)["fq_con"][0]
         for pauli, p, p_c, xi, axis, probe in d
@@ -222,14 +215,11 @@ def check_measurement_optimality() -> CheckResult:
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 20):
         for xi in np.linspace(0.0, 2.0 * np.pi, 20):
-            worst = max(
-                worst,
-                abs(cfi_control(0.5, p, xi, 0.0).value - qfi_control_opt(p, xi, 0.0).value),
-            )
+            worst = max(worst, abs(cfi_control(0.5, p, xi, 0.0) - qfi_control(0.5, p, xi, 0.0)))
     grid = np.arange(0.05, 0.96, 0.05)
     argmax_ok = True
     for p, xi, nl in ((0.3, 0.7, 0.0), (0.5, np.pi / 5, 0.2), (0.8, 2.0, -0.4)):
-        values = [qfi_control(pc, p, xi, nl).value for pc in grid]
+        values = [qfi_control(pc, p, xi, nl) for pc in grid]
         argmax_ok &= abs(grid[int(np.argmax(values))] - 0.5) < 1e-12
     return _result(
         "Hadamard measurement optimality",
@@ -255,12 +245,12 @@ def check_commuting_degeneracy() -> CheckResult:
     ch = noisy_phase_channel(pauli_channel(PauliAxis.X, d["p"]), (1.0, 0.0, 0.0), d["xi"])
     rho = bloch_to_density(d["probe"])
     worst = float(np.max(np.abs(s01(ch, rho) - s00(ch, rho))))
-    zero = qfi_control_opt(0.37, 1.234, 1.0).value
+    zero = qfi_control(0.5, 0.37, 1.234, 1.0)
     axis = (0.0, 1.0, 0.0)
     flip_diff = max(
         abs(
-            qfi_control_opt(p, np.pi / 5, axis[PauliAxis.X.index]).value
-            - qfi_control_opt(p, np.pi / 5, axis[PauliAxis.Z.index]).value
+            qfi_control(0.5, p, np.pi / 5, axis[PauliAxis.X.index])
+            - qfi_control(0.5, p, np.pi / 5, axis[PauliAxis.Z.index])
         )
         for p in np.linspace(0.0, 1.0, 11)
     )
@@ -308,7 +298,7 @@ def check_depolarizing_invariance() -> CheckResult:
     probes = [(0.1, 0.2, 0.3)] * 20 + [_rand_bloch(rng) for _ in range(20)]
     rho = bloch_to_density(probes)
     family = control_family(depolarizing_channel(0.4), np.array(axes), rho, 0.5)
-    values = qfi_numeric(family, np.pi / 5).value
+    values = qfi_numeric(family, np.pi / 5)
     spread = float(values.max() - values.min())
     return _result(
         "depolarizing probe/axis independence",
@@ -330,18 +320,16 @@ def check_symmetry_and_limits() -> CheckResult:
         p = rng.uniform()
         xi = rng.uniform(0.0, 2.0 * np.pi)
         nl = rng.uniform(-1.0, 1.0)
-        worst = max(
-            worst, abs(qfi_control_opt(p, xi, nl).value - qfi_control_opt(1.0 - p, xi, nl).value)
-        )
+        worst = max(worst, abs(qfi_control(0.5, p, xi, nl) - qfi_control(0.5, 1.0 - p, xi, nl)))
     cases = ((0.5, 0.0), (0.3, 0.4), (0.8, -0.6))
     wants = [2.0 * (1.0 - nl**2) * ((1.0 - p) * p) for p, nl in cases]
-    exact_ok = all(qfi_control_opt(p, 0.0, nl).value == w for (p, nl), w in zip(cases, wants))
+    exact_ok = all(qfi_control(0.5, p, 0.0, nl) == w for (p, nl), w in zip(cases, wants))
     levels, nls = zip(*cases)
     axes = [(nl, np.sqrt(1.0 - nl * nl), 0.0) for nl in nls]
     family = control_family(
         pauli_channel(PauliAxis.X, levels), axes, bloch_to_density((0.0, 0.0, 0.5)), 0.5
     )
-    worst_limit = float(np.max(np.abs(qfi_numeric(family, 1e-4).value - wants)))
+    worst_limit = float(np.max(np.abs(qfi_numeric(family, 1e-4) - wants)))
     return _result(
         "p <-> 1-p symmetry and small-phase limit",
         worst < 1e-12 and exact_ok and worst_limit < 1e-4,
@@ -354,12 +342,13 @@ def check_symmetry_and_limits() -> CheckResult:
 def check_fig2_shape() -> CheckResult:
     """Control column symmetric about p = 1/2, peaked there, above the cascade at high noise.
 
-    The 20 crossover points also hold the batched cascade engine against
-    the SLD route, to 1e-6.
+    The 20 crossover points also hold the engine's fq_cas column, one
+    evaluate_grid call per probe length as in fig2, against the SLD route,
+    to 1e-6.
     """
     xi = np.pi / 5
     ps = np.linspace(0.0, 1.0, 11)
-    con = [qfi_control_opt(p, xi, 0.0).value for p in ps]
+    con = [qfi_control(0.5, p, xi, 0.0) for p in ps]
     sym = max(abs(con[i] - con[10 - i]) for i in range(11))
     peak_ok = int(np.argmax(con)) == 5
     high = (0.6, 0.7, 0.8, 0.9)
@@ -367,10 +356,12 @@ def check_fig2_shape() -> CheckResult:
     # Channels of batch shape (4,) against probes of (5, 1): row i is probe i.
     cas = qfi_cascade(
         pauli_channel(PauliAxis.X, high), (0.0, 1.0, 0.0), xi, np.array(probes)[:, None]
-    ).value
-    cross_ok = bool((np.array([qfi_control_opt(p, xi, 0.0).value for p in high]) > cas).all())
-    contraction = noise_contraction("bitflip", high)
-    engine = [cascade_qfi_grid(contraction, (0.0, 1.0, 0.0), xi, probe) for probe in probes]
+    )
+    cross_ok = bool((np.array([qfi_control(0.5, p, xi, 0.0) for p in high]) > cas).all())
+    engine = [
+        evaluate_grid(("fq_cas",), "bitflip", high, 0.5, xi, (0.0, 1.0, 0.0), probe)["fq_cas"]
+        for probe in probes
+    ]
     engine_diff = float(np.max(np.abs(np.array(engine) - cas)))
     return _result(
         "control-vs-cascade comparison shape",

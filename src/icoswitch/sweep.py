@@ -33,14 +33,7 @@ from .channels import (
     depolarizing_channel,
     pauli_channel,
 )
-from .engine import (
-    NOISE_KINDS,
-    PAULI_OF_KIND,
-    QUANTITIES,
-    cascade_qfi_grid,
-    evaluate_grid,
-    noise_contraction,
-)
+from .engine import NOISE_KINDS, PAULI_OF_KIND, QUANTITIES, evaluate_grid
 
 DEFAULT_XI = math.pi / 5
 DEFAULT_AXIS = (0.0, 1.0, 0.0)
@@ -277,9 +270,10 @@ def fig2_preset(
 
     Bit-flip noise, rotation axis e_y, probe r e_z, and a grid of ``steps``
     noise levels on [0, 1] (at most MAX_GRID_POINTS).  Columns: the
-    control-qubit quantum FI at p_c = 1/2 (one evaluate_grid call) and one
-    cascade column per probe length r (one cascade_qfi_grid call each),
-    each over the whole grid.  The control column is probe independent; the cascade
+    control-qubit quantum FI at p_c = 1/2 and one cascade column per probe
+    length r, each from one evaluate_grid call over the whole grid, so every
+    cell equals ``point`` at the same p and probe, xi reduced mod 2 pi
+    included.  The control column is probe independent; the cascade
     columns start at exactly 4 r^2 and vanish at p = 1.  They are
     non-increasing in p up to p = 1/2; past it the noise tends to the
     unitary sigma_x and they show a small rebound (at xi = pi/5 and r = 1,
@@ -290,18 +284,17 @@ def fig2_preset(
         raise ValueError(f"steps must be at least 2, got {steps}")
     if steps > MAX_GRID_POINTS:
         raise ValueError(f"steps must not exceed {MAX_GRID_POINTS}, got {steps}")
-    xi = _check_phase(xi)
     for r in r_values:
         if not 0.0 <= r <= 1.0:
             raise ValueError(f"probe length must lie in [0, 1], got {r}")
     columns = ["p", "fq_con", *(_cas_column_name(r) for r in r_values)]
     grid = np.linspace(0.0, 1.0, steps)
     axis = (0.0, 1.0, 0.0)
-    contraction = noise_contraction("bitflip", grid)
     table = evaluate_grid(("fq_con",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, 1.0))
     table["p"] = grid
     for r in r_values:
-        table[_cas_column_name(r)] = cascade_qfi_grid(contraction, axis, xi, (0.0, 0.0, r))
+        cascade = evaluate_grid(("fq_cas",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, r))
+        table[_cas_column_name(r)] = cascade["fq_cas"]
     rows = [{name: float(table[name][i]) for name in columns} for i in range(steps)]
     return columns, rows
 

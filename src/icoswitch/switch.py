@@ -108,21 +108,31 @@ def qc_numeric(ch: KrausChannel, rho: np.ndarray):
     return _coupling(s01(ch, rho))
 
 
-def qc_closed_form(p: float, xi: float, overlap: float) -> float:
-    """Coupling scalar for Pauli noise, in closed form.
+def _pauli_qc_pieces(p: float, xi: float, overlap: float) -> tuple[float, float, float]:
+    """(1 - q_c, dq_c/dxi, limit) for Pauli noise, shared by the closed forms.
 
     ``overlap`` is n_l, the component of the rotation axis along the Pauli
-    direction of the noise.  Uses 1 - cos(xi) = 2 sin^2(xi/2) to avoid
-    cancellation at small xi.
+    direction of the noise.  ``limit`` is 2 (1 - n_l^2) (1 - p) p, the
+    analytic value of (dq_c)^2 / (1 - q_c^2) as xi -> 0; it doubles as the
+    degeneracy marker since 1 - q_c vanishes exactly when limit * (1 - cos xi)
+    does.  (1-p)*p is formed first so p and 1-p give bit-identical results.
     """
     p = _check_probability(p)
     overlap = float(overlap)
     if abs(overlap) > 1.0:
         raise ValueError(f"axis component must lie in [-1, 1], got {overlap}")
-    half_sin = np.sin(0.5 * float(xi))
-    # (1-p)*p is formed first so p and 1-p give bit-identical results.
+    xi = float(xi)
     flip_weight = (1.0 - p) * p
-    return 1.0 - 4.0 * (1.0 - overlap**2) * flip_weight * half_sin * half_sin
+    limit = 2.0 * (1.0 - overlap**2) * flip_weight
+    half_sin = np.sin(0.5 * xi)
+    one_minus_q = 2.0 * limit * half_sin * half_sin  # exact: 1-cos = 2 sin^2(xi/2)
+    dq = -limit * np.sin(xi)
+    return one_minus_q, dq, limit
+
+
+def qc_closed_form(p: float, xi: float, overlap: float) -> float:
+    """Coupling scalar for Pauli noise, in closed form: 1 - 4 (1 - n_l^2) (1 - p) p sin^2(xi/2)."""
+    return 1.0 - _pauli_qc_pieces(p, xi, overlap)[0]
 
 
 def _control_diagonal(p_c) -> np.ndarray:

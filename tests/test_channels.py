@@ -12,7 +12,6 @@ from icoswitch.channels import (
     bloch_to_density,
     bloch_vector,
     check_density,
-    density_to_bloch,
     depolarizing_channel,
     noisy_phase_channel,
     pauli_channel,
@@ -48,19 +47,14 @@ class TestBlochMaps:
         v = bloch_vector((0, 0, 1 + 5e-13))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
 
-    def test_density_to_bloch_examples(self):
-        np.testing.assert_allclose(density_to_bloch(I2 / 2), np.zeros(3), atol=0)
-        np.testing.assert_allclose(density_to_bloch(np.diag([1.0, 0.0])), [0, 0, 1], atol=0)
-
     def test_round_trip(self):
+        # r_k = tr(rho sigma_k) recovers the Bloch vector.
         rng = np.random.default_rng(21)
         for _ in range(50):
             r = random_bloch(rng)
-            assert np.max(np.abs(density_to_bloch(bloch_to_density(r)) - r)) < 1e-12
-
-    def test_density_to_bloch_rejects_dim4(self):
-        with pytest.raises(ValueError, match="2x2"):
-            density_to_bloch(np.eye(4, dtype=complex) / 4)
+            rho = bloch_to_density(r)
+            back = [np.trace(rho @ sigma).real for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+            assert np.max(np.abs(back - r)) < 1e-12
 
     def test_check_density(self):
         check_density(bloch_to_density((0.1, 0.2, 0.3)))

@@ -121,11 +121,11 @@ class TestEngineMatchesOracle:
         # cut through the spectrum of the state it is taken on.
         state = switch_state(channel, rho, p_c)
         if _resolved_by_oracle(state.control_reduced):
-            fq_con = qfi_numeric(control_family(noise, axis, rho, p_c), xi).value
+            fq_con = qfi_numeric(control_family(noise, axis, rho, p_c), xi)
             assert abs(got["fq_con"] - fq_con) < 1e-6
-            assert abs(got["fc_con"] - cfi_numeric(noise, axis, xi, rho, p_c).value) < 1e-6
+            assert abs(got["fc_con"] - cfi_numeric(noise, axis, xi, rho, p_c)) < 1e-6
         if _resolved_by_oracle(state.joint):
-            assert abs(got["fq_joint"] - qfi_joint(noise, axis, xi, rho, p_c).value) < 1e-6
+            assert abs(got["fq_joint"] - qfi_joint(noise, axis, xi, rho, p_c)) < 1e-6
         assert got["fq_joint"] >= max(got["fq_con"], got["fq_cas"]) - 1e-9
         assert got["fc_con"] <= got["fq_con"] + 1e-12
 

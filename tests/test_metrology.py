@@ -9,23 +9,18 @@ from icoswitch.channels import (
     apply_channel,
     bloch_to_density,
     depolarizing_channel,
-    noisy_phase_channel,
     pauli_channel,
     rotation_unitary,
 )
 from icoswitch.cli import main
-from icoswitch.engine import NOISE_KINDS, cascade_qfi_grid, noise_contraction
+from icoswitch.engine import NOISE_KINDS, evaluate_grid, noise_weights
 from icoswitch.metrology import (
     _fisher,
-    cascade_family,
     cfi_control,
     cfi_numeric,
     control_family,
-    joint_family,
-    measure_control,
     qfi_cascade,
     qfi_control,
-    qfi_control_opt,
     qfi_joint,
     qfi_numeric,
 )
@@ -76,9 +71,7 @@ def cascade_bloch_oracle(p, r, xi):
 class TestQfiNumeric:
     def test_constant_family(self):
         rho = bloch_to_density((0.2, 0.1, 0.4))
-        res = qfi_numeric(lambda xi: rho, 0.7)
-        assert res.method == "sld_numeric"
-        assert res.value == 0.0
+        assert qfi_numeric(lambda xi: rho, 0.7) == 0.0
 
     def test_pure_rotation_unit_information(self):
         # Generator n.sigma/2 on a pure probe orthogonal to the axis: QFI 1.
@@ -88,11 +81,11 @@ class TestQfiNumeric:
             u = rotation_unitary(E_Y, xi)
             return u @ rho @ u.conj().T
 
-        assert abs(qfi_numeric(family, 0.9).value - 1.0) < 1e-8
+        assert abs(qfi_numeric(family, 0.9) - 1.0) < 1e-8
 
     def test_control_family_matches_closed_form_anchor(self):
         fam = control_family(pauli_channel("x", 0.5), E_Y, bloch_to_density((0, 0, 0.5)), 0.5)
-        assert abs(qfi_numeric(fam, XI).value - FQ_CON_ANCHOR) < 1e-6
+        assert abs(qfi_numeric(fam, XI) - FQ_CON_ANCHOR) < 1e-6
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
@@ -108,32 +101,30 @@ class TestFisherClamp:
 
     def test_single_value(self):
         for value, want in ((-1e-13, 0.0), (-0.0, -0.0), (0.25, 0.25)):
-            res = _fisher(value, "closed_form")
-            assert type(res.value) is float and res.value == want
-            assert np.signbit(res.value) == np.signbit(want)
+            got = _fisher(value)
+            assert type(got) is float and got == want
+            assert np.signbit(got) == np.signbit(want)
         with pytest.raises(ArithmeticError, match="negative Fisher information -2e-12"):
-            _fisher(-2e-12, "closed_form")
+            _fisher(-2e-12)
 
     def test_stack(self):
-        res = _fisher(np.array([[0.5, -1e-13], [-0.0, 1e-3]]), "sld_numeric")
-        np.testing.assert_array_equal(res.value, [[0.5, 0.0], [-0.0, 1e-3]])
+        got = _fisher(np.array([[0.5, -1e-13], [-0.0, 1e-3]]))
+        np.testing.assert_array_equal(got, [[0.5, 0.0], [-0.0, 1e-3]])
         with pytest.raises(ArithmeticError, match="-1e-09"):
-            _fisher(np.array([0.5, -1e-9, -1e-13]), "sld_numeric")
+            _fisher(np.array([0.5, -1e-9, -1e-13]))
 
 
 class TestQfiControl:
     def test_definite_order_gives_zero(self):
         for p_c in (0.0, 1.0):
-            assert qfi_control(p_c, 0.5, XI, 0.0).value == 0.0
+            assert qfi_control(p_c, 0.5, XI, 0.0) == 0.0
 
     def test_anchor_value(self):
-        res = qfi_control(0.5, 0.5, XI, 0.0)
-        assert res.method == "closed_form"
-        assert abs(res.value - FQ_CON_ANCHOR) < 1e-15
+        assert abs(qfi_control(0.5, 0.5, XI, 0.0) - FQ_CON_ANCHOR) < 1e-15
 
     def test_quarter_weight(self):
         # 4 (3/4)(1/4) = 3/4 of the balanced-control value.
-        assert abs(qfi_control(0.25, 0.5, XI, 0.0).value - 0.75 * FQ_CON_ANCHOR) < 1e-15
+        assert abs(qfi_control(0.25, 0.5, XI, 0.0) - 0.75 * FQ_CON_ANCHOR) < 1e-15
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="p_c"):
@@ -148,72 +139,41 @@ class TestQfiControl:
             p = rng.uniform(0.05, 0.95)
             xi = rng.uniform(0.3, 2 * np.pi - 0.3)
             nl = rng.uniform(-0.9, 0.9)
-            if qfi_control_opt(p, xi, nl).value <= 0:
+            if qfi_control(0.5, p, xi, nl) <= 0:
                 continue
-            values = [qfi_control(pc, p, xi, nl).value for pc in grid]
+            values = [qfi_control(pc, p, xi, nl) for pc in grid]
             assert abs(grid[int(np.argmax(values))] - 0.5) < 1e-12
 
 
 class TestQfiControlOpt:
+    """The control QFI at the optimal p_c = 1/2."""
+
     def test_extreme_noise_gives_zero(self):
-        assert qfi_control_opt(0.0, XI, 0.0).value == 0.0
-        assert qfi_control_opt(1.0, XI, 0.0).value == 0.0
+        assert qfi_control(0.5, 0.0, XI, 0.0) == 0.0
+        assert qfi_control(0.5, 1.0, XI, 0.0) == 0.0
 
     def test_aligned_axis_gives_zero(self):
-        assert qfi_control_opt(0.3, XI, 1.0).value == 0.0
-        assert qfi_control_opt(0.3, XI, -1.0).value == 0.0
+        assert qfi_control(0.5, 0.3, XI, 1.0) == 0.0
+        assert qfi_control(0.5, 0.3, XI, -1.0) == 0.0
 
     def test_anchor_value(self):
-        assert abs(qfi_control_opt(0.5, XI, 0.0).value - FQ_CON_ANCHOR) < 1e-15
-
-    def test_equals_general_form_at_half(self):
-        rng = np.random.default_rng(52)
-        for _ in range(30):
-            p, xi, nl = rng.uniform(), rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1)
-            assert qfi_control_opt(p, xi, nl).value == qfi_control(0.5, p, xi, nl).value
+        assert abs(qfi_control(0.5, 0.5, XI, 0.0) - FQ_CON_ANCHOR) < 1e-15
 
     def test_noise_symmetry(self):
         rng = np.random.default_rng(53)
         for _ in range(50):
             p, xi, nl = rng.uniform(), rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1)
-            assert (
-                abs(qfi_control_opt(p, xi, nl).value - qfi_control_opt(1 - p, xi, nl).value)
-                < 1e-12
-            )
+            assert abs(qfi_control(0.5, p, xi, nl) - qfi_control(0.5, 1 - p, xi, nl)) < 1e-12
 
     def test_peak_at_half_noise(self):
         ps = np.arange(0.0, 1.0001, 0.05)
-        values = [qfi_control_opt(p, XI, 0.0).value for p in ps]
+        values = [qfi_control(0.5, p, XI, 0.0) for p in ps]
         assert abs(ps[int(np.argmax(values))] - 0.5) < 1e-12
 
     def test_small_phase_limit(self):
         for p, nl in ((0.5, 0.0), (0.3, 0.4), (0.9, -0.5)):
             expected = 2.0 * (1.0 - nl**2) * ((1.0 - p) * p)
-            assert qfi_control_opt(p, 0.0, nl).value == expected
-
-
-class TestMeasureControl:
-    def test_zero_coupling(self):
-        assert measure_control(0.5, 0.0) == (0.5, 0.5)
-
-    def test_definite_control(self):
-        assert measure_control(0.0, 0.9) == (0.5, 0.5)
-
-    def test_anchor_probabilities(self):
-        p_plus, p_minus = measure_control(0.5, qc_closed_form(0.5, XI, 0.0))
-        assert abs(p_plus - 0.9522542485937369) < 1e-15
-        assert abs(p_minus - 0.0477457514062631) < 1e-15
-
-    def test_normalization_and_range(self):
-        rng = np.random.default_rng(54)
-        for _ in range(100):
-            p_plus, p_minus = measure_control(rng.uniform(), rng.uniform(-1, 1))
-            assert 0.0 <= p_plus <= 1.0
-            assert abs(p_plus + p_minus - 1.0) < 1e-15
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="q_c"):
-            measure_control(0.5, 1.5)
+            assert qfi_control(0.5, p, 0.0, nl) == expected
 
 
 class TestCfiControl:
@@ -221,12 +181,10 @@ class TestCfiControl:
         rng = np.random.default_rng(55)
         for _ in range(100):
             p, xi, nl = rng.uniform(), rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1)
-            assert (
-                abs(cfi_control(0.5, p, xi, nl).value - qfi_control_opt(p, xi, nl).value) < 1e-9
-            )
+            assert abs(cfi_control(0.5, p, xi, nl) - qfi_control(0.5, p, xi, nl)) < 1e-9
 
     def test_definite_control_gives_zero(self):
-        assert cfi_control(0.0, 0.5, XI, 0.0).value == 0.0
+        assert cfi_control(0.0, 0.5, XI, 0.0) == 0.0
 
     def test_quarter_weight_direct_evaluation(self):
         # Direct arithmetic through the outcome probabilities.
@@ -236,9 +194,8 @@ class TestCfiControl:
         p_plus = 0.5 + s * q
         expected = (s * dq) ** 2 / ((1 - p_plus) * p_plus)
         got = cfi_control(0.25, 0.5, XI, 0.0)
-        assert got.method == "classical"
-        assert abs(got.value - expected) < 1e-14
-        assert got.value <= qfi_control(0.25, 0.5, XI, 0.0).value + 1e-9
+        assert abs(got - expected) < 1e-14
+        assert got <= qfi_control(0.25, 0.5, XI, 0.0) + 1e-9
 
     def test_never_exceeds_qfi(self):
         rng = np.random.default_rng(56)
@@ -246,8 +203,8 @@ class TestCfiControl:
             p_c = rng.uniform()
             p, xi, nl = rng.uniform(), rng.uniform(0, 2 * np.pi), rng.uniform(-1, 1)
             assert (
-                cfi_control(p_c, p, xi, nl).value
-                <= qfi_control(p_c, p, xi, nl).value + 1e-9
+                cfi_control(p_c, p, xi, nl)
+                <= qfi_control(p_c, p, xi, nl) + 1e-9
             )
 
     def test_small_phase_at_balanced_control(self, capsys):
@@ -255,15 +212,15 @@ class TestCfiControl:
         # the quantum value at p_c = 1/2 instead of failing or exceeding it.
         for xi in (1e-8, 1e-6, 3e-6, 1e-5, 1e-3):
             for overlap in (0.0, 0.6):
-                want = qfi_control(0.5, 0.5, xi, overlap).value
-                assert abs(cfi_control(0.5, 0.5, xi, overlap).value - want) < 1e-12
+                want = qfi_control(0.5, 0.5, xi, overlap)
+                assert abs(cfi_control(0.5, 0.5, xi, overlap) - want) < 1e-12
         argv = ["point", "--noise", "bitflip", "--p", "0.5", "--xi", "1e-6", "--quantity", "fc_con"]
         assert main(argv) == 0
         assert capsys.readouterr().out == "0.500000000000\n"
 
     def test_degenerate_point_returns_limit(self):
         # p_c = 1/2 and xi = 0: P_+ = 1 with vanishing slope.
-        assert cfi_control(0.5, 0.5, 0.0, 0.0).value == 0.5
+        assert cfi_control(0.5, 0.5, 0.0, 0.0) == 0.5
 
     def test_matches_numeric_route(self):
         rng = np.random.default_rng(57)
@@ -274,35 +231,32 @@ class TestCfiControl:
             axis = random_axis(rng)
             noise = pauli_channel("x", p)
             rho = bloch_to_density(random_bloch(rng))
-            numeric = cfi_numeric(noise, axis, xi, rho, p_c).value
-            closed = cfi_control(p_c, p, xi, axis[0]).value
+            numeric = cfi_numeric(noise, axis, xi, rho, p_c)
+            closed = cfi_control(p_c, p, xi, axis[0])
             assert abs(numeric - closed) < 1e-6
 
 
 class TestQfiCascade:
     def test_pure_probe_no_noise(self):
-        res = qfi_cascade(pauli_channel("x", 0.0), E_Y, XI, (0, 0, 1.0))
-        assert abs(res.value - 4.0) < 1e-6
+        assert abs(qfi_cascade(pauli_channel("x", 0.0), E_Y, XI, (0, 0, 1.0)) - 4.0) < 1e-6
 
     def test_mixed_probe_no_noise(self):
-        res = qfi_cascade(pauli_channel("x", 0.0), E_Y, XI, (0, 0, 0.6))
-        assert abs(res.value - 1.44) < 1e-6
+        assert abs(qfi_cascade(pauli_channel("x", 0.0), E_Y, XI, (0, 0, 0.6)) - 1.44) < 1e-6
 
     def test_full_bitflip_kills_information(self):
-        res = qfi_cascade(pauli_channel("x", 1.0), E_Y, XI, (0, 0, 0.8))
-        assert res.value < 1e-9
+        assert qfi_cascade(pauli_channel("x", 1.0), E_Y, XI, (0, 0, 0.8)) < 1e-9
 
     def test_matches_bloch_oracle(self):
         for p in np.linspace(0.0, 1.0, 11):
             for r in (1.0, 0.6, 0.2):
-                got = qfi_cascade(pauli_channel("x", p), E_Y, XI, (0, 0, r)).value
+                got = qfi_cascade(pauli_channel("x", p), E_Y, XI, (0, 0, r))
                 assert abs(got - cascade_bloch_oracle(p, r, XI)) < 1e-6
 
     def test_true_noise_profile_has_small_rebound(self):
         # The cascade column falls steeply to a minimum near p = 0.61 and
         # rises slightly before vanishing at p = 1; it is NOT monotone.
         ps = np.linspace(0.0, 1.0, 11)
-        col = [qfi_cascade(pauli_channel("x", p), E_Y, XI, (0, 0, 1.0)).value for p in ps]
+        col = [qfi_cascade(pauli_channel("x", p), E_Y, XI, (0, 0, 1.0)) for p in ps]
         assert all(col[i + 1] <= col[i] + 1e-9 for i in range(6))  # falls up to p = 0.6
         assert col[7] > col[6] + 1e-3  # genuine rebound, confirmed by the Bloch oracle
         assert abs(cascade_bloch_oracle(0.7, 1.0, XI) - cascade_bloch_oracle(0.6, 1.0, XI) - (col[7] - col[6])) < 1e-6
@@ -317,7 +271,13 @@ def unit_vectors():
     )
 
 
+def fq_cas(kind, grid, axis, xi, probe):
+    return evaluate_grid(("fq_cas",), kind, grid, 0.5, xi, axis, probe)["fq_cas"]
+
+
 class TestCascadeQfiGrid:
+    """The engine's fq_cas column (evaluate_grid) against the SLD and Bloch oracles."""
+
     @given(
         kind=st.sampled_from(NOISE_KINDS),
         p=st.floats(0, 1, allow_nan=False),
@@ -329,8 +289,8 @@ class TestCascadeQfiGrid:
     @settings(max_examples=200, deadline=None)
     def test_matches_sld_route(self, kind, p, axis, direction, length, xi):
         probe = direction * length
-        fast = cascade_qfi_grid(noise_contraction(kind, [p]), axis, xi, probe)[0]
-        oracle = qfi_cascade(noise_channel(kind, p), axis, xi, probe).value
+        fast = fq_cas(kind, [p], axis, xi, probe)[0]
+        oracle = qfi_cascade(noise_channel(kind, p), axis, xi, probe)
         assert abs(fast - oracle) < 1e-6
 
     def test_fig2_columns_match_bloch_oracle(self):
@@ -340,40 +300,35 @@ class TestCascadeQfiGrid:
                 assert abs(row[name] - cascade_bloch_oracle(row["p"], r, XI)) < 1e-12
 
     def test_exact_anchors(self):
-        ends = noise_contraction("bitflip", [0.0, 1.0])
         for xi in (XI, 1.0, 2.5, -0.4):
             for r in FIG2_R_VALUES:
-                start, end = cascade_qfi_grid(ends, E_Y, xi, (0, 0, r))
+                start, end = fq_cas("bitflip", [0.0, 1.0], E_Y, xi, (0, 0, r))
                 assert abs(start - 4 * r * r) < 1e-12
                 assert end == 0.0
-        full = noise_contraction("depolarizing", [1.0])
-        assert cascade_qfi_grid(full, (0.6, 0.0, 0.8), XI, (0.3, 0.4, 0.5))[0] == 0.0
+        assert fq_cas("depolarizing", [1.0], (0.6, 0.0, 0.8), XI, (0.3, 0.4, 0.5))[0] == 0.0
 
     def test_one_call_equals_per_point_calls(self):
         grid = np.linspace(0.0, 1.0, 9)
         axis, probe = (0.6, 0.0, 0.8), (0.5, 0.5, 0.5)
-        batch = cascade_qfi_grid(noise_contraction("phaseflip", grid), axis, XI, probe)
+        batch = fq_cas("phaseflip", grid, axis, XI, probe)
         for p, value in zip(grid, batch):
-            single = cascade_qfi_grid(noise_contraction("phaseflip", [p]), axis, XI, probe)
-            assert single[0] == value
+            assert fq_cas("phaseflip", [p], axis, XI, probe)[0] == value
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="shape"):
-            cascade_qfi_grid(np.ones(3), E_Y, XI, (0, 0, 1))
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            cascade_qfi_grid([[1.0, 1.5, 1.0]], E_Y, XI, (0, 0, 1))
         with pytest.raises(ValueError, match="xi"):
-            cascade_qfi_grid([[1.0, 1.0, 1.0]], E_Y, float("nan"), (0, 0, 1))
+            fq_cas("bitflip", [0.5], E_Y, float("nan"), (0, 0, 1))
 
 
 class TestNoiseContraction:
     def test_matches_pauli_transfer_matrix(self):
-        # T_ij = 1/2 tr(sigma_i E(sigma_j)) from the Kraus set is diag D(p).
+        # T_ij = 1/2 tr(sigma_i E(sigma_j)) from the Kraus set is diag D(p),
+        # with D_l = w_0 + w_l - w_j - w_k from the Pauli weights.
         paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
         grid = np.linspace(0.0, 1.0, 7)
         for kind in NOISE_KINDS:
-            factors = noise_contraction(kind, grid)
-            for p, row in zip(grid, factors):
+            for p, w in zip(grid, noise_weights(kind, grid)):
+                w0, wx, wy, wz = w
+                factors = [w0 + wx - wy - wz, w0 + wy - wx - wz, w0 + wz - wx - wy]
                 channel = noise_channel(kind, p)
                 transfer = np.array(
                     [
@@ -381,38 +336,38 @@ class TestNoiseContraction:
                         for si in paulis
                     ]
                 )
-                np.testing.assert_allclose(transfer, np.diag(row), atol=1e-15)
+                np.testing.assert_allclose(transfer, np.diag(factors), atol=1e-15)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="probability"):
-            noise_contraction("bitflip", [0.2, 1.5])
+            noise_weights("bitflip", [0.2, 1.5])
         with pytest.raises(ValueError, match="probability"):
-            noise_contraction("bitflip", [float("nan")])
+            noise_weights("bitflip", [float("nan")])
         with pytest.raises(ValueError, match="noise kind"):
-            noise_contraction("thermal", [0.2])
+            noise_weights("thermal", [0.2])
 
 
 class TestQfiJoint:
     def test_no_noise_equals_cascade(self):
         noise = pauli_channel("x", 0.0)
         rho = bloch_to_density((0, 0, 1.0))
-        joint = qfi_joint(noise, E_Y, XI, rho, 0.5).value
-        cascade = qfi_cascade(noise, E_Y, XI, (0, 0, 1.0)).value
+        joint = qfi_joint(noise, E_Y, XI, rho, 0.5)
+        cascade = qfi_cascade(noise, E_Y, XI, (0, 0, 1.0))
         assert abs(joint - cascade) < 1e-6
 
     def test_definite_order_equals_cascade(self):
         noise = pauli_channel("x", 0.4)
         rho = bloch_to_density((0, 0, 0.7))
-        joint = qfi_joint(noise, E_Y, XI, rho, 0.0).value
-        cascade = qfi_cascade(noise, E_Y, XI, (0, 0, 0.7)).value
+        joint = qfi_joint(noise, E_Y, XI, rho, 0.0)
+        cascade = qfi_cascade(noise, E_Y, XI, (0, 0, 0.7))
         assert abs(joint - cascade) < 1e-9
 
     def test_dominates_control_marginal(self):
         # Partial tracing cannot increase Fisher information.
         noise = pauli_channel("x", 0.5)
         rho = bloch_to_density((0, 0, 0.0))
-        joint = qfi_joint(noise, E_Y, XI, rho, 0.5).value
-        assert joint >= qfi_control_opt(0.5, XI, 0.0).value - 1e-6
+        joint = qfi_joint(noise, E_Y, XI, rho, 0.5)
+        assert joint >= qfi_control(0.5, 0.5, XI, 0.0) - 1e-6
 
 
 class TestOracleAgreement:
@@ -426,14 +381,14 @@ class TestOracleAgreement:
             axis = random_axis(rng)
             noise = pauli_channel(name, p)
             rho = bloch_to_density(random_bloch(rng))
-            numeric = qfi_numeric(control_family(noise, axis, rho, p_c), xi).value
-            closed = qfi_control(p_c, p, xi, axis[("x", "y", "z").index(name)]).value
+            numeric = qfi_numeric(control_family(noise, axis, rho, p_c), xi)
+            closed = qfi_control(p_c, p, xi, axis[("x", "y", "z").index(name)])
             worst = max(worst, abs(numeric - closed))
         assert worst < 1e-6
 
     def test_small_phase_limit_vs_sld(self):
         fam = control_family(pauli_channel("x", 0.5), E_Y, bloch_to_density((0, 0, 0.5)), 0.5)
-        assert abs(qfi_numeric(fam, 1e-4).value - 0.5) < 1e-4
+        assert abs(qfi_numeric(fam, 1e-4) - 0.5) < 1e-4
 
 
 class TestNoiseGeometry:
@@ -443,7 +398,7 @@ class TestNoiseGeometry:
         values = []
         for _ in range(10):
             fam = control_family(noise, random_axis(rng), bloch_to_density(random_bloch(rng)), 0.5)
-            values.append(qfi_numeric(fam, XI).value)
+            values.append(qfi_numeric(fam, XI))
         assert max(values) - min(values) < 1e-8
 
     def test_pauli_depends_only_on_axis_overlap(self):
@@ -460,9 +415,9 @@ class TestNoiseGeometry:
         values = []
         for axis in axes:
             fam = control_family(noise, axis, bloch_to_density(random_bloch(rng)), 0.5)
-            values.append(qfi_numeric(fam, XI).value)
+            values.append(qfi_numeric(fam, XI))
         assert max(values) - min(values) < 1e-8
-        assert abs(values[0] - qfi_control_opt(0.3, XI, overlap).value) < 1e-6
+        assert abs(values[0] - qfi_control(0.5, 0.3, XI, overlap)) < 1e-6
 
     def test_probe_independence_of_control_information(self):
         rng = np.random.default_rng(61)
@@ -471,18 +426,18 @@ class TestNoiseGeometry:
         values = []
         for _ in range(10):
             fam = control_family(noise, axis, bloch_to_density(random_bloch(rng)), 0.5)
-            values.append(qfi_numeric(fam, XI).value)
+            values.append(qfi_numeric(fam, XI))
         assert max(values) - min(values) < 1e-8
 
 
 class TestCrossover:
     def test_control_beats_cascade_at_high_noise(self):
         for p in (0.6, 0.7, 0.8, 0.9):
-            control = qfi_control_opt(p, XI, 0.0).value
+            control = qfi_control(0.5, p, XI, 0.0)
             for r in (1.0, 0.8, 0.6, 0.4, 0.2):
-                cascade = qfi_cascade(pauli_channel("x", p), E_Y, XI, (0, 0, r)).value
+                cascade = qfi_cascade(pauli_channel("x", p), E_Y, XI, (0, 0, r))
                 assert control > cascade
 
     def test_pure_probe_beats_control_at_low_noise(self):
-        cascade = qfi_cascade(pauli_channel("x", 0.05), E_Y, XI, (0, 0, 1.0)).value
-        assert cascade > qfi_control_opt(0.05, XI, 0.0).value
+        cascade = qfi_cascade(pauli_channel("x", 0.05), E_Y, XI, (0, 0, 1.0))
+        assert cascade > qfi_control(0.5, 0.05, XI, 0.0)

@@ -310,17 +310,19 @@ class TestPsdWithin:
         # Spectra from {-1e-9, -2e-10, -5e-11, 0, 1e-12, 0.3}: the smallest
         # level is drawn first, so a third of the draws have lambda_min below
         # -1e-10, and none has it within a factor 2 of -1e-10.
+        # The draws are made first, in order, and solved by one stacked herm_eig.
         rng = np.random.default_rng(600 + n)
         levels = np.array([-1e-9, -2e-10, -5e-11, 0.0, 1e-12, 0.3])
-        accepted = 0
-        for _ in range(draws):
+
+        def draw():
             lowest = rng.choice(levels)
             spectrum = np.append(rng.choice(levels[levels >= lowest], size=n - 1), lowest)
-            a = spectrum_matrix(rng, spectrum)
-            want = herm_eig(a).eigenvalues[0] >= -ATOL_STRUCT
-            assert psd_within(a) == want
-            accepted += want
-        assert 0 < accepted < draws
+            return spectrum_matrix(rng, spectrum)
+
+        stack = np.array([draw() for _ in range(draws)])
+        wants = herm_eig(stack).eigenvalues[:, 0] >= -ATOL_STRUCT
+        assert [psd_within(a) for a in stack] == list(wants)
+        assert 0 < wants.sum() < draws
 
     @pytest.mark.parametrize("diag", [(0.5, -1e-10), (-1e-10, 0.5), (0.25, 0.25, 0.5, -1e-10)])
     def test_bound_is_strict(self, diag):

@@ -198,11 +198,21 @@ class TestRunSweep:
                     direct = compute_quantity(name, kind, row["p"], p_c, 2.2, cfg.axis, probe)
                     assert row[name] == direct, (kind, row["p"], name)
 
-    @pytest.mark.parametrize("kind", sweep.NOISE_KINDS)
+    @pytest.mark.parametrize("kind", [*sweep.NOISE_KINDS, "fig2"])
     def test_huge_xi_evaluated_at_reduced_phase(self, kind):
         # Without the reduction, xi +- step rounds to xi at 1e300 and the
         # numeric routes return 0 (fq_joint below fq_con and fq_cas).
         xi, reduced = 1e300, math.remainder(1e300, 2.0 * math.pi)
+        if kind == "fig2":
+            # Every fig2 cell is the point value at its p and probe, bit for bit.
+            columns, rows = fig2_preset(steps=11, xi=xi)
+            cells = [("fq_con", "fq_con", 1.0)]
+            cells += [(name, "fq_cas", r) for name, r in zip(columns[2:], sweep.FIG2_R_VALUES)]
+            for row in rows:
+                for column, name, r in cells:
+                    want = compute_quantity(name, "bitflip", row["p"], 0.5, xi, (0, 1, 0), (0, 0, r))
+                    assert row[column] == want, (row["p"], column)
+            return
         point = (kind, 0.3, 0.5)
         axis, probe = (0.6, 0.8, 0.0), (0.0, 0.0, 1.0)
         values = {}
@@ -227,10 +237,10 @@ class TestRunSweep:
         rho = bloch_to_density((0.3, 0.0, 0.6))
         axis = (0.6, 0.8, 0.0)
         base_qc = qc_numeric(noisy_phase_channel(noise, axis, 1.0), rho)
-        base_joint = qfi_joint(noise, axis, 1.0, rho, 0.5).value
+        base_joint = qfi_joint(noise, axis, 1.0, rho, 0.5)
         for xi in (1.0 + 2.0 * math.pi, 1.0 - 4.0 * math.pi):
             assert abs(qc_numeric(noisy_phase_channel(noise, axis, xi), rho) - base_qc) < 1e-12
-            assert abs(qfi_joint(noise, axis, xi, rho, 0.5).value - base_joint) < 1e-8
+            assert abs(qfi_joint(noise, axis, xi, rho, 0.5) - base_joint) < 1e-8
 
     def test_error_names_grid_point(self):
         cfg = SweepConfig(probe=(0.0, 0.0, 2.0), quantities=("qc",), p_grid=(0.2, 0.2, 1.0))

@@ -412,7 +412,7 @@ class TestStackedOracleMatchesPerDraw:
             "q_c": res.q_c,
             "kraus_apply": switch_kraus_apply(ch, rho, p_cs),
             "choi": channel_choi(switch_kraus_ops(ch)),
-            "qfi": qfi_numeric(control_family(noise, axes, rho, p_cs), xis).value,
+            "qfi": qfi_numeric(control_family(noise, axes, rho, p_cs), xis),
         }
         for i in range(size):
             one_noise = KrausChannel(noise.kraus[i])
@@ -427,7 +427,7 @@ class TestStackedOracleMatchesPerDraw:
                 "q_c": res.q_c,
                 "kraus_apply": switch_kraus_apply(one, rho[i], p_cs[i]),
                 "choi": channel_choi(switch_kraus_ops(one)),
-                "qfi": qfi_numeric(family, xis[i]).value,
+                "qfi": qfi_numeric(family, xis[i]),
             }
             np.testing.assert_array_equal(ch.kraus[i], one.kraus)
             for name, value in per_draw.items():
