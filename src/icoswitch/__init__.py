@@ -10,21 +10,20 @@ brute-force density-matrix routes.
 
 from .channels import (
     KrausChannel,
-    PauliAxis,
     apply_channel,
     bloch_to_density,
-    bloch_vector,
     check_density,
     depolarizing_channel,
     noisy_phase_channel,
     pauli_channel,
     rotation_unitary,
-    unit_axis,
 )
 from .engine import (
+    bloch_vector,
     evaluate_grid,
     noise_weights,
     switch_state_grid,
+    unit_axis,
 )
 from .metrology import (
     cascade_family,
@@ -75,7 +74,6 @@ __all__ = [
     "ConfigError",
     "EigDecomp",
     "KrausChannel",
-    "PauliAxis",
     "SweepConfig",
     "SwitchResult",
     "apply_channel",

@@ -1,7 +1,8 @@
 """Qubit states, the phase-imprinting rotation, and qubit noise channels.
 
 States live in two interchangeable representations: a real Bloch vector r
-with |r| <= 1, and the 2x2 density matrix (I + r.sigma)/2.  Noise is a
+with |r| <= 1 (checked by the engine's bloch_vector, as axes are by its
+unit_axis), and the 2x2 density matrix (I + r.sigma)/2.  Noise is a
 Kraus channel; the noisy process under study applies a rotation about a
 fixed axis followed by noise,  rho -> N(U rho U^dag).
 
@@ -14,114 +15,20 @@ channels member by member.  A single value is the empty batch shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .qmat import (
-    ATOL_STRUCT,
+from .engine import (
     I2,
     PAULI_MATRICES,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    as_cmatrix,
-    dagger,
-    psd_within,
+    _check_probability,
+    bloch_vector,
+    unit_axis,
 )
-
-# Excess Bloch norm up to this is attributed to roundoff and rescaled away.
-BLOCH_NORM_TOL = 1e-12
-AXIS_UNIT_TOL = 1e-12
-
-
-class PauliAxis(Enum):
-    """Which Pauli operator a noise channel applies: x, y or z."""
-
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return {PauliAxis.X: SIGMA_X, PauliAxis.Y: SIGMA_Y, PauliAxis.Z: SIGMA_Z}[self]
-
-    @property
-    def index(self) -> int:
-        """Cartesian component index (0, 1, 2) selected by this Pauli."""
-        return ("x", "y", "z").index(self.value)
-
-    @classmethod
-    def coerce(cls, value: "PauliAxis | str") -> "PauliAxis":
-        if isinstance(value, cls):
-            return value
-        return cls(str(value).lower())
-
-
-def _check_probability(p, name: str = "p", stack: bool = False):
-    """``p`` as a float in [0, 1]; with ``stack``, an array of them as float64."""
-    if stack:
-        p = np.asarray(p, dtype=np.float64)
-        bad = ~((p >= 0.0) & (p <= 1.0))
-        if bad.any():
-            raise ValueError(f"{name} must be a probability in [0, 1], got {p[bad][0]}")
-        return p
-    p = float(p)
-    if not np.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
-    return p
-
-
-def _check_phase(xi: float) -> float:
-    xi = float(xi)
-    if not np.isfinite(xi):
-        raise ValueError(f"xi must be a finite number of radians, got {xi}")
-    return xi
-
-
-def _three_vectors(x, what: str, stack: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` as one float64 3-vector (or with ``stack`` a stack of them), and each norm.
-
-    The norm is the square root of one (1, 3) @ (3, 1) product per vector,
-    the dot product ``np.linalg.norm`` takes for a single vector.  A
-    non-finite component makes its norm NaN or infinite, so callers test
-    finiteness only once the norm test has failed.
-    """
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape[-1:] != (3,) or not (stack or v.ndim == 1):
-        raise ValueError(f"{what} must have 3 components, got shape {v.shape}")
-    return v, np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0][()])
-
-
-def _reject_non_finite(v: np.ndarray, what: str) -> None:
-    if not np.isfinite(v).all():
-        raise ValueError(f"{what} has non-finite components")
-
-
-def bloch_vector(r, stack: bool = False) -> np.ndarray:
-    """Validate a Bloch vector, or with ``stack`` an array ``(..., 3)`` of them: norm <= 1.
-
-    A norm overshoot of at most 1e-12 is rescaled silently (roundoff from
-    upstream arithmetic); anything larger is an error.
-    """
-    v, norm = _three_vectors(r, "Bloch vector", stack)
-    if not (norm <= 1.0).all():
-        _reject_non_finite(v, "Bloch vector")
-        over = norm > 1.0 + BLOCH_NORM_TOL
-        if over.any():
-            raise ValueError(f"Bloch vector norm {np.asarray(norm)[over][0]} exceeds 1")
-        v = v / np.maximum(norm, 1.0)[..., None]
-    return v
-
-
-def unit_axis(n, stack: bool = False) -> np.ndarray:
-    """Validate a rotation axis, or with ``stack`` an array ``(..., 3)`` of them: |n| = 1 to 1e-12."""
-    v, norm = _three_vectors(n, "axis", stack)
-    off = ~(abs(norm - 1.0) <= AXIS_UNIT_TOL)
-    if off.any():
-        _reject_non_finite(v, "axis")
-        raise ValueError(f"axis must be a unit vector, |n| = {np.asarray(norm)[off][0]}")
-    return v
+from .qmat import ATOL_STRUCT, as_cmatrix, dagger, psd_within
 
 
 def bloch_to_density(r) -> np.ndarray:
@@ -210,13 +117,19 @@ class KrausChannel:
         return self.kraus.shape[-3]
 
 
+def _pauli_index(letter) -> int:
+    """0, 1 or 2 for the Pauli letter x, y or z, in either case."""
+    try:
+        return ("x", "y", "z").index(str(letter).lower())
+    except ValueError:
+        raise ValueError(f"Pauli axis must be 'x', 'y' or 'z', got {str(letter)!r}") from None
+
+
 def _pauli_matrices(axis) -> np.ndarray:
-    """sigma_l for one Pauli axis, or a stack of them for an array of axes."""
-    if isinstance(axis, (PauliAxis, str)):
-        return PauliAxis.coerce(axis).matrix
-    axes = np.asarray(axis, dtype=object)
-    index = [PauliAxis.coerce(a).index for a in axes.flat]
-    return np.stack(PAULI_MATRICES)[index].reshape(*axes.shape, 2, 2)
+    """sigma_l for one Pauli letter, or a stack of them for an array of letters."""
+    letters = np.asarray(axis, dtype=object)
+    index = [_pauli_index(letter) for letter in letters.flat]
+    return np.stack(PAULI_MATRICES)[index].reshape(*letters.shape, 2, 2)
 
 
 def _levels(x) -> np.ndarray:
@@ -229,8 +142,9 @@ def pauli_channel(axis, p) -> KrausChannel:
 
     Kraus set {sqrt(1-p) I, sqrt(p) sigma_l}; action
     rho -> (1-p) rho + p sigma_l rho sigma_l.  l = x is bit flip, l = z
-    phase flip, l = y bit-phase flip.  ``axis`` is one ``PauliAxis`` (or its
-    letter) or an array of them, and broadcasts against an array ``p``.
+    phase flip, l = y bit-phase flip.  ``axis`` is the letter ``"x"``,
+    ``"y"`` or ``"z"`` (either case), or an array of letters, and broadcasts
+    against an array ``p``.
     """
     sigma = _pauli_matrices(axis)
     p = _check_probability(p, stack=True)

@@ -40,8 +40,10 @@ rotation about n.  The columns come from three routes, each exact in xi:
 evaluate_grid is the one entry that computes a column; fig2, sweep and
 point all go through it.  It validates every input once and reduces xi
 mod 2 pi, as switch_state_grid does for the joint states.  The
-density-matrix code in switch and metrology is the independent oracle the
-tests and ``verify`` hold these routes against.
+density-matrix code in channels, switch and metrology is the independent
+oracle the tests and ``verify`` hold these routes against.  The arrow runs
+one way: this module imports only math and numpy, and the oracle takes its
+input rules, its Pauli matrices and its eigenvalue cutoff from here.
 """
 
 from __future__ import annotations
@@ -50,13 +52,23 @@ import math
 
 import numpy as np
 
-from .channels import PauliAxis, _check_phase, _check_probability, bloch_vector, unit_axis
-from .metrology import SLD_EIGENVALUE_CUTOFF
-from .qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+I2 = np.eye(2, dtype=np.complex128)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+PAULI_MATRICES = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 NOISE_KINDS = ("bitflip", "phaseflip", "bitphaseflip", "depolarizing")
-PAULI_OF_KIND = {"bitflip": PauliAxis.X, "phaseflip": PauliAxis.Z, "bitphaseflip": PauliAxis.Y}
+# The Pauli each one-Pauli noise kind applies, by its letter.
+PAULI_OF_KIND = {"bitflip": "x", "phaseflip": "z", "bitphaseflip": "y"}
 QUANTITIES = ("qc", "fq_con", "fq_cas", "fc_con", "fq_joint")
+
+# Excess Bloch norm up to this is attributed to roundoff and rescaled away.
+BLOCH_NORM_TOL = 1e-12
+AXIS_UNIT_TOL = 1e-12
+# Pairs with lambda_j + lambda_k below this are in the kernel of the SLD
+# formula and are excluded (standard regularization).
+SLD_EIGENVALUE_CUTOFF = 1e-10
 
 _PAULIS = np.stack((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 # fq_joint runs over the grid in chunks of this many levels, so its (m, 4, 32)
@@ -64,21 +76,84 @@ _PAULIS = np.stack((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 JOINT_CHUNK = 32
 
 
+def _check_probability(p, name: str = "p", stack: bool = False):
+    """``p`` as a float in [0, 1]; with ``stack``, an array of them as float64."""
+    if stack:
+        p = np.asarray(p, dtype=np.float64)
+        bad = ~((p >= 0.0) & (p <= 1.0))
+        if bad.any():
+            raise ValueError(f"{name} must be a probability in [0, 1], got {p[bad][0]}")
+        return p
+    p = float(p)
+    if not np.isfinite(p) or p < 0.0 or p > 1.0:
+        raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
+    return p
+
+
+def _check_phase(xi: float) -> float:
+    xi = float(xi)
+    if not np.isfinite(xi):
+        raise ValueError(f"xi must be a finite number of radians, got {xi}")
+    return xi
+
+
+def _three_vectors(x, what: str, stack: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as one float64 3-vector (or with ``stack`` a stack of them), and each norm.
+
+    The norm is the square root of one (1, 3) @ (3, 1) product per vector,
+    the dot product ``np.linalg.norm`` takes for a single vector.  A
+    non-finite component makes its norm NaN or infinite, so callers test
+    finiteness only once the norm test has failed.
+    """
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape[-1:] != (3,) or not (stack or v.ndim == 1):
+        raise ValueError(f"{what} must have 3 components, got shape {v.shape}")
+    return v, np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0][()])
+
+
+def _reject_non_finite(v: np.ndarray, what: str) -> None:
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} has non-finite components")
+
+
+def bloch_vector(r, stack: bool = False) -> np.ndarray:
+    """Validate a Bloch vector, or with ``stack`` an array ``(..., 3)`` of them: norm <= 1.
+
+    A norm overshoot of at most 1e-12 is rescaled silently (roundoff from
+    upstream arithmetic); anything larger is an error.
+    """
+    v, norm = _three_vectors(r, "Bloch vector", stack)
+    if not (norm <= 1.0).all():
+        _reject_non_finite(v, "Bloch vector")
+        over = norm > 1.0 + BLOCH_NORM_TOL
+        if over.any():
+            raise ValueError(f"Bloch vector norm {np.asarray(norm)[over][0]} exceeds 1")
+        v = v / np.maximum(norm, 1.0)[..., None]
+    return v
+
+
+def unit_axis(n, stack: bool = False) -> np.ndarray:
+    """Validate a rotation axis, or with ``stack`` an array ``(..., 3)`` of them: |n| = 1 to 1e-12."""
+    v, norm = _three_vectors(n, "axis", stack)
+    off = ~(abs(norm - 1.0) <= AXIS_UNIT_TOL)
+    if off.any():
+        _reject_non_finite(v, "axis")
+        raise ValueError(f"axis must be a unit vector, |n| = {np.asarray(norm)[off][0]}")
+    return v
+
+
 def noise_weights(kind: str, p_array) -> np.ndarray:
     """Pauli weights (w_0, w_x, w_y, w_z) of the noise, one row per level p."""
-    p = np.asarray(p_array, dtype=np.float64)
+    p = _check_probability(p_array, stack=True)
     if p.ndim != 1:
         raise ValueError(f"noise levels must form a 1-d array, got shape {p.shape}")
-    bad = p[~((p >= 0.0) & (p <= 1.0))]
-    if bad.size:
-        raise ValueError(f"p must be a probability in [0, 1], got {bad[0]}")
     if kind == "depolarizing":
         quarter = p / 4.0
         return np.stack((1.0 - 3.0 * quarter, quarter, quarter, quarter), axis=1)
     if kind in PAULI_OF_KIND:
         weights = np.zeros((p.size, 4))
         weights[:, 0] = 1.0 - p
-        weights[:, 1 + PAULI_OF_KIND[kind].index] = p
+        weights[:, 1 + "xyz".index(PAULI_OF_KIND[kind])] = p
         return weights
     raise ValueError(f"unknown noise kind {kind!r}")
 

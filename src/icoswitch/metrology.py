@@ -14,9 +14,10 @@ logarithmic derivative,
 
     F = sum_{j,k} 2 |<v_j| drho |v_k>|^2 / (lambda_j + lambda_k),
 
-with drho by central finite difference and (lambda, v) from the Jacobi
-eigensolver.  The closed forms use analytic derivatives throughout, so the
-two routes are genuinely independent and are compared in the tests.
+with drho by central difference of the one step DEFAULT_STEP (cfi_numeric
+uses it too) and (lambda, v) from the Jacobi eigensolver.  The closed
+forms use analytic derivatives throughout, so the two routes are
+genuinely independent and are compared in the tests.
 
 Every evaluator returns a plain float, or an array of the batch shape for
 a stack.  The numbers the sweeps print come from the grid engine
@@ -31,20 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
-    _check_probability,
-    bloch_to_density,
-    bloch_vector,
-    noisy_phase_channel,
-    unit_axis,
-)
+from .channels import KrausChannel, bloch_to_density, noisy_phase_channel
+from .engine import SLD_EIGENVALUE_CUTOFF, _check_probability, bloch_vector, unit_axis
 from .qmat import ATOL_STRUCT, dagger, herm_eig
 from .switch import _pauli_qc_pieces, qc_numeric, s00, switch_state
 
-# Pairs with lambda_j + lambda_k below this are in the kernel of the SLD
-# formula and are excluded (standard regularization).
-SLD_EIGENVALUE_CUTOFF = 1e-10
 # Central-difference step for d rho / d xi: truncation O(h^2) and roundoff
 # balance near 1e-10, well inside the 1e-6 closed-form comparison tolerance.
 DEFAULT_STEP = 1e-5
@@ -69,22 +61,20 @@ def _fisher(value):
     return value if value.ndim else float(value)
 
 
-def qfi_numeric(family: StateFamily, xi0, step: float = DEFAULT_STEP) -> float | np.ndarray:
+def qfi_numeric(family: StateFamily, xi0) -> float | np.ndarray:
     """Quantum Fisher information of a state family by the SLD spectral formula.
 
     ``family`` maps a phase to a density matrix of fixed dimension, or to a
     stack of them; ``xi0`` may be an array of phases, one per member, and
     the result is then an array of the batch shape.  The derivative is the
-    central difference (rho(xi0+h) - rho(xi0-h)) / 2h.  The spectra of the
-    whole stack come from one lockstep ``herm_eig`` call.
+    central difference (rho(xi0+h) - rho(xi0-h)) / 2h with h = DEFAULT_STEP.
+    The spectra of the whole stack come from one lockstep ``herm_eig`` call.
     """
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     rho0 = family(xi0)
     vals, vecs = herm_eig(rho0)
     if not ((vals[..., 0] >= -ATOL_STRUCT) & (abs(vals.sum(axis=-1) - 1.0) < ATOL_STRUCT)).all():
         raise ValueError("family did not produce a density operator")
-    drho = (family(xi0 + step) - family(xi0 - step)) / (2.0 * step)
+    drho = (family(xi0 + DEFAULT_STEP) - family(xi0 - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
     overlap = dagger(vecs) @ drho @ vecs
     weight = vals[..., :, None] + vals[..., None, :]
     kept = weight > SLD_EIGENVALUE_CUTOFF
@@ -165,19 +155,17 @@ def joint_family(noise: KrausChannel, axis, rho: np.ndarray, p_c: float) -> Stat
     return family
 
 
-def qfi_cascade(
-    noise: KrausChannel, axis, xi: float, probe, step: float = DEFAULT_STEP
-) -> float | np.ndarray:
+def qfi_cascade(noise: KrausChannel, axis, xi: float, probe) -> float | np.ndarray:
     """Quantum Fisher information of the plain cascade, evaluated numerically.
 
     No closed form is transcribed for this quantity; the SLD route on the
     dim-2 family keeps it free of transcription risk.
     """
-    return qfi_numeric(cascade_family(noise, axis, probe), xi, step)
+    return qfi_numeric(cascade_family(noise, axis, probe), xi)
 
 
 def qfi_joint(
-    noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float, step: float = DEFAULT_STEP
+    noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float
 ) -> float | np.ndarray:
     """Quantum Fisher information of the joint probe-control output (numeric).
 
@@ -185,21 +173,17 @@ def qfi_joint(
     Fisher information) and equal to the cascade value when the two causal
     orders coincide.
     """
-    return qfi_numeric(joint_family(noise, axis, rho, p_c), xi, step)
+    return qfi_numeric(joint_family(noise, axis, rho, p_c), xi)
 
 
-def cfi_numeric(
-    noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float, step: float = DEFAULT_STEP
-) -> float:
+def cfi_numeric(noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float) -> float:
     """Classical Fisher information of the Hadamard measurement, any noise.
 
     Differentiates P_+(xi) = 1/2 + sqrt((1-p_c) p_c) q_c(xi) by central
-    difference; used where no Pauli closed form applies (depolarizing
-    noise).  At an exactly degenerate point (P_+ in {0, 1} with vanishing
-    slope) it returns 0.
+    difference with step DEFAULT_STEP; used where no Pauli closed form
+    applies (depolarizing noise).  At an exactly degenerate point (P_+ in
+    {0, 1} with vanishing slope) it returns 0.
     """
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     axis = unit_axis(axis)
     p_c = _check_probability(p_c, "p_c")
     s_c = np.sqrt((1.0 - p_c) * p_c)
@@ -208,7 +192,7 @@ def cfi_numeric(
         return 0.5 + s_c * qc_numeric(noisy_phase_channel(noise, axis, x), rho)
 
     center = p_plus(xi)
-    slope = (p_plus(xi + step) - p_plus(xi - step)) / (2.0 * step)
+    slope = (p_plus(xi + DEFAULT_STEP) - p_plus(xi - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
     denom = (1.0 - center) * center
     if denom < QC_DEGENERACY_TOL:
         if abs(slope) > 1e-6:

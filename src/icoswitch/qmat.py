@@ -38,12 +38,6 @@ JACOBI_MAX_SWEEPS = 100
 # herm_eig rescales a matrix whose largest |entry| lies outside this range.
 _SCALE_LO, _SCALE_HI = math.ldexp(1.0, -500), math.ldexp(1.0, 500)
 
-I2 = np.eye(2, dtype=np.complex128)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-PAULI_MATRICES = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
 # Elementwise factors on a stacked (real, imaginary) pair: applied to the
 # swapped pair (y, x) of x + iy, _TIMES_I gives i (x + iy); _CONJ conjugates.
 _TIMES_I = np.array([[-1.0], [1.0]])

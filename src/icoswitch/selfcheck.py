@@ -19,7 +19,6 @@ import numpy as np
 
 from .channels import (
     KrausChannel,
-    PauliAxis,
     bloch_to_density,
     depolarizing_channel,
     noisy_phase_channel,
@@ -91,15 +90,15 @@ def _rand_bloch(rng) -> np.ndarray:
     return v * rng.uniform() ** (1.0 / 3.0)
 
 
-def _rand_pauli(rng) -> PauliAxis:
-    return (PauliAxis.X, PauliAxis.Y, PauliAxis.Z)[rng.integers(3)]
+def _rand_pauli(rng) -> str:
+    return "xyz"[rng.integers(3)]
 
 
 def _draws(count: int, draw: Callable[[], tuple], **fields) -> np.ndarray:
     """``count`` calls of ``draw`` in order, as a structured array with one field per item.
 
     ``fields`` names the items of the tuple ``draw`` returns, in order, with
-    their dtypes (a PauliAxis is an object, a 3-vector ``(float, 3)``).  The
+    their dtypes (a Pauli letter is ``"U1"``, a 3-vector ``(float, 3)``).  The
     draws are written into the array as they are made.
     """
     return np.fromiter((draw() for _ in range(count)), dtype=list(fields.items()), count=count)
@@ -123,7 +122,7 @@ def check_joint_state_oracle() -> CheckResult:
         200,
         lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi),
                  _rand_bloch(rng), rng.uniform()),
-        pauli=object, p=float, axis=_VEC, xi=float, probe=_VEC, p_c=float,
+        pauli="U1", p=float, axis=_VEC, xi=float, probe=_VEC, p_c=float,
     )  # fmt: skip
     ch = _noisy_pauli(d)
     rho = bloch_to_density(d["probe"])
@@ -151,10 +150,10 @@ def check_qc_closed_form() -> CheckResult:
         1000,
         lambda: (_rand_pauli(rng), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), _rand_axis(rng),
                  _rand_bloch(rng)),
-        pauli=object, p=float, xi=float, axis=_VEC, probe=_VEC,
+        pauli="U1", p=float, xi=float, axis=_VEC, probe=_VEC,
     )  # fmt: skip
     got = qc_numeric(_noisy_pauli(d), bloch_to_density(d["probe"]))
-    want = [qc_closed_form(p, xi, axis[pauli.index]) for pauli, p, xi, axis, _ in d]
+    want = [qc_closed_form(p, xi, axis["xyz".index(pauli)]) for pauli, p, xi, axis, _ in d]
     worst = float(np.max(np.abs(got - want)))
     return _result(
         "coupling scalar closed form", worst < 1e-10, ("max |diff|", worst), " over 1000 draws"
@@ -168,7 +167,7 @@ def check_qc_probe_independence() -> CheckResult:
         5,
         lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi),
                  [_rand_bloch(rng) for _ in range(50)]),
-        pauli=object, p=float, axis=_VEC, xi=float, probes=(np.float64, (50, 3)),
+        pauli="U1", p=float, axis=_VEC, xi=float, probes=(np.float64, (50, 3)),
     )  # fmt: skip
     # Channels of batch shape (5, 1) against probes of (5, 50): row i is channel i.
     d = d[:, None]
@@ -189,12 +188,14 @@ def check_qfi_closed_vs_sld() -> CheckResult:
         200,
         lambda: (_rand_pauli(rng), rng.uniform(), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi),
                  _rand_axis(rng), _rand_bloch(rng)),
-        pauli=object, p=float, p_c=float, xi=float, axis=_VEC, probe=_VEC,
+        pauli="U1", p=float, p_c=float, xi=float, axis=_VEC, probe=_VEC,
     )  # fmt: skip
     rho = bloch_to_density(d["probe"])
     family = control_family(pauli_channel(d["pauli"], d["p"]), d["axis"], rho, d["p_c"])
     numeric = qfi_numeric(family, d["xi"])
-    closed = [qfi_control(p_c, p, xi, axis[pauli.index]) for pauli, p, p_c, xi, axis, _ in d]
+    closed = [
+        qfi_control(p_c, p, xi, axis["xyz".index(pauli)]) for pauli, p, p_c, xi, axis, _ in d
+    ]
     engine = [
         evaluate_grid(("fq_con",), _KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)["fq_con"][0]
         for pauli, p, p_c, xi, axis, probe in d
@@ -242,16 +243,13 @@ def check_commuting_degeneracy() -> CheckResult:
         lambda: (rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), _rand_bloch(rng)),
         p=float, xi=float, probe=_VEC,
     )  # fmt: skip
-    ch = noisy_phase_channel(pauli_channel(PauliAxis.X, d["p"]), (1.0, 0.0, 0.0), d["xi"])
+    ch = noisy_phase_channel(pauli_channel("x", d["p"]), (1.0, 0.0, 0.0), d["xi"])
     rho = bloch_to_density(d["probe"])
     worst = float(np.max(np.abs(s01(ch, rho) - s00(ch, rho))))
     zero = qfi_control(0.5, 0.37, 1.234, 1.0)
     axis = (0.0, 1.0, 0.0)
     flip_diff = max(
-        abs(
-            qfi_control(0.5, p, np.pi / 5, axis[PauliAxis.X.index])
-            - qfi_control(0.5, p, np.pi / 5, axis[PauliAxis.Z.index])
-        )
+        abs(qfi_control(0.5, p, np.pi / 5, axis[0]) - qfi_control(0.5, p, np.pi / 5, axis[2]))
         for p in np.linspace(0.0, 1.0, 11)
     )
     return _result(
@@ -272,7 +270,7 @@ def check_cptp() -> CheckResult:
     d = _draws(
         50,
         lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi)),
-        pauli=object, p=float, axis=_VEC, xi=float,
+        pauli="U1", p=float, axis=_VEC, xi=float,
     )  # fmt: skip
     ops = switch_kraus_ops(_noisy_pauli(d))
     total = (dagger(ops) @ ops).sum(axis=-3)
@@ -327,7 +325,7 @@ def check_symmetry_and_limits() -> CheckResult:
     levels, nls = zip(*cases)
     axes = [(nl, np.sqrt(1.0 - nl * nl), 0.0) for nl in nls]
     family = control_family(
-        pauli_channel(PauliAxis.X, levels), axes, bloch_to_density((0.0, 0.0, 0.5)), 0.5
+        pauli_channel("x", levels), axes, bloch_to_density((0.0, 0.0, 0.5)), 0.5
     )
     worst_limit = float(np.max(np.abs(qfi_numeric(family, 1e-4) - wants)))
     return _result(
@@ -354,9 +352,7 @@ def check_fig2_shape() -> CheckResult:
     high = (0.6, 0.7, 0.8, 0.9)
     probes = [(0.0, 0.0, r) for r in (1.0, 0.8, 0.6, 0.4, 0.2)]
     # Channels of batch shape (4,) against probes of (5, 1): row i is probe i.
-    cas = qfi_cascade(
-        pauli_channel(PauliAxis.X, high), (0.0, 1.0, 0.0), xi, np.array(probes)[:, None]
-    )
+    cas = qfi_cascade(pauli_channel("x", high), (0.0, 1.0, 0.0), xi, np.array(probes)[:, None])
     cross_ok = bool((np.array([qfi_control(0.5, p, xi, 0.0) for p in high]) > cas).all())
     engine = [
         evaluate_grid(("fq_cas",), "bitflip", high, 0.5, xi, (0.0, 1.0, 0.0), probe)["fq_cas"]

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
+from .engine import (
+    NOISE_KINDS,
+    QUANTITIES,
     _check_phase,
+    _check_probability,
     bloch_vector,
-    depolarizing_channel,
-    pauli_channel,
+    evaluate_grid,
 )
-from .engine import NOISE_KINDS, PAULI_OF_KIND, QUANTITIES, evaluate_grid
 
 DEFAULT_XI = math.pi / 5
 DEFAULT_AXIS = (0.0, 1.0, 0.0)
@@ -165,9 +165,10 @@ def parse_config(text: str) -> SweepConfig:
                 raise ConfigError(f"line {lineno}: {exc}") from None
         elif key == "p_c":
             v = _parse_float(raw, lineno, key)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"line {lineno}: p_c must lie in [0, 1], got {v}")
-            cfg.p_c = v
+            try:
+                cfg.p_c = _check_probability(v, "p_c")
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         elif key == "p":
             start, stop, step = _parse_range(raw, lineno, key)
             if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
@@ -190,15 +191,6 @@ def parse_config(text: str) -> SweepConfig:
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return cfg
-
-
-def noise_channel(kind: str, p: float) -> KrausChannel:
-    """Noise channel of the given kind at level p."""
-    if kind == "depolarizing":
-        return depolarizing_channel(p)
-    if kind in PAULI_OF_KIND:
-        return pauli_channel(PAULI_OF_KIND[kind], p)
-    raise ValueError(f"unknown noise kind {kind!r}")
 
 
 def compute_quantity(

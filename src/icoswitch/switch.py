@@ -34,14 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
-    _act,
-    _check_probability,
-    _levels,
-    _matching_state,
-    check_density,
-)
+from .channels import KrausChannel, _act, _levels, _matching_state, check_density
+from .engine import _check_probability
 from .qmat import dagger, partial_trace
 
 # s01 must come out Hermitian ((j,k) and (k,j) terms are mutual adjoints);

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from icoswitch.channels import (
     KrausChannel,
-    PauliAxis,
     apply_channel,
     bloch_to_density,
     bloch_vector,
@@ -18,7 +17,15 @@ from icoswitch.channels import (
     rotation_unitary,
     unit_axis,
 )
-from icoswitch.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, herm_eig
+from icoswitch.engine import I2, PAULI_OF_KIND, SIGMA_X, SIGMA_Y, SIGMA_Z
+from icoswitch.qmat import herm_eig
+
+
+def noise_channel(kind: str, p) -> KrausChannel:
+    """The oracle's noise channel of a noise kind at level p."""
+    if kind == "depolarizing":
+        return depolarizing_channel(p)
+    return pauli_channel(PAULI_OF_KIND[kind], p)
 
 
 def random_bloch(rng):
@@ -140,12 +147,19 @@ class TestRotationUnitary:
 
 
 class TestPauliChannel:
+    def test_axis_letters(self):
+        np.testing.assert_array_equal(pauli_channel("X", 0.3).kraus, pauli_channel("x", 0.3).kraus)
+        for bad in ("w", np.array(["x", "w"])):
+            with pytest.raises(ValueError) as info:
+                pauli_channel(bad, 0.3)
+            assert str(info.value) == "Pauli axis must be 'x', 'y' or 'z', got 'w'"
+
     def test_p_zero_is_identity(self):
         rho = bloch_to_density((0.3, -0.2, 0.4))
         np.testing.assert_allclose(apply_channel(pauli_channel("x", 0.0), rho), rho, atol=0)
 
     def test_deterministic_flip(self):
-        out = apply_channel(pauli_channel(PauliAxis.X, 1.0), np.diag([1.0, 0.0]).astype(complex))
+        out = apply_channel(pauli_channel("x", 1.0), np.diag([1.0, 0.0]).astype(complex))
         np.testing.assert_allclose(out, np.diag([0.0, 1.0]), atol=0)
 
     def test_mixture(self):

@@ -1,25 +1,33 @@
 """Tests for the grid engine: every sweep column against the density-matrix oracle."""
 
+import ast
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import icoswitch.engine
 from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
 from icoswitch.engine import (
+    I2,
     NOISE_KINDS,
     PAULI_OF_KIND,
     QUANTITIES,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     evaluate_grid,
     switch_state_grid,
 )
 from icoswitch.metrology import cfi_numeric, control_family, qfi_joint, qfi_numeric
-from icoswitch.qmat import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from icoswitch.sweep import compute_quantity, noise_channel
+from icoswitch.sweep import compute_quantity
 from icoswitch.switch import qc_numeric, s00, s01, switch_state
+from test_channels import noise_channel
 from test_metrology import unit_vectors
 
 PAULI_BASIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -215,7 +223,7 @@ class TestExactAnchors:
         # Axis orthogonal to the noise Pauli: sigma_l U sigma_l = U^dag, so the
         # cascade is the identity and carries no information.
         if kind != "depolarizing":
-            axis = np.roll((0.0, 0.6, 0.8), PAULI_OF_KIND[kind].index)
+            axis = np.roll((0.0, 0.6, 0.8), "xyz".index(PAULI_OF_KIND[kind]))
             probe = (0.3, 0.4, 0.5)
             got = evaluate_grid(("fq_cas", "fq_joint"), kind, [1.0], 0.5, 1.1, axis, probe)
             assert got["fq_cas"][0] < 1e-15 and got["fq_joint"][0] < 1e-15
@@ -230,7 +238,7 @@ class TestExactAnchors:
         axis /= np.linalg.norm(axis)
         # Along the Pauli it keeps, half-strength Pauli noise leaves a pure
         # probe nearly pure at small xi.
-        kept = np.roll((1.0, 0.0, 0.0), PAULI_OF_KIND[kind].index if kind in PAULI_OF_KIND else 0)
+        kept = np.roll((1.0, 0.0, 0.0), "xyz".index(PAULI_OF_KIND.get(kind, "x")))
         for p in (0.3, 0.5):
             for xi in (1e-4, 1e-3, 1e-2):
                 for p_c, probe in ((0.0, kept), (1.0, (0.0, 0.6, 0.8))):
@@ -243,7 +251,7 @@ class TestExactAnchors:
         # At p_c = 1/2, fq_con and fc_con tend to 2 (1 - n_l^2) (1 - p) p as xi -> 0.
         axis = np.array((0.48, 0.6, 0.64))
         for p in (0.1, 0.5, 0.8):
-            alpha = 2.0 * (1.0 - axis[PAULI_OF_KIND[kind].index] ** 2) * (1 - p) * p
+            alpha = 2.0 * (1.0 - axis["xyz".index(PAULI_OF_KIND[kind])] ** 2) * (1 - p) * p
             for xi in (1e-8, -1e-6):
                 got = evaluate_grid(("fq_con", "fc_con"), kind, [p], 0.5, xi, axis, (0, 0, 1))
                 assert abs(got["fq_con"][0] - alpha) < 1e-11 * alpha
@@ -258,6 +266,20 @@ class TestExactAnchors:
 
 
 class TestEvaluateGrid:
+    def test_engine_stands_alone(self):
+        # The engine runs as a module of its own, outside the package, and
+        # gives the package's bits; sweep reaches the numbers only through it.
+        package = Path(icoswitch.engine.__file__).parent
+        spec = importlib.util.spec_from_file_location("engine_alone", package / "engine.py")
+        alone = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(alone)
+        args = (QUANTITIES, "bitphaseflip", [0.3], 0.3, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
+        got, want = alone.evaluate_grid(*args), evaluate_grid(*args)
+        assert all(got[name].tobytes() == want[name].tobytes() for name in QUANTITIES)
+        tree = ast.parse((package / "sweep.py").read_text(encoding="utf-8"))
+        relative = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+        assert relative == {"engine"}
+
     def test_rejects_bad_input_at_entry(self):
         args = ("bitflip", [0.2], 0.5, 0.3, (0, 1, 0), (0, 0, 1))
         with pytest.raises(ValueError, match="unknown quantity 'entropy'"):

@@ -13,7 +13,7 @@ from icoswitch.channels import (
     rotation_unitary,
 )
 from icoswitch.cli import main
-from icoswitch.engine import NOISE_KINDS, evaluate_grid, noise_weights
+from icoswitch.engine import NOISE_KINDS, SIGMA_X, SIGMA_Y, SIGMA_Z, evaluate_grid, noise_weights
 from icoswitch.metrology import (
     _fisher,
     cfi_control,
@@ -24,9 +24,9 @@ from icoswitch.metrology import (
     qfi_joint,
     qfi_numeric,
 )
-from icoswitch.qmat import SIGMA_X, SIGMA_Y, SIGMA_Z
-from icoswitch.sweep import FIG2_R_VALUES, fig2_preset, noise_channel
+from icoswitch.sweep import FIG2_R_VALUES, fig2_preset
 from icoswitch.switch import qc_closed_form
+from test_channels import noise_channel
 
 XI = np.pi / 5
 E_Y = (0.0, 1.0, 0.0)
@@ -86,10 +86,6 @@ class TestQfiNumeric:
     def test_control_family_matches_closed_form_anchor(self):
         fam = control_family(pauli_channel("x", 0.5), E_Y, bloch_to_density((0, 0, 0.5)), 0.5)
         assert abs(qfi_numeric(fam, XI) - FQ_CON_ANCHOR) < 1e-6
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError, match="step"):
-            qfi_numeric(lambda xi: bloch_to_density((0, 0, 0)), 0.1, step=0.0)
 
     def test_rejects_non_density_family(self):
         with pytest.raises(ValueError, match="density"):

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icoswitch.engine import I2, SIGMA_X, SIGMA_Y
 from icoswitch.qmat import (
     ATOL_RECON,
     ATOL_STRUCT,
-    I2,
-    SIGMA_X,
-    SIGMA_Y,
     as_cmatrix,
     channel_choi,
     herm_eig,

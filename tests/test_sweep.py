@@ -26,6 +26,7 @@ from icoswitch.sweep import (
     run_sweep,
 )
 from icoswitch.switch import qc_numeric
+from test_channels import noise_channel
 
 FQ_CON_ANCHOR = (15 + 2 * np.sqrt(5.0)) / 41
 
@@ -233,7 +234,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
     def test_quantities_are_2pi_periodic(self, kind):
         # The premise of the reduction, checked on the unreduced routes.
-        noise = sweep.noise_channel(kind, 0.3)
+        noise = noise_channel(kind, 0.3)
         rho = bloch_to_density((0.3, 0.0, 0.6))
         axis = (0.6, 0.8, 0.0)
         base_qc = qc_numeric(noisy_phase_channel(noise, axis, 1.0), rho)

@@ -18,7 +18,8 @@ from icoswitch.channels import (
     rotation_unitary,
 )
 from icoswitch.metrology import control_family, qfi_joint, qfi_numeric
-from icoswitch.qmat import I2, SIGMA_X, channel_choi, herm_eig, partial_trace
+from icoswitch.engine import I2, SIGMA_X
+from icoswitch.qmat import channel_choi, herm_eig, partial_trace
 from icoswitch.switch import (
     qc_closed_form,
     qc_numeric,
