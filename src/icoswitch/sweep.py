@@ -15,7 +15,8 @@ control columns, the Bloch-space cascade, and a batched SVD of the joint
 state's Gram factor with its exact derivative; ``point`` is a one-point
 grid.  Every quantity is 2 pi-periodic in xi, so the engine evaluates at
 xi reduced to [-pi, pi]; the CSV xi column echoes the configured value.
-Rows are plain dicts in grid order.
+Rows are plain dicts in grid order.  Output is formatted a column at a time,
+byte for byte as format_number and the scalar pixel formulas format a cell.
 """
 
 from __future__ import annotations
@@ -171,9 +172,9 @@ def parse_config(text: str) -> SweepConfig:
                 raise ConfigError(f"line {lineno}: {exc}") from None
         elif key == "p":
             start, stop, step = _parse_range(raw, lineno, key)
-            if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
-                raise ConfigError(f"line {lineno}: p grid must lie in [0, 1]")
             try:
+                _check_probability(start, "grid start")
+                _check_probability(stop, "grid stop")
                 grid_points(start, stop, step)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: p {exc}") from None
@@ -211,19 +212,6 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[dict]]:
 
     All requested columns come from one evaluate_grid call over the grid.
     """
-    columns = [
-        "p",
-        "p_c",
-        "xi",
-        "axis_x",
-        "axis_y",
-        "axis_z",
-        "probe_x",
-        "probe_y",
-        "probe_z",
-        "noise_kind",
-        *cfg.quantities,
-    ]
     grid = cfg.grid()
     try:
         values = evaluate_grid(
@@ -231,21 +219,11 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[dict]]:
         )
     except ValueError as exc:
         raise RuntimeError(f"sweep failed on p = {grid[0]} to {grid[-1]}: {exc}") from exc
-    fixed = {
-        "p_c": cfg.p_c,
-        "xi": cfg.xi,
-        "axis_x": cfg.axis[0],
-        "axis_y": cfg.axis[1],
-        "axis_z": cfg.axis[2],
-        "probe_x": cfg.probe[0],
-        "probe_y": cfg.probe[1],
-        "probe_z": cfg.probe[2],
-        "noise_kind": cfg.noise_kind,
-    }
-    rows = [
-        {"p": p, **fixed, **{name: float(values[name][i]) for name in cfg.quantities}}
-        for i, p in enumerate(grid)
-    ]
+    columns = ["p", "p_c", "xi", "axis_x", "axis_y", "axis_z", "probe_x", "probe_y", "probe_z"]
+    columns += ["noise_kind", *cfg.quantities]
+    fixed = (cfg.p_c, cfg.xi, *cfg.axis, *cfg.probe, cfg.noise_kind)
+    quantities = [values[name].tolist() for name in cfg.quantities]
+    rows = [dict(zip(columns, (p, *fixed, *cells))) for p, *cells in zip(grid, *quantities)]
     return columns, rows
 
 
@@ -287,7 +265,7 @@ def fig2_preset(
     for r in r_values:
         cascade = evaluate_grid(("fq_cas",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, r))
         table[_cas_column_name(r)] = cascade["fq_cas"]
-    rows = [{name: float(table[name][i]) for name in columns} for i in range(steps)]
+    rows = [dict(zip(columns, cells)) for cells in zip(*(table[n].tolist() for n in columns))]
     return columns, rows
 
 
@@ -296,37 +274,56 @@ def format_number(value: float) -> str:
     v = float(value)
     if not math.isfinite(v):
         raise ValueError(f"non-finite value {v} in output")
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return format(v, "#.12g")
+    return format(v + 0.0, "#.12g")  # + 0.0 turns -0.0 into 0.0
+
+
+def _csv_column(rows: list[dict], col: str) -> tuple[str, list]:
+    """One CSV column as (printf conversion, cells), from one type check of the whole column."""
+    try:
+        cells = [row[col] for row in rows]
+    except KeyError:
+        raise ValueError(f"row is missing column {col!r}") from None
+    if set(map(type, cells)) <= {float, int, np.float64}:
+        values = np.array(cells, dtype=np.float64)
+        if np.isfinite(values).all():
+            if np.signbit(values[values == 0.0]).any():
+                cells = (values + 0.0).tolist()  # + 0.0 turns -0.0 into 0.0
+            return "%#.12g", cells
+    # Text, mixed and non-finite columns take the per-cell rule, which raises on the last.
+    return "%s", [v if isinstance(v, str) else format_number(v) for v in cells]
 
 
 def render_csv(rows: list[dict], columns: list[str] | None = None) -> str:
-    """CSV text: header of column names, one line per row, `\\n` terminators."""
+    """CSV text: header of column names, one line per row, `\\n` terminators.
+
+    Strings are written as is, anything else with the bytes of format_number.
+    A column of floats and ints is checked and stripped of -0.0 as a whole,
+    and one printf template ("%#.12g" per such column) fills each line; other
+    columns take the per-cell rule.  The first faulty column names the error.
+    """
     if not rows:
         raise ValueError("refusing to emit an empty table")
     if columns is None:
         columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            if col not in row:
-                raise ValueError(f"row is missing column {col!r}")
-            v = row[col]
-            cells.append(v if isinstance(v, str) else format_number(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    parsed = [_csv_column(rows, col) for col in columns]
+    template = ",".join([conversion for conversion, _ in parsed])
+    lines = zip(*[cells for _, cells in parsed]) if parsed else [()] * len(rows)
+    return "\n".join([",".join(columns), *(template % line for line in lines)]) + "\n"
 
 
-def emit_csv(rows: list[dict], destination, columns: list[str] | None = None) -> None:
-    """Write the CSV to a path or binary file-like destination."""
-    data = render_csv(rows, columns).encode("utf-8")
+def _emit(text: str, destination) -> None:
+    """Write ``text`` as UTF-8 to a path or binary file-like destination."""
+    data = text.encode("utf-8")
     if hasattr(destination, "write"):
         destination.write(data)
     else:
         with open(destination, "wb") as fh:
             fh.write(data)
+
+
+def emit_csv(rows: list[dict], destination, columns: list[str] | None = None) -> None:
+    """Write the CSV to a path or binary file-like destination."""
+    _emit(render_csv(rows, columns), destination)
 
 
 # Fixed palette (tab10 order) so SVG bytes are reproducible.
@@ -342,27 +339,37 @@ _PALETTE = (
     "#bcbd22",
     "#17becf",
 )
+_DASHED = ' stroke-dasharray="6,4"'  # every series but the first
 _SVG_W, _SVG_H = 800, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 170, 40, 60
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
+def _svg_column(rows: list[dict], col: str) -> np.ndarray:
+    try:
+        values = np.array([row[col] for row in rows], dtype=np.float64)
+    except KeyError:
+        raise ValueError(f"unknown column {col!r}") from None
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise ValueError(f"non-finite value {bad} in column {col!r} of the plot")
+    return values
+
+
 def render_svg(rows: list[dict], x_col: str, y_cols: list[str]) -> str:
-    """Standalone 800x600 SVG line plot: first series solid, the rest dashed."""
+    """Standalone 800x600 SVG line plot: first series solid, the rest dashed.
+
+    Each plotted column must be finite; px/py map whole float64 columns, in
+    the scalar order of operations, to "%.2f,%.2f" polyline points.
+    """
     if len(rows) < 2:
         raise ValueError("need at least 2 rows to draw lines")
-    for col in [x_col, *y_cols]:
-        if col not in rows[0]:
-            raise ValueError(f"unknown column {col!r}")
-    xs = [float(r[x_col]) for r in rows]
-    all_y = [float(r[c]) for r in rows for c in y_cols]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(all_y), max(all_y)
+    xs, *ys = (_svg_column(rows, col) for col in [x_col, *y_cols])
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(min(y.min() for y in ys)), float(max(y.max() for y in ys))
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -370,10 +377,10 @@ def render_svg(rows: list[dict], x_col: str, y_cols: list[str]) -> str:
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    def px(x):  # a float or a float64 array
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _SVG_H - _MARGIN_B - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = io.StringIO()
@@ -409,19 +416,17 @@ def render_svg(rows: list[dict], x_col: str, y_cols: list[str]) -> str:
         f'font-size="14" text-anchor="middle">{x_col}</text>\n'
     )
     # Series.
-    for i, col in enumerate(y_cols):
-        color = _PALETTE[i % len(_PALETTE)]
-        dash = "" if i == 0 else ' stroke-dasharray="6,4"'
-        pts = " ".join(f"{px(float(r[x_col])):.2f},{py(float(r[col])):.2f}" for r in rows)
+    styles = [(_PALETTE[i % len(_PALETTE)], _DASHED if i else "") for i in range(len(ys))]
+    x_pixels = px(xs).tolist()
+    for (color, dash), y in zip(styles, ys):
+        pts = " ".join(["%.2f,%.2f" % xy for xy in zip(x_pixels, py(y).tolist())])
         out.write(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>\n'
         )
     # Legend.
     lx = _SVG_W - _MARGIN_R + 18
-    for i, col in enumerate(y_cols):
+    for i, (col, (color, dash)) in enumerate(zip(y_cols, styles)):
         ly = _MARGIN_T + 14 + 20 * i
-        color = _PALETTE[i % len(_PALETTE)]
-        dash = "" if i == 0 else ' stroke-dasharray="6,4"'
         out.write(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" stroke="{color}" '
             f'stroke-width="1.5"{dash}/>\n'
@@ -435,9 +440,4 @@ def render_svg(rows: list[dict], x_col: str, y_cols: list[str]) -> str:
 
 def emit_svg(rows: list[dict], x_col: str, y_cols: list[str], destination) -> None:
     """Write the SVG plot to a path or binary file-like destination."""
-    data = render_svg(rows, x_col, y_cols).encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        with open(destination, "wb") as fh:
-            fh.write(data)
+    _emit(render_svg(rows, x_col, y_cols), destination)

@@ -1,7 +1,9 @@
 """Tests for config parsing, the sweep engine, CSV/SVG output, and the CLI."""
 
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from icoswitch.sweep import (
     SweepConfig,
     compute_quantity,
     emit_csv,
+    emit_svg,
     fig2_preset,
     format_number,
     grid_points,
@@ -29,6 +32,53 @@ from icoswitch.switch import qc_numeric
 from test_channels import noise_channel
 
 FQ_CON_ANCHOR = (15 + 2 * np.sqrt(5.0)) / 41
+
+
+def reference_csv(rows, columns):
+    """The per-cell rule: strings as they are, format_number for every other cell."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = [row[col] for col in columns]
+        lines.append(",".join(v if isinstance(v, str) else format_number(v) for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_points(rows, x_col, y_cols):
+    """Each series' polyline points from the scalar pixel formulas, one float at a time."""
+    xs = [float(r[x_col]) for r in rows]
+    all_y = [float(r[c]) for r in rows for c in y_cols]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(all_y), max(all_y)
+    x_hi = x_hi if x_hi > x_lo else x_lo + 1.0
+    y_hi = y_hi if y_hi > y_lo else y_lo + 1.0
+    plot_w = sweep._SVG_W - sweep._MARGIN_L - sweep._MARGIN_R
+    plot_h = sweep._SVG_H - sweep._MARGIN_T - sweep._MARGIN_B
+
+    def point(r, col):
+        px = sweep._MARGIN_L + (float(r[x_col]) - x_lo) / (x_hi - x_lo) * plot_w
+        py = sweep._SVG_H - sweep._MARGIN_B - (float(r[col]) - y_lo) / (y_hi - y_lo) * plot_h
+        return f"{px:.2f},{py:.2f}"
+
+    return [" ".join(point(r, col) for r in rows) for col in y_cols]
+
+
+def spec_tables():
+    """(rows, columns, x column, y columns) on which the renderers meet the per-cell rules."""
+    fig2_columns, fig2_rows = fig2_preset(steps=201)
+    cfg = parse_config(
+        "noise = depolarizing\np = 0:1:0.01\naxis = 0.6, 0, -0.8\nprobe = -0.3, 0.2, 0.1\n"
+        "xi = -2.5\nquantities = qc, fq_con, fq_cas, fc_con, fq_joint\n"
+    )
+    sweep_columns, sweep_rows = run_sweep(cfg)
+    hand_rows = [
+        {"x": -0.0, "n": 3, "mixed": "a", "y": 1.5, "tiny": -1e-300},
+        {"x": 0.5, "n": -7, "mixed": 2.5, "y": -0.0, "tiny": -0.0},
+        {"x": 0.25, "n": 2**60 + 1, "mixed": -0.0, "y": 1e-30, "tiny": 5e-324},
+    ]
+    return [
+        (fig2_rows, fig2_columns, "p", fig2_columns[1:]),
+        (sweep_rows, sweep_columns, "p", list(cfg.quantities)),
+        (hand_rows, list(hand_rows[0]), "x", ["y", "n", "tiny"]),
+    ]
 
 
 class TestGridPoints:
@@ -127,6 +177,20 @@ class TestParseConfig:
     def test_p_grid_outside_unit_interval(self):
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
             parse_config("p = 0:1.5:0.5")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("-0.1:1:0.1", "p grid start must be a probability in [0, 1], got -0.1"),
+            ("nan", "p grid start must be a probability in [0, 1], got nan"),
+            ("0:1.5:0.1", "p grid stop must be a probability in [0, 1], got 1.5"),
+            ("0:inf:0.1", "p grid stop must be a probability in [0, 1], got inf"),
+        ],
+    )
+    def test_p_grid_error_names_end_and_value(self, raw, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"xi = 0.3\np = {raw}\n")
+        assert str(info.value) == f"line 2: {message}"
 
     def test_vector_arity(self):
         with pytest.raises(ConfigError, match="three"):
@@ -337,6 +401,31 @@ class TestCsv:
         emit_csv([{"p": 1.0}], target)
         assert target.read_bytes() == b"p\n1.00000000000\n"
 
+    @pytest.mark.parametrize("case", range(3))
+    def test_matches_per_cell_rule(self, case):
+        rows, columns, _, _ = spec_tables()[case]
+        assert render_csv(rows, columns) == reference_csv(rows, columns)
+
+    def test_hand_rows_bytes(self):
+        rows, columns, _, _ = spec_tables()[2]
+        assert render_csv(rows, columns).splitlines()[1:3] == [
+            "0.00000000000,3.00000000000,a,1.50000000000,-1.00000000000e-300",
+            "0.500000000000,-7.00000000000,2.50000000000,0.00000000000,0.00000000000",
+        ]
+
+    def test_no_columns(self):
+        assert render_csv([{}, {}]) == "\n\n\n"
+
+    def test_missing_column_in_a_later_row(self):
+        with pytest.raises(ValueError, match="row is missing column 'q'"):
+            render_csv([{"p": 0.5, "q": 1.0}, {"p": 0.6}])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("first", [0.5, "text"])
+    def test_non_finite_rejected(self, bad, first):
+        with pytest.raises(ValueError, match=f"^non-finite value {bad} in output$"):
+            render_csv([{"p": first}, {"p": bad}])
+
 
 class TestSvg:
     def test_fig2_plot_styles(self):
@@ -366,6 +455,35 @@ class TestSvg:
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
             render_svg([{"x": 0.0, "y": 0.0}], "x", ["y"])
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_points_match_scalar_formulas(self, case):
+        rows, _, x_col, y_cols = spec_tables()[case]
+        svg = render_svg(rows, x_col, y_cols)
+        assert re.findall(r'points="([^"]*)"', svg) == reference_points(rows, x_col, y_cols)
+
+    def test_missing_column_in_a_later_row(self):
+        with pytest.raises(ValueError, match="unknown column 'y'"):
+            render_svg([{"x": 0.0, "y": 1.0}, {"x": 1.0}], "x", ["y"])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("col", ["x", "y"])
+    def test_non_finite_rejected(self, bad, col):
+        rows = [{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": 2.0}]
+        rows[0][col] = bad
+        with pytest.raises(ValueError) as info:
+            render_svg(rows, "x", ["y"])
+        assert str(info.value) == f"non-finite value {bad} in column {col!r} of the plot"
+
+    def test_emit_writes_rendered_bytes(self, tmp_path):
+        rows = [{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": 2.0}]
+        csv, svg, path = io.BytesIO(), io.BytesIO(), tmp_path / "plot.svg"
+        emit_csv(rows, csv)
+        emit_svg(rows, "x", ["y"], svg)
+        emit_svg(rows, "x", ["y"], path)
+        assert csv.getvalue() == render_csv(rows).encode("utf-8")
+        assert svg.getvalue() == path.read_bytes()
+        assert svg.getvalue() == render_svg(rows, "x", ["y"]).encode("utf-8")
 
 
 class TestCli:
