@@ -81,12 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(columns, rows, out_path) -> None:
+def _write_csv(table, out_path) -> None:
     if out_path is None:
-        emit_csv(rows, sys.stdout.buffer, columns)
+        emit_csv(table, sys.stdout.buffer)
         sys.stdout.buffer.flush()
     else:
-        emit_csv(rows, out_path, columns)
+        emit_csv(table, out_path)
 
 
 def _write_json(results, path) -> None:
@@ -110,15 +110,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "fig2":
-            columns, rows = fig2_preset(steps=args.steps, xi=args.xi)
-            _write_csv(columns, rows, args.out)
+            table = fig2_preset(args.steps, args.xi)
+            _write_csv(table, args.out)
             if args.svg is not None:
-                emit_svg(rows, "p", columns[1:], args.svg)
+                emit_svg(table, args.svg)
         elif args.command == "sweep":
             with open(args.config, encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
-            columns, rows = run_sweep(cfg)
-            _write_csv(columns, rows, args.out)
+            _write_csv(run_sweep(cfg), args.out)
         elif args.command == "point":
             value = compute_quantity(
                 args.quantity, args.noise, args.p, args.pc, args.xi, args.axis, args.probe

@@ -108,7 +108,8 @@ def _three_vectors(x, what: str, stack: bool) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(x, dtype=np.float64)
     if v.shape[-1:] != (3,) or not (stack or v.ndim == 1):
         raise ValueError(f"{what} must have 3 components, got shape {v.shape}")
-    return v, np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0][()])
+    with np.errstate(over="ignore"):  # an infinite norm fails every caller's norm test
+        return v, np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0][()])
 
 
 def _reject_non_finite(v: np.ndarray, what: str) -> None:

@@ -15,8 +15,10 @@ control columns, the Bloch-space cascade, and a batched SVD of the joint
 state's Gram factor with its exact derivative; ``point`` is a one-point
 grid.  Every quantity is 2 pi-periodic in xi, so the engine evaluates at
 xi reduced to [-pi, pi]; the CSV xi column echoes the configured value.
-Rows are plain dicts in grid order.  Output is formatted a column at a time,
-byte for byte as format_number and the scalar pixel formulas format a cell.
+A table is one dict of columns in CSV order, each holding one cell per grid
+point (a float64 array, or a list of floats or of strings).  Output is
+formatted a column at a time, byte for byte as format_number and the scalar
+pixel formulas format a cell.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
     its validated range.  The point count is checked against
     MAX_GRID_POINTS before the list is built.
     """
-    if not step > 0.0:
-        raise ValueError(f"grid step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {step}")
     if start > stop:
         raise ValueError(f"grid start {start} exceeds stop {stop}")
     span = (stop - start) / step + 1e-9
@@ -147,10 +149,11 @@ def parse_config(text: str) -> SweepConfig:
             cfg.noise_kind = raw
         elif key == "axis":
             vec = np.asarray(_parse_triple(raw, lineno, key))
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > CONFIG_AXIS_TOL:
+            with np.errstate(over="ignore"):  # an infinite norm is rejected below
+                norm = float(np.linalg.norm(vec))
+            if not abs(norm - 1.0) <= CONFIG_AXIS_TOL:
                 raise ConfigError(f"line {lineno}: axis must be a unit vector, |n| = {norm}")
-            cfg.axis = tuple(vec / norm)
+            cfg.axis = tuple((vec / norm).tolist())
         elif key == "probe":
             vec = _parse_triple(raw, lineno, key)
             try:
@@ -207,10 +210,11 @@ def compute_quantity(
     return float(evaluate_grid((name,), kind, [p], p_c, xi, axis, probe)[name][0])
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[dict]]:
-    """Evaluate the sweep; returns (column names, rows in grid order).
+def run_sweep(cfg: SweepConfig) -> dict:
+    """Evaluate the sweep; returns the table, one cell per grid point in each column.
 
-    All requested columns come from one evaluate_grid call over the grid.
+    All requested columns come from one evaluate_grid call over the grid;
+    the configured p_c, xi, axis, probe and noise kind fill a column each.
     """
     grid = cfg.grid()
     try:
@@ -219,32 +223,21 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[str], list[dict]]:
         )
     except ValueError as exc:
         raise RuntimeError(f"sweep failed on p = {grid[0]} to {grid[-1]}: {exc}") from exc
-    columns = ["p", "p_c", "xi", "axis_x", "axis_y", "axis_z", "probe_x", "probe_y", "probe_z"]
-    columns += ["noise_kind", *cfg.quantities]
-    fixed = (cfg.p_c, cfg.xi, *cfg.axis, *cfg.probe, cfg.noise_kind)
-    quantities = [values[name].tolist() for name in cfg.quantities]
-    rows = [dict(zip(columns, (p, *fixed, *cells))) for p, *cells in zip(grid, *quantities)]
-    return columns, rows
+    names = ("p_c", "xi", "axis_x", "axis_y", "axis_z", "probe_x", "probe_y", "probe_z")
+    fixed = zip((*names, "noise_kind"), (cfg.p_c, cfg.xi, *cfg.axis, *cfg.probe, cfg.noise_kind))
+    return {"p": grid, **{name: [v] * len(grid) for name, v in fixed}, **values}
 
 
-def _cas_column_name(r: float) -> str:
-    return "fq_cas_r" + f"{r:g}".replace(".", "_").replace("-", "m")
-
-
-def fig2_preset(
-    steps: int = 201,
-    xi: float = DEFAULT_XI,
-    r_values: tuple[float, ...] = FIG2_R_VALUES,
-) -> tuple[list[str], list[dict]]:
-    """Control-vs-cascade comparison preset.
+def fig2_preset(steps: int = 201, xi: float = DEFAULT_XI) -> dict:
+    """Control-vs-cascade comparison preset, as a table.
 
     Bit-flip noise, rotation axis e_y, probe r e_z, and a grid of ``steps``
-    noise levels on [0, 1] (at most MAX_GRID_POINTS).  Columns: the
+    noise levels on [0, 1] (at most MAX_GRID_POINTS).  Columns: p, the
     control-qubit quantum FI at p_c = 1/2 and one cascade column per probe
-    length r, each from one evaluate_grid call over the whole grid, so every
-    cell equals ``point`` at the same p and probe, xi reduced mod 2 pi
-    included.  The control column is probe independent; the cascade
-    columns start at exactly 4 r^2 and vanish at p = 1.  They are
+    length r of FIG2_R_VALUES, each from one evaluate_grid call over the
+    whole grid, so every cell equals ``point`` at the same p and probe, xi
+    reduced mod 2 pi included.  The control column is probe independent; the
+    cascade columns start at exactly 4 r^2 and vanish at p = 1.  They are
     non-increasing in p up to p = 1/2; past it the noise tends to the
     unitary sigma_x and they show a small rebound (at xi = pi/5 and r = 1,
     a rise of about 2e-3 from p = 0.61 to p = 0.69) before vanishing at
@@ -254,19 +247,14 @@ def fig2_preset(
         raise ValueError(f"steps must be at least 2, got {steps}")
     if steps > MAX_GRID_POINTS:
         raise ValueError(f"steps must not exceed {MAX_GRID_POINTS}, got {steps}")
-    for r in r_values:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"probe length must lie in [0, 1], got {r}")
-    columns = ["p", "fq_con", *(_cas_column_name(r) for r in r_values)]
     grid = np.linspace(0.0, 1.0, steps)
     axis = (0.0, 1.0, 0.0)
-    table = evaluate_grid(("fq_con",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, 1.0))
-    table["p"] = grid
-    for r in r_values:
+    control = evaluate_grid(("fq_con",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, 1.0))
+    table = {"p": grid, **control}
+    for r in FIG2_R_VALUES:
         cascade = evaluate_grid(("fq_cas",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, r))
-        table[_cas_column_name(r)] = cascade["fq_cas"]
-    rows = [dict(zip(columns, cells)) for cells in zip(*(table[n].tolist() for n in columns))]
-    return columns, rows
+        table["fq_cas_r" + f"{r:g}".replace(".", "_")] = cascade["fq_cas"]
+    return table
 
 
 def format_number(value: float) -> str:
@@ -277,38 +265,44 @@ def format_number(value: float) -> str:
     return format(v + 0.0, "#.12g")  # + 0.0 turns -0.0 into 0.0
 
 
-def _csv_column(rows: list[dict], col: str) -> tuple[str, list]:
-    """One CSV column as (printf conversion, cells), from one type check of the whole column."""
-    try:
-        cells = [row[col] for row in rows]
-    except KeyError:
-        raise ValueError(f"row is missing column {col!r}") from None
-    if set(map(type, cells)) <= {float, int, np.float64}:
-        values = np.array(cells, dtype=np.float64)
-        if np.isfinite(values).all():
-            if np.signbit(values[values == 0.0]).any():
-                cells = (values + 0.0).tolist()  # + 0.0 turns -0.0 into 0.0
-            return "%#.12g", cells
-    # Text, mixed and non-finite columns take the per-cell rule, which raises on the last.
-    return "%s", [v if isinstance(v, str) else format_number(v) for v in cells]
-
-
-def render_csv(rows: list[dict], columns: list[str] | None = None) -> str:
-    """CSV text: header of column names, one line per row, `\\n` terminators.
-
-    Strings are written as is, anything else with the bytes of format_number.
-    A column of floats and ints is checked and stripped of -0.0 as a whole,
-    and one printf template ("%#.12g" per such column) fills each line; other
-    columns take the per-cell rule.  The first faulty column names the error.
-    """
+def _row_count(table: dict) -> int:
+    """The length every column of the table shares; an empty or ragged table is an error."""
+    rows = len(next(iter(table.values()), ()))
     if not rows:
         raise ValueError("refusing to emit an empty table")
-    if columns is None:
-        columns = list(rows[0].keys())
-    parsed = [_csv_column(rows, col) for col in columns]
+    for name, cells in table.items():
+        if len(cells) != rows:
+            raise ValueError(f"column {name!r} has {len(cells)} cells, not {rows}")
+    return rows
+
+
+def _csv_column(name: str, cells) -> tuple[str, list]:
+    """One CSV column as (printf conversion, cells), from one check of the whole column."""
+    if not isinstance(cells, np.ndarray):
+        text = sum(isinstance(v, str) for v in cells)
+        if text == len(cells):
+            return "%s", cells
+        if text:
+            raise ValueError(f"column {name!r} mixes text and numbers")
+    values = np.asarray(cells, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite value {values[~np.isfinite(values)][0]} in output")
+    return "%#.12g", (values + 0.0).tolist()  # + 0.0 turns -0.0 into 0.0
+
+
+def render_csv(table: dict) -> str:
+    """CSV text: header of column names, one line per row, `\\n` terminators.
+
+    A text column is written as is; a numeric column is checked as a whole
+    and written with the bytes of format_number, from one printf template
+    ("%#.12g" per such column) per line.  The first faulty column, in column
+    order, names the error.
+    """
+    _row_count(table)
+    parsed = [_csv_column(name, cells) for name, cells in table.items()]
     template = ",".join([conversion for conversion, _ in parsed])
-    lines = zip(*[cells for _, cells in parsed]) if parsed else [()] * len(rows)
-    return "\n".join([",".join(columns), *(template % line for line in lines)]) + "\n"
+    lines = zip(*[cells for _, cells in parsed])
+    return "\n".join([",".join(table), *(template % line for line in lines)]) + "\n"
 
 
 def _emit(text: str, destination) -> None:
@@ -321,9 +315,9 @@ def _emit(text: str, destination) -> None:
             fh.write(data)
 
 
-def emit_csv(rows: list[dict], destination, columns: list[str] | None = None) -> None:
-    """Write the CSV to a path or binary file-like destination."""
-    _emit(render_csv(rows, columns), destination)
+def emit_csv(table: dict, destination) -> None:
+    """Write the table's CSV to a path or binary file-like destination."""
+    _emit(render_csv(table), destination)
 
 
 # Fixed palette (tab10 order) so SVG bytes are reproducible.
@@ -348,26 +342,25 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
 
-def _svg_column(rows: list[dict], col: str) -> np.ndarray:
-    try:
-        values = np.array([row[col] for row in rows], dtype=np.float64)
-    except KeyError:
-        raise ValueError(f"unknown column {col!r}") from None
+def _svg_column(name: str, cells) -> np.ndarray:
+    values = np.asarray(cells, dtype=np.float64)
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)][0]
-        raise ValueError(f"non-finite value {bad} in column {col!r} of the plot")
+        raise ValueError(f"non-finite value {bad} in column {name!r} of the plot")
     return values
 
 
-def render_svg(rows: list[dict], x_col: str, y_cols: list[str]) -> str:
-    """Standalone 800x600 SVG line plot: first series solid, the rest dashed.
+def render_svg(table: dict) -> str:
+    """Standalone 800x600 SVG line plot of the table: x is the first column.
 
-    Each plotted column must be finite; px/py map whole float64 columns, in
+    Every other column is a series, in order: the first solid, the rest
+    dashed.  Each column must be finite; px/py map whole float64 columns, in
     the scalar order of operations, to "%.2f,%.2f" polyline points.
     """
-    if len(rows) < 2:
+    if _row_count(table) < 2:
         raise ValueError("need at least 2 rows to draw lines")
-    xs, *ys = (_svg_column(rows, col) for col in [x_col, *y_cols])
+    x_col, *y_cols = table
+    xs, *ys = (_svg_column(name, cells) for name, cells in table.items())
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(min(y.min() for y in ys)), float(max(y.max() for y in ys))
     if x_hi <= x_lo:
@@ -438,6 +431,6 @@ def render_svg(rows: list[dict], x_col: str, y_cols: list[str]) -> str:
     return out.getvalue()
 
 
-def emit_svg(rows: list[dict], x_col: str, y_cols: list[str], destination) -> None:
-    """Write the SVG plot to a path or binary file-like destination."""
-    _emit(render_svg(rows, x_col, y_cols), destination)
+def emit_svg(table: dict, destination) -> None:
+    """Write the table's SVG plot to a path or binary file-like destination."""
+    _emit(render_svg(table), destination)

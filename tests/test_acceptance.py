@@ -82,40 +82,40 @@ def test_criterion_04_measurement_optimality():
 
 
 def test_criterion_05_fig2_anchor_rows():
-    columns, rows = fig2_preset(steps=11, xi=XI)
-    assert len(rows) == 11 and rows[5]["p"] == 0.5
-    assert rows[0]["fq_con"] == 0.0
-    assert abs(rows[5]["fq_con"] - FQ_CON_ANCHOR) < 1e-6
-    assert rows[10]["fq_con"] == 0.0
-    first = rows[0]
+    table = fig2_preset(steps=11, xi=XI)
+    p, con = table["p"], table["fq_con"]
+    assert len(p) == 11 and p[5] == 0.5
+    assert con[0] == 0.0
+    assert abs(con[5] - FQ_CON_ANCHOR) < 1e-6
+    assert con[10] == 0.0
     for r, col in zip(R_VALUES, _cas_cols()):
-        assert abs(first[col] - 4.0 * r * r) < 1e-6
+        assert abs(table[col][0] - 4.0 * r * r) < 1e-6
     _report(
         5,
         "comparison-figure anchors",
-        f"fq_con(0) = 0, fq_con(0.5) = {rows[5]['fq_con']:.12g}, fq_con(1) = 0; "
+        f"fq_con(0) = 0, fq_con(0.5) = {con[5]:.12g}, fq_con(1) = 0; "
         "fq_cas(0, r) = 4 r^2 for all five r",
     )
 
 
 def test_criterion_05_cascade_monotonicity():
-    columns, rows = fig2_preset(steps=11, xi=XI)
-    low = [row for row in rows if row["p"] <= 0.5]
-    high = [row for row in rows if row["p"] > 0.5]
+    table = fig2_preset(steps=11, xi=XI)
+    p = table["p"]
+    low, high = np.flatnonzero(p <= 0.5), np.flatnonzero(p > 0.5)
     assert len(low) == 6 and len(high) == 5
 
     violations = []
     for col in _cas_cols():
         for prev, cur in zip(low, low[1:]):
-            if cur[col] > prev[col] + 1e-9:
-                violations.append((col, prev["p"], cur[col] - prev[col]))
+            if table[col][cur] > table[col][prev] + 1e-9:
+                violations.append((col, p[prev], table[col][cur] - table[col][prev]))
     assert not violations, f"cascade column rises for p <= 1/2: {violations}"
 
     worst = 0.0
     for r, col in zip(R_VALUES, _cas_cols()):
-        for row in high:
-            worst = max(worst, abs(row[col] - cascade_bloch_oracle(row["p"], r, XI)))
-        assert rows[-1][col] < 1e-9
+        for i in high:
+            worst = max(worst, abs(table[col][i] - cascade_bloch_oracle(p[i], r, XI)))
+        assert table[col][-1] < 1e-9
     assert worst < 1e-6
     _report(
         5,
@@ -126,12 +126,11 @@ def test_criterion_05_cascade_monotonicity():
 
 
 def test_criterion_05_high_noise_crossover():
-    columns, rows = fig2_preset(steps=11, xi=XI)
+    table = fig2_preset(steps=11, xi=XI)
     for index in (6, 7, 8, 9):  # grid points p = 0.6, 0.7, 0.8, 0.9
-        row = rows[index]
-        assert abs(row["p"] - index / 10) < 1e-12
+        assert abs(table["p"][index] - index / 10) < 1e-12
         for col in _cas_cols():
-            assert row["fq_con"] > row[col]
+            assert table["fq_con"][index] > table[col][index]
     res = check_fig2_shape()
     assert res.passed, res.detail
     _report(

@@ -290,10 +290,10 @@ class TestCascadeQfiGrid:
         assert abs(fast - oracle) < 1e-6
 
     def test_fig2_columns_match_bloch_oracle(self):
-        columns, rows = fig2_preset(steps=201)
-        for name, r in zip(columns[2:], FIG2_R_VALUES):
-            for row in rows:
-                assert abs(row[name] - cascade_bloch_oracle(row["p"], r, XI)) < 1e-12
+        table = fig2_preset(steps=201)
+        for name, r in zip(list(table)[2:], FIG2_R_VALUES):
+            for p, value in zip(table["p"], table[name]):
+                assert abs(value - cascade_bloch_oracle(p, r, XI)) < 1e-12
 
     def test_exact_anchors(self):
         for xi in (XI, 1.0, 2.5, -0.4):

@@ -3,11 +3,16 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icoswitch
 from icoswitch import cli, sweep
 from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
@@ -34,51 +39,48 @@ from test_channels import noise_channel
 FQ_CON_ANCHOR = (15 + 2 * np.sqrt(5.0)) / 41
 
 
-def reference_csv(rows, columns):
+def reference_csv(table):
     """The per-cell rule: strings as they are, format_number for every other cell."""
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = [row[col] for col in columns]
+    lines = [",".join(table)]
+    for cells in zip(*table.values()):
         lines.append(",".join(v if isinstance(v, str) else format_number(v) for v in cells))
     return "\n".join(lines) + "\n"
 
 
-def reference_points(rows, x_col, y_cols):
+def reference_points(table):
     """Each series' polyline points from the scalar pixel formulas, one float at a time."""
-    xs = [float(r[x_col]) for r in rows]
-    all_y = [float(r[c]) for r in rows for c in y_cols]
+    x_col, *y_cols = table
+    xs = [float(v) for v in table[x_col]]
+    all_y = [float(v) for c in y_cols for v in table[c]]
     x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(all_y), max(all_y)
     x_hi = x_hi if x_hi > x_lo else x_lo + 1.0
     y_hi = y_hi if y_hi > y_lo else y_lo + 1.0
     plot_w = sweep._SVG_W - sweep._MARGIN_L - sweep._MARGIN_R
     plot_h = sweep._SVG_H - sweep._MARGIN_T - sweep._MARGIN_B
 
-    def point(r, col):
-        px = sweep._MARGIN_L + (float(r[x_col]) - x_lo) / (x_hi - x_lo) * plot_w
-        py = sweep._SVG_H - sweep._MARGIN_B - (float(r[col]) - y_lo) / (y_hi - y_lo) * plot_h
+    def point(x, y):
+        px = sweep._MARGIN_L + (float(x) - x_lo) / (x_hi - x_lo) * plot_w
+        py = sweep._SVG_H - sweep._MARGIN_B - (float(y) - y_lo) / (y_hi - y_lo) * plot_h
         return f"{px:.2f},{py:.2f}"
 
-    return [" ".join(point(r, col) for r in rows) for col in y_cols]
+    return [" ".join(point(x, y) for x, y in zip(table[x_col], table[col])) for col in y_cols]
 
 
 def spec_tables():
-    """(rows, columns, x column, y columns) on which the renderers meet the per-cell rules."""
-    fig2_columns, fig2_rows = fig2_preset(steps=201)
+    """Tables on which the renderers meet the per-cell rules."""
     cfg = parse_config(
         "noise = depolarizing\np = 0:1:0.01\naxis = 0.6, 0, -0.8\nprobe = -0.3, 0.2, 0.1\n"
         "xi = -2.5\nquantities = qc, fq_con, fq_cas, fc_con, fq_joint\n"
     )
-    sweep_columns, sweep_rows = run_sweep(cfg)
-    hand_rows = [
-        {"x": -0.0, "n": 3, "mixed": "a", "y": 1.5, "tiny": -1e-300},
-        {"x": 0.5, "n": -7, "mixed": 2.5, "y": -0.0, "tiny": -0.0},
-        {"x": 0.25, "n": 2**60 + 1, "mixed": -0.0, "y": 1e-30, "tiny": 5e-324},
-    ]
-    return [
-        (fig2_rows, fig2_columns, "p", fig2_columns[1:]),
-        (sweep_rows, sweep_columns, "p", list(cfg.quantities)),
-        (hand_rows, list(hand_rows[0]), "x", ["y", "n", "tiny"]),
-    ]
+    hand = {
+        "x": [-0.0, 0.5, 0.25],
+        "n": [3, -7, 2**60 + 1],
+        "word": ["a", "b", "c"],
+        "y": [1.5, -0.0, 1e-30],
+        "tiny": [-1e-300, -0.0, 5e-324],
+    }
+    return [fig2_preset(steps=201), run_sweep(cfg), hand]
+
 
 
 class TestGridPoints:
@@ -96,6 +98,11 @@ class TestGridPoints:
     def test_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             grid_points(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("start", [0.0, 1.0])
+    def test_infinite_step_rejected(self, start):
+        with pytest.raises(ValueError, match="^grid step must be positive and finite, got inf$"):
+            grid_points(start, 1.0, math.inf)
 
     def test_bad_order(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -162,6 +169,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unit"):
             parse_config("axis = 0,2,0")
 
+    def test_nan_axis_names_line(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("axis = nan,0,0\n")
+        assert str(info.value) == "line 1: axis must be a unit vector, |n| = nan"
+
+    def test_infinite_p_step_names_line(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config("p = 0:1:inf\n")
+        assert str(info.value) == "line 1: p grid step must be positive and finite, got inf"
+
+    def test_fields_are_python_floats_and_strings(self):
+        cfg = parse_config(
+            "noise = phaseflip\naxis = 0,1.0000001,0\nprobe = 0.3,0,0.6\nxi = 1\np_c = 0.25\n"
+            "p = 0:1:0.5\nquantities = qc, fq_joint\n"
+        )
+        for value in vars(cfg).values():
+            for cell in value if isinstance(value, tuple) else (value,):
+                assert type(cell) in (float, str), (value, type(cell))
+
     def test_probe_validated(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("probe = 0,0,1.5")
@@ -209,26 +235,25 @@ class TestParseConfig:
 class TestRunSweep:
     def test_single_point_anchor(self):
         cfg = parse_config("p = 0.5\nquantities = fq_con")
-        columns, rows = run_sweep(cfg)
-        assert len(rows) == 1
-        assert columns[-1] == "fq_con"
-        assert abs(rows[0]["fq_con"] - FQ_CON_ANCHOR) < 1e-12
-        assert rows[0]["noise_kind"] == "bitflip"
+        table = run_sweep(cfg)
+        assert len(table["p"]) == 1
+        assert list(table)[-1] == "fq_con"
+        assert abs(table["fq_con"][0] - FQ_CON_ANCHOR) < 1e-12
+        assert table["noise_kind"] == ["bitflip"]
 
     def test_extreme_noise_rows(self):
         cfg = parse_config("p = 0:1:1\nquantities = fq_con")
-        _, rows = run_sweep(cfg)
-        assert [row["fq_con"] for row in rows] == [0.0, 0.0]
+        assert run_sweep(cfg)["fq_con"].tolist() == [0.0, 0.0]
 
     def test_row_count_matches_grid(self):
         cfg = parse_config("p = 0:1:0.2\nquantities = qc")
-        _, rows = run_sweep(cfg)
-        assert len(rows) == len(cfg.grid()) == 6
+        table = run_sweep(cfg)
+        assert ",".join(table) == "p,p_c,xi,axis_x,axis_y,axis_z,probe_x,probe_y,probe_z,noise_kind,qc"
+        assert {len(cells) for cells in table.values()} == {len(cfg.grid())} == {6}
 
     def test_depolarizing_quantities(self):
         cfg = parse_config("noise = depolarizing\np = 0.4\nquantities = qc,fq_con,fc_con")
-        _, rows = run_sweep(cfg)
-        row = rows[0]
+        row = {name: cells[0] for name, cells in run_sweep(cfg).items()}
         # Coupling scalar below 1, information positive, measurement optimal.
         assert 0.0 < row["qc"] < 1.0
         assert row["fq_con"] > 0.0
@@ -236,18 +261,17 @@ class TestRunSweep:
 
     def test_consistency_between_sweep_and_point(self):
         cfg = parse_config("p = 0.3\nquantities = qc")
-        _, rows = run_sweep(cfg)
         direct = compute_quantity("qc", "bitflip", 0.3, 0.5, math.pi / 5, (0, 1, 0), (0, 0, 1))
-        assert rows[0]["qc"] == direct
+        assert run_sweep(cfg)["qc"][0] == direct
         cfg = parse_config(
             "noise = depolarizing\np = 0:1:0.25\nprobe = 0.3,0,0.6\nquantities = fq_cas"
         )
-        _, rows = run_sweep(cfg)
-        for row in rows:
+        table = run_sweep(cfg)
+        for p, value in zip(table["p"], table["fq_cas"]):
             direct = compute_quantity(
-                "fq_cas", "depolarizing", row["p"], 0.5, math.pi / 5, (0, 1, 0), (0.3, 0, 0.6)
+                "fq_cas", "depolarizing", p, 0.5, math.pi / 5, (0, 1, 0), (0.3, 0, 0.6)
             )
-            assert row["fq_cas"] == direct
+            assert value == direct
         # Every row of a 101-level all-quantity sweep is bit-identical to the
         # one-point evaluation, for every noise kind.
         probe = (0.3, -0.2, 0.6)
@@ -256,12 +280,12 @@ class TestRunSweep:
                 f"noise = {kind}\np = 0:1:0.01\np_c = {p_c}\nxi = 2.2\naxis = 0.48,0.6,0.64\n"
                 "probe = 0.3,-0.2,0.6\nquantities = qc,fq_con,fq_cas,fc_con,fq_joint"
             )
-            _, rows = run_sweep(cfg)
-            assert len(rows) == 101
-            for row in rows:
+            table = run_sweep(cfg)
+            assert len(table["p"]) == 101
+            for i, p in enumerate(table["p"]):
                 for name in sweep.QUANTITIES:
-                    direct = compute_quantity(name, kind, row["p"], p_c, 2.2, cfg.axis, probe)
-                    assert row[name] == direct, (kind, row["p"], name)
+                    direct = compute_quantity(name, kind, p, p_c, 2.2, cfg.axis, probe)
+                    assert table[name][i] == direct, (kind, p, name)
 
     @pytest.mark.parametrize("kind", [*sweep.NOISE_KINDS, "fig2"])
     def test_huge_xi_evaluated_at_reduced_phase(self, kind):
@@ -270,13 +294,13 @@ class TestRunSweep:
         xi, reduced = 1e300, math.remainder(1e300, 2.0 * math.pi)
         if kind == "fig2":
             # Every fig2 cell is the point value at its p and probe, bit for bit.
-            columns, rows = fig2_preset(steps=11, xi=xi)
+            table = fig2_preset(steps=11, xi=xi)
             cells = [("fq_con", "fq_con", 1.0)]
-            cells += [(name, "fq_cas", r) for name, r in zip(columns[2:], sweep.FIG2_R_VALUES)]
-            for row in rows:
+            cells += [(name, "fq_cas", r) for name, r in zip(list(table)[2:], sweep.FIG2_R_VALUES)]
+            for i, p in enumerate(table["p"]):
                 for column, name, r in cells:
-                    want = compute_quantity(name, "bitflip", row["p"], 0.5, xi, (0, 1, 0), (0, 0, r))
-                    assert row[column] == want, (row["p"], column)
+                    want = compute_quantity(name, "bitflip", p, 0.5, xi, (0, 1, 0), (0, 0, r))
+                    assert table[column][i] == want, (p, column)
             return
         point = (kind, 0.3, 0.5)
         axis, probe = (0.6, 0.8, 0.0), (0.0, 0.0, 1.0)
@@ -291,9 +315,9 @@ class TestRunSweep:
             f"noise = {kind}\nxi = 1e300\naxis = 0.6,0.8,0\np = 0.3\n"
             "quantities = qc,fq_con,fq_cas,fc_con,fq_joint"
         )
-        _, rows = run_sweep(cfg)
-        assert rows[0]["xi"] == 1e300
-        assert {name: rows[0][name] for name in values} == values
+        table = run_sweep(cfg)
+        assert table["xi"] == [1e300]
+        assert {name: table[name][0] for name in values} == values
 
     @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
     def test_quantities_are_2pi_periodic(self, kind):
@@ -315,7 +339,8 @@ class TestRunSweep:
 
 class TestFig2Preset:
     def test_columns_and_rows(self):
-        columns, rows = fig2_preset(steps=11)
+        table = fig2_preset(steps=11)
+        columns = list(table)
         assert columns[0] == "p" and columns[1] == "fq_con"
         assert columns[2:] == [
             "fq_cas_r1",
@@ -324,11 +349,10 @@ class TestFig2Preset:
             "fq_cas_r0_4",
             "fq_cas_r0_2",
         ]
-        assert len(rows) == 11
+        assert all(cells.shape == (11,) for cells in table.values())
 
     def test_noise_free_row(self):
-        _, rows = fig2_preset(steps=11)
-        first = rows[0]
+        first = {name: cells[0] for name, cells in fig2_preset(steps=11).items()}
         assert first["p"] == 0.0
         assert first["fq_con"] == 0.0
         for r in (1.0, 0.8, 0.6, 0.4, 0.2):
@@ -336,20 +360,17 @@ class TestFig2Preset:
             assert abs(first[name] - 4 * r * r) < 1e-6
 
     def test_half_noise_row_is_control_peak(self):
-        _, rows = fig2_preset(steps=11)
-        middle = rows[5]
-        assert middle["p"] == 0.5
-        assert abs(middle["fq_con"] - FQ_CON_ANCHOR) < 1e-12
-        assert middle["fq_con"] == max(row["fq_con"] for row in rows)
+        table = fig2_preset(steps=11)
+        assert table["p"][5] == 0.5
+        assert abs(table["fq_con"][5] - FQ_CON_ANCHOR) < 1e-12
+        assert table["fq_con"][5] == max(table["fq_con"])
 
     def test_full_noise_row_vanishes(self):
-        _, rows = fig2_preset(steps=11)
-        last = rows[-1]
-        assert all(abs(last[c]) < 1e-9 for c in last if c != "p")
+        table = fig2_preset(steps=11)
+        assert all(abs(table[c][-1]) < 1e-9 for c in table if c != "p")
 
     def test_control_column_symmetric(self):
-        _, rows = fig2_preset(steps=11)
-        con = [row["fq_con"] for row in rows]
+        con = fig2_preset(steps=11)["fq_con"]
         assert max(abs(con[i] - con[10 - i]) for i in range(11)) < 1e-12
 
     def test_rejects_tiny_grid(self):
@@ -359,10 +380,6 @@ class TestFig2Preset:
     def test_rejects_huge_grid(self):
         with pytest.raises(ValueError, match="steps must not exceed 1000000"):
             fig2_preset(steps=10**12)
-
-    def test_rejects_bad_probe_length(self):
-        with pytest.raises(ValueError, match="probe"):
-            fig2_preset(steps=3, r_values=(1.2,))
 
 
 class TestCsv:
@@ -377,113 +394,121 @@ class TestCsv:
             format_number(float("nan"))
 
     def test_render_exact_bytes(self):
-        rows = [{"p": 0.5, "fq_con": FQ_CON_ANCHOR}]
-        assert render_csv(rows) == "p,fq_con\n0.500000000000,0.474930145244\n"
+        table = {"p": [0.5], "fq_con": np.array([FQ_CON_ANCHOR])}
+        assert render_csv(table) == "p,fq_con\n0.500000000000,0.474930145244\n"
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            render_csv([])
+        for table in ({}, {"p": []}, {"p": np.array([]), "q": []}):
+            with pytest.raises(ValueError, match="^refusing to emit an empty table$"):
+                render_csv(table)
 
-    def test_missing_column_rejected(self):
-        with pytest.raises(ValueError, match="missing column"):
-            render_csv([{"p": 0.5}], columns=["p", "qc"])
+    def test_ragged_table_rejected(self):
+        for q in ([1.0], [1.0, 2.0, 3.0], []):
+            with pytest.raises(ValueError) as info:
+                render_csv({"p": np.array([0.5, 0.6]), "q": q})
+            assert str(info.value) == f"column 'q' has {len(q)} cells, not 2"
 
     def test_string_passthrough(self):
-        out = render_csv([{"kind": "bitflip", "p": 0.25}])
+        out = render_csv({"kind": ["bitflip"], "p": [0.25]})
         assert out == "kind,p\nbitflip,0.250000000000\n"
 
     def test_deterministic(self):
-        _, rows = fig2_preset(steps=5)
-        assert render_csv(rows) == render_csv(rows)
+        table = fig2_preset(steps=5)
+        assert render_csv(table) == render_csv(table)
 
     def test_emit_to_path(self, tmp_path):
         target = tmp_path / "out.csv"
-        emit_csv([{"p": 1.0}], target)
+        emit_csv({"p": [1.0]}, target)
         assert target.read_bytes() == b"p\n1.00000000000\n"
 
     @pytest.mark.parametrize("case", range(3))
     def test_matches_per_cell_rule(self, case):
-        rows, columns, _, _ = spec_tables()[case]
-        assert render_csv(rows, columns) == reference_csv(rows, columns)
+        table = spec_tables()[case]
+        assert render_csv(table) == reference_csv(table)
 
     def test_hand_rows_bytes(self):
-        rows, columns, _, _ = spec_tables()[2]
-        assert render_csv(rows, columns).splitlines()[1:3] == [
+        assert render_csv(spec_tables()[2]).splitlines()[1:3] == [
             "0.00000000000,3.00000000000,a,1.50000000000,-1.00000000000e-300",
-            "0.500000000000,-7.00000000000,2.50000000000,0.00000000000,0.00000000000",
+            "0.500000000000,-7.00000000000,b,0.00000000000,0.00000000000",
         ]
 
-    def test_no_columns(self):
-        assert render_csv([{}, {}]) == "\n\n\n"
-
-    def test_missing_column_in_a_later_row(self):
-        with pytest.raises(ValueError, match="row is missing column 'q'"):
-            render_csv([{"p": 0.5, "q": 1.0}, {"p": 0.6}])
+    @pytest.mark.parametrize("cells", [["a", 2.5], [2.5, "a"], [np.float64(2.5), "a", 1]])
+    def test_mixed_column_rejected(self, cells):
+        with pytest.raises(ValueError) as info:
+            render_csv({"p": [0.0] * len(cells), "mixed": cells})
+        assert str(info.value) == "column 'mixed' mixes text and numbers"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("first", [0.5, "text"])
     def test_non_finite_rejected(self, bad, first):
-        with pytest.raises(ValueError, match=f"^non-finite value {bad} in output$"):
-            render_csv([{"p": first}, {"p": bad}])
+        # Beside text, a non-finite number is caught as a mixed column.
+        if first == "text":
+            message = "column 'p' mixes text and numbers"
+        else:
+            message = f"non-finite value {bad} in output"
+        with pytest.raises(ValueError) as info:
+            render_csv({"p": [first, bad]})
+        assert str(info.value) == message
 
 
 class TestSvg:
     def test_fig2_plot_styles(self):
-        columns, rows = fig2_preset(steps=11)
-        svg = render_svg(rows, "p", columns[1:])
+        table = fig2_preset(steps=11)
+        svg = render_svg(table)
         assert svg.startswith("<svg ")
         assert svg.count("<polyline") == 6
         assert svg.count("stroke-dasharray") >= 5 + 5  # 5 dashed lines + legend samples
         # Exactly one series without dashes: the first polyline.
         solid = [ln for ln in svg.splitlines() if ln.startswith("<polyline") and "dash" not in ln]
         assert len(solid) == 1
+        # x is the first column; every other column is labelled in the legend, in order.
+        labels = re.findall(r">([^<]+)</text>", svg)
+        assert labels[12:] == list(table)
 
     def test_single_column(self):
-        svg = render_svg([{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": 2.0}], "x", ["y"])
+        svg = render_svg({"x": [0.0, 1.0], "y": [1.0, 2.0]})
         assert svg.count("<polyline") == 1
         assert "sans-serif" in svg
 
     def test_deterministic(self):
-        _, rows = fig2_preset(steps=5)
-        cols = list(rows[0].keys())
-        assert render_svg(rows, "p", cols[1:]) == render_svg(rows, "p", cols[1:])
+        table = fig2_preset(steps=5)
+        assert render_svg(table) == render_svg(table)
 
-    def test_missing_column(self):
-        with pytest.raises(ValueError, match="unknown column"):
-            render_svg([{"x": 0.0}, {"x": 1.0}], "x", ["y"])
+    def test_ragged_table_rejected(self):
+        for y in ([1.0], [1.0, 2.0, 3.0], []):
+            with pytest.raises(ValueError) as info:
+                render_svg({"x": [0.0, 1.0], "y": y})
+            assert str(info.value) == f"column 'y' has {len(y)} cells, not 2"
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
-            render_svg([{"x": 0.0, "y": 0.0}], "x", ["y"])
+            render_svg({"x": [0.0], "y": [0.0]})
 
     @pytest.mark.parametrize("case", range(3))
     def test_points_match_scalar_formulas(self, case):
-        rows, _, x_col, y_cols = spec_tables()[case]
-        svg = render_svg(rows, x_col, y_cols)
-        assert re.findall(r'points="([^"]*)"', svg) == reference_points(rows, x_col, y_cols)
-
-    def test_missing_column_in_a_later_row(self):
-        with pytest.raises(ValueError, match="unknown column 'y'"):
-            render_svg([{"x": 0.0, "y": 1.0}, {"x": 1.0}], "x", ["y"])
+        # Every column but text, which render_svg cannot draw.
+        table = {n: cells for n, cells in spec_tables()[case].items() if not isinstance(cells[0], str)}
+        svg = render_svg(table)
+        assert re.findall(r'points="([^"]*)"', svg) == reference_points(table)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("col", ["x", "y"])
     def test_non_finite_rejected(self, bad, col):
-        rows = [{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": 2.0}]
-        rows[0][col] = bad
+        table = {"x": [0.0, 1.0], "y": [1.0, 2.0]}
+        table[col][0] = bad
         with pytest.raises(ValueError) as info:
-            render_svg(rows, "x", ["y"])
+            render_svg(table)
         assert str(info.value) == f"non-finite value {bad} in column {col!r} of the plot"
 
     def test_emit_writes_rendered_bytes(self, tmp_path):
-        rows = [{"x": 0.0, "y": 1.0}, {"x": 1.0, "y": 2.0}]
+        table = {"x": [0.0, 1.0], "y": [1.0, 2.0]}
         csv, svg, path = io.BytesIO(), io.BytesIO(), tmp_path / "plot.svg"
-        emit_csv(rows, csv)
-        emit_svg(rows, "x", ["y"], svg)
-        emit_svg(rows, "x", ["y"], path)
-        assert csv.getvalue() == render_csv(rows).encode("utf-8")
+        emit_csv(table, csv)
+        emit_svg(table, svg)
+        emit_svg(table, path)
+        assert csv.getvalue() == render_csv(table).encode("utf-8")
         assert svg.getvalue() == path.read_bytes()
-        assert svg.getvalue() == render_svg(rows, "x", ["y"]).encode("utf-8")
+        assert svg.getvalue() == render_svg(table).encode("utf-8")
 
 
 class TestCli:
@@ -565,6 +590,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "line 1" in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["point", "--p", "0.3", "--quantity", "qc", "--probe=1e200,0,0"], None),
+            (["point", "--p", "0.3", "--quantity", "qc", "--axis=1e200,1e200,0"], None),
+            (["sweep"], "axis = 1e200,1e200,0\n"),
+            (["sweep"], "probe = 1e200,0,0\n"),
+        ],
+        ids=["point-probe", "point-axis", "config-axis", "config-probe"],
+    )
+    def test_huge_vector_is_one_line_error(self, argv, config, tmp_path):
+        # A fresh interpreter with warnings shown, so stderr is what a user sees.
+        if config is not None:
+            path = tmp_path / "huge.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        src = str(Path(icoswitch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "icoswitch", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )  # fmt: skip
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, done.stderr
 
     def test_missing_config_file(self, capsys):
         code = main(["sweep", "--config", "/nonexistent/path.cfg"])
