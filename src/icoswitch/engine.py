@@ -39,7 +39,9 @@ rotation about n.  The columns come from three routes, each exact in xi:
 
 evaluate_grid is the one entry that computes a column; fig2, sweep and
 point all go through it.  It validates every input once and reduces xi
-mod 2 pi, as switch_state_grid does for the joint states.  The
+mod 2 pi, as switch_state_grid does for the joint states.  The control
+qubit's closed form has one more entry, _pauli_control, which stacks
+one-Pauli parameters for qc_closed_form, qfi_control and cfi_control.  The
 density-matrix code in channels, switch and metrology is the independent
 oracle the tests and ``verify`` hold these routes against.  The arrow runs
 one way: this module imports only math and numpy, and the oracle takes its
@@ -92,7 +94,7 @@ def _check_probability(p, name: str = "p", stack: bool = False):
 
 def _check_phase(xi: float) -> float:
     xi = float(xi)
-    if not np.isfinite(xi):
+    if not math.isfinite(xi):
         raise ValueError(f"xi must be a finite number of radians, got {xi}")
     return xi
 
@@ -213,16 +215,17 @@ def _cascade_qfi(flips: np.ndarray, n, xi: float, r) -> np.ndarray:
     return info
 
 
-def _control_columns(weights: np.ndarray, n: np.ndarray, xi: float, p_c: float) -> dict:
-    """qc, fq_con and fc_con from the closed form of the module docstring."""
+def _control_columns(weights: np.ndarray, n: np.ndarray, xi, p_c) -> dict:
+    """qc, fq_con and fc_con from the closed form of the module docstring, for
+    one axis, xi and p_c each or for one per row of ``weights``."""
     w0, wx, wy, wz = weights.T
-    m = 1.0 - n * n
-    alpha = 2.0 * (
-        m[0] * (w0 * wx - wy * wz) + m[1] * (w0 * wy - wx * wz) + m[2] * (w0 * wz - wx * wy)
-    )
+    mx, my, mz = (1.0 - n * n).T
+    alpha = 2.0 * (mx * (w0 * wx - wy * wz) + my * (w0 * wy - wx * wz) + mz * (w0 * wz - wx * wy))
     beta = 4.0 * (wx * wy + wx * wz + wy * wz)
-    c = 2.0 * math.sin(0.5 * xi) ** 2
-    c_bar = 2.0 * math.cos(0.5 * xi) ** 2  # 2 - c without cancellation near xi = pi
+    # A scalar xi keeps math's sin and cos, whose bits the printed columns carry.
+    sin, cos = (np.sin, np.cos) if np.ndim(xi) else (math.sin, math.cos)
+    c = 2.0 * sin(0.5 * xi) ** 2
+    c_bar = 2.0 * cos(0.5 * xi) ** 2  # 2 - c without cancellation near xi = pi
     g = alpha * c + beta
     single = beta == 0.0  # one Pauli (or none): g = alpha c cancels against q_c'^2
     spread = g * (2.0 - g)  # 1 - q_c^2
@@ -232,11 +235,36 @@ def _control_columns(weights: np.ndarray, n: np.ndarray, xi: float, p_c: float) 
         alpha * (alpha * c / np.where(single, 1.0, g)) * c_bar / (2.0 - g),
     )
     s2 = (1.0 - p_c) * p_c
-    if p_c == 0.5:
-        classical = ratio
-    else:
-        classical = s2 * alpha * alpha * c * c_bar / ((p_c - 0.5) ** 2 + s2 * spread)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where p_c = 1/2 takes ratio
+        classical = np.where(
+            p_c == 0.5, ratio, s2 * alpha * alpha * c * c_bar / ((p_c - 0.5) ** 2 + s2 * spread)
+        )
     return {"qc": 1.0 - g, "fq_con": 4.0 * s2 * ratio, "fc_con": classical}
+
+
+def _pauli_control(p_c, p, xi, overlap) -> dict:
+    """qc, fq_con and fc_con under one-Pauli noise, for arguments that broadcast.
+
+    ``overlap`` is n_l, the axis component along the noise's Pauli: these are
+    _control_columns at weights (1 - p, p, 0, 0) and axis (n_l, 0, 0), each
+    xi reduced as in evaluate_grid.  Scalars too take the array path, so a
+    stack gives its members' values bit for bit.  The values have the
+    broadcast shape, and are floats for scalar arguments.
+    """
+    p_c = _check_probability(p_c, "p_c", stack=True)
+    p = _check_probability(p, stack=True)
+    overlap = np.asarray(overlap, dtype=np.float64)
+    outside = ~(abs(overlap) <= 1.0)
+    if outside.any():
+        raise ValueError(f"axis component must lie in [-1, 1], got {overlap[outside][0]}")
+    p_c, p, xi, overlap = np.broadcast_arrays(p_c, p, np.asarray(xi, dtype=np.float64), overlap)
+    weights = np.zeros((p.size, 4))
+    weights[:, 0], weights[:, 1] = 1.0 - p.ravel(), p.ravel()
+    n = np.zeros((p.size, 3))
+    n[:, 0] = overlap.ravel()
+    reduced = np.array([_reduce_phase(x) for x in xi.ravel().tolist()], dtype=np.float64)
+    columns = _control_columns(weights, n, reduced, p_c.ravel()).items()
+    return {name: col.reshape(p.shape) if p.ndim else float(col[0]) for name, col in columns}
 
 
 def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float):

@@ -1,8 +1,8 @@
 """Fisher-information evaluation for phase estimation through the switched channel.
 
 Two kinds of evaluators live here.  Closed forms cover the control qubit
-under Pauli noise: with q_c(xi) from the switch module and
-s_c = sqrt((1-p_c) p_c),
+under one-Pauli noise, as entries to the grid engine's formula for the
+fq_con and fc_con columns: with q_c(xi) and s_c = sqrt((1-p_c) p_c),
 
     quantum FI of the control:   4 (1-p_c) p_c (dq_c/dxi)^2 / (1 - q_c^2)
     outcome probabilities:       P_pm = 1/2 pm s_c q_c(xi)
@@ -15,9 +15,7 @@ logarithmic derivative,
     F = sum_{j,k} 2 |<v_j| drho |v_k>|^2 / (lambda_j + lambda_k),
 
 with drho by central difference of the one step DEFAULT_STEP (cfi_numeric
-uses it too) and (lambda, v) from the Jacobi eigensolver.  The closed
-forms use analytic derivatives throughout, so the two routes are
-genuinely independent and are compared in the tests.
+uses it too) and (lambda, v) from the Jacobi eigensolver.
 
 Every evaluator returns a plain float, or an array of the batch shape for
 a stack.  The numbers the sweeps print come from the grid engine
@@ -33,15 +31,21 @@ from typing import Callable
 import numpy as np
 
 from .channels import KrausChannel, bloch_to_density, noisy_phase_channel
-from .engine import SLD_EIGENVALUE_CUTOFF, _check_probability, bloch_vector, unit_axis
+from .engine import (
+    SLD_EIGENVALUE_CUTOFF,
+    _check_probability,
+    _pauli_control,
+    bloch_vector,
+    unit_axis,
+)
 from .qmat import ATOL_STRUCT, dagger, herm_eig
-from .switch import _pauli_qc_pieces, qc_numeric, s00, switch_state
+from .switch import qc_numeric, s00, switch_state
 
 # Central-difference step for d rho / d xi: truncation O(h^2) and roundoff
 # balance near 1e-10, well inside the 1e-6 closed-form comparison tolerance.
 DEFAULT_STEP = 1e-5
-# 1 - q_c^2 below this is treated as the xi -> 0 (or noise-free) degeneracy
-# and the analytic limit of the closed form is returned.
+# (1 - P_+) P_+ below this marks a degenerate measurement distribution in
+# cfi_numeric (xi -> 0, or noise-free), where the information is 0.
 QC_DEGENERACY_TOL = 1e-12
 
 StateFamily = Callable[[float], np.ndarray]
@@ -84,38 +88,24 @@ def qfi_numeric(family: StateFamily, xi0) -> float | np.ndarray:
     return _fisher(np.cumsum(terms, axis=-1)[..., -1])
 
 
-def qfi_control(p_c: float, p: float, xi: float, overlap: float) -> float:
+def qfi_control(p_c, p, xi, overlap):
     """Quantum Fisher information of the control qubit under Pauli noise.
 
-    4 (1-p_c) p_c (dq_c)^2 / (1 - q_c^2) with the analytic derivative
-    dq_c = -2 (1 - n_l^2) (1 - p) p sin(xi).  When 1 - q_c^2 falls below
-    1e-12 (xi -> 0, or commuting noise), the continuity limit
-    4 (1-p_c) p_c * 2 (1 - n_l^2) (1 - p) p is returned.
+    4 (1-p_c) p_c (dq_c)^2 / (1 - q_c^2), the grid engine's fq_con column,
+    which keeps its xi -> 0 limit 4 (1-p_c) p_c * 2 (1 - n_l^2) (1 - p) p
+    without a threshold.  Arguments broadcast; scalars give a float.
     """
-    p_c = _check_probability(p_c, "p_c")
-    one_minus_q, dq, limit = _pauli_qc_pieces(p, xi, overlap)
-    weight = 4.0 * (1.0 - p_c) * p_c
-    denom = one_minus_q * (2.0 - one_minus_q)  # = 1 - q_c^2, cancellation-free
-    if denom < QC_DEGENERACY_TOL:
-        return _fisher(weight * limit)
-    return _fisher(weight * dq * dq / denom)
+    return _pauli_control(p_c, p, xi, overlap)["fq_con"]
 
 
-def cfi_control(p_c: float, p: float, xi: float, overlap: float) -> float:
+def cfi_control(p_c, p, xi, overlap):
     """Classical Fisher information of the Hadamard measurement of the control.
 
     (dP_+)^2 / ((1-P_+) P_+) with P_+ = 1/2 + s q_c and s = sqrt((1-p_c) p_c),
-    written as s^2 dq_c^2 / ((p_c - 1/2)^2 + s^2 (1 - q_c^2)) so that no
-    digits cancel as q_c -> 1.  At p_c = 1/2 the measurement attains the
-    quantum value, and qfi_control's rule gives it, xi -> 0 limit included.
+    the grid engine's fc_con column; at p_c = 1/2 the measurement attains
+    the quantum value.  Arguments broadcast; scalars give a float.
     """
-    p_c = _check_probability(p_c, "p_c")
-    one_minus_q, dq, limit = _pauli_qc_pieces(p, xi, overlap)
-    spread = one_minus_q * (2.0 - one_minus_q)  # = 1 - q_c^2
-    if p_c == 0.5:
-        return _fisher(limit if spread < QC_DEGENERACY_TOL else dq * dq / spread)
-    s2 = (1.0 - p_c) * p_c
-    return _fisher(s2 * dq * dq / ((p_c - 0.5) ** 2 + s2 * spread))
+    return _pauli_control(p_c, p, xi, overlap)["fc_con"]
 
 
 def cascade_family(noise: KrausChannel, axis, probe) -> StateFamily:
@@ -180,9 +170,8 @@ def cfi_numeric(noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: floa
     """Classical Fisher information of the Hadamard measurement, any noise.
 
     Differentiates P_+(xi) = 1/2 + sqrt((1-p_c) p_c) q_c(xi) by central
-    difference with step DEFAULT_STEP; used where no Pauli closed form
-    applies (depolarizing noise).  At an exactly degenerate point (P_+ in
-    {0, 1} with vanishing slope) it returns 0.
+    difference with step DEFAULT_STEP.  At an exactly degenerate point (P_+
+    in {0, 1} with vanishing slope) it returns 0.
     """
     axis = unit_axis(axis)
     p_c = _check_probability(p_c, "p_c")

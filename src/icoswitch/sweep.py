@@ -343,7 +343,10 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
 
 
 def _svg_column(name: str, cells) -> np.ndarray:
-    values = np.asarray(cells, dtype=np.float64)
+    try:
+        values = np.asarray(cells, dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"column {name!r} is not numeric, so the plot cannot draw it") from None
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)][0]
         raise ValueError(f"non-finite value {bad} in column {name!r} of the plot")
@@ -359,6 +362,8 @@ def render_svg(table: dict) -> str:
     """
     if _row_count(table) < 2:
         raise ValueError("need at least 2 rows to draw lines")
+    if len(table) < 2:
+        raise ValueError("the plot needs a series: a column after the x column")
     x_col, *y_cols = table
     xs, *ys = (_svg_column(name, cells) for name, cells in table.items())
     x_lo, x_hi = float(xs.min()), float(xs.max())

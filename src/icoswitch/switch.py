@@ -25,7 +25,7 @@ and state is the empty batch shape.  Every construction has an
 independent counterpart used for cross-validation: the joint state is
 rebuilt from the explicit Kraus set
 W_jk = K_j K_k (x) |0><0| + K_k K_j (x) |1><1| acting on rho (x) |psi_c><psi_c|,
-and q_c is available both in closed form and as the trace of s01.
+and q_c is available both as the trace of s01 and in the engine's closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _act, _levels, _matching_state, check_density
-from .engine import _check_probability
+from .engine import _check_probability, _pauli_control
 from .qmat import dagger, partial_trace
 
 # s01 must come out Hermitian ((j,k) and (k,j) terms are mutual adjoints);
@@ -102,31 +102,14 @@ def qc_numeric(ch: KrausChannel, rho: np.ndarray):
     return _coupling(s01(ch, rho))
 
 
-def _pauli_qc_pieces(p: float, xi: float, overlap: float) -> tuple[float, float, float]:
-    """(1 - q_c, dq_c/dxi, limit) for Pauli noise, shared by the closed forms.
+def qc_closed_form(p, xi, overlap):
+    """Coupling scalar for Pauli noise, 1 - 4 (1 - n_l^2) (1 - p) p sin^2(xi/2).
 
     ``overlap`` is n_l, the component of the rotation axis along the Pauli
-    direction of the noise.  ``limit`` is 2 (1 - n_l^2) (1 - p) p, the
-    analytic value of (dq_c)^2 / (1 - q_c^2) as xi -> 0; it doubles as the
-    degeneracy marker since 1 - q_c vanishes exactly when limit * (1 - cos xi)
-    does.  (1-p)*p is formed first so p and 1-p give bit-identical results.
+    direction of the noise.  The value is the grid engine's qc column;
+    arguments broadcast, and scalars give a float.
     """
-    p = _check_probability(p)
-    overlap = float(overlap)
-    if abs(overlap) > 1.0:
-        raise ValueError(f"axis component must lie in [-1, 1], got {overlap}")
-    xi = float(xi)
-    flip_weight = (1.0 - p) * p
-    limit = 2.0 * (1.0 - overlap**2) * flip_weight
-    half_sin = np.sin(0.5 * xi)
-    one_minus_q = 2.0 * limit * half_sin * half_sin  # exact: 1-cos = 2 sin^2(xi/2)
-    dq = -limit * np.sin(xi)
-    return one_minus_q, dq, limit
-
-
-def qc_closed_form(p: float, xi: float, overlap: float) -> float:
-    """Coupling scalar for Pauli noise, in closed form: 1 - 4 (1 - n_l^2) (1 - p) p sin^2(xi/2)."""
-    return 1.0 - _pauli_qc_pieces(p, xi, overlap)[0]
+    return _pauli_control(0.5, p, xi, overlap)["qc"]
 
 
 def _control_diagonal(p_c) -> np.ndarray:

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,16 @@ from icoswitch.engine import (
     evaluate_grid,
     switch_state_grid,
 )
-from icoswitch.metrology import cfi_numeric, control_family, qfi_joint, qfi_numeric
+from icoswitch.metrology import (
+    cfi_control,
+    cfi_numeric,
+    control_family,
+    qfi_control,
+    qfi_joint,
+    qfi_numeric,
+)
 from icoswitch.sweep import compute_quantity
-from icoswitch.switch import qc_numeric, s00, s01, switch_state
+from icoswitch.switch import qc_closed_form, qc_numeric, s00, s01, switch_state
 from test_channels import noise_channel
 from test_metrology import unit_vectors
 
@@ -294,3 +302,87 @@ class TestEvaluateGrid:
             evaluate_grid(("qc",), "bitflip", [0.2], 0.5, 0.3, (0, 2, 0), (0, 0, 1))
         with pytest.raises(ValueError, match="norm"):
             evaluate_grid(("qc",), "bitflip", [0.2], 0.5, 0.3, (0, 1, 0), (0, 0, 2))
+
+
+CONTROL = ("qc", "fq_con", "fc_con")
+CLOSED_FORMS = {"qc": qc_closed_form, "fq_con": qfi_control, "fc_con": cfi_control}
+# Largest |engine - closed form| / (2^-52 scale) allowed.  The engine's sweep
+# path squares its scalar sin(xi/2), cos(xi/2) and p_c - 1/2 with Python's
+# ``** 2`` (C pow), the stacked closed forms with numpy's elementwise
+# square; the two can round one ulp apart.  qc and fq_con use the first
+# two squares, fc_con all three.
+CONTROL_ULPS = {"qc": 2, "fq_con": 2, "fc_con": 4}
+
+
+def _closed_form(name, p_c, p, xi, overlap):
+    """The named closed form at these arguments; qc takes no p_c."""
+    args = (p, xi, overlap) if name == "qc" else (p_c, p, xi, overlap)
+    return CLOSED_FORMS[name](*args)
+
+
+class TestPauliClosedForms:
+    """qc_closed_form, qfi_control and cfi_control are the engine's control columns."""
+
+    @pytest.mark.parametrize("kind", sorted(PAULI_OF_KIND))
+    def test_match_engine_columns(self, kind):
+        rng = np.random.default_rng(71)
+        ps = np.concatenate(([0.0, 1.0], np.arange(1, 16) / 16, rng.uniform(size=20)))
+        xis = np.concatenate(
+            ([0.0, np.pi, -np.pi, 2.5 * np.pi, -7.0, 1e6], rng.uniform(-3 * np.pi, 3 * np.pi, 40))
+        )
+        p_cs = np.concatenate(([0.0, 0.5, 1.0], rng.uniform(size=4)))
+        engine, overlaps = {name: [] for name in CONTROL}, []
+        for xi in xis:
+            for p_c in p_cs:
+                axis = rng.normal(size=3)
+                axis /= np.linalg.norm(axis)
+                cols = evaluate_grid(CONTROL, kind, ps, p_c, xi, axis, (0.1, 0.2, 0.3))
+                for name in CONTROL:
+                    engine[name].append(cols[name])
+                overlaps.append(axis["xyz".index(PAULI_OF_KIND[kind])])
+        # One stacked call per closed form, shape (xi, p_c, p).
+        overlap = np.reshape(overlaps, (len(xis), len(p_cs), 1))
+        for name in CONTROL:
+            closed = _closed_form(name, p_cs[:, None], ps, xis[:, None, None], overlap)
+            got = np.reshape(engine[name], closed.shape)
+            scale = np.maximum(abs(got), abs(closed))
+            if name == "qc":
+                scale = np.maximum(scale, 1.0)  # qc = 1 - g: its terms are of order 1
+            ulps = np.abs(got - closed) / (np.finfo(float).eps * np.where(scale > 0.0, scale, 1.0))
+            assert ulps.max() <= CONTROL_ULPS[name], (name, ulps.max())
+
+    @pytest.mark.parametrize("name", CONTROL)
+    def test_stack_equals_scalar_calls_bit_for_bit(self, name):
+        rng = np.random.default_rng(72)
+        p = np.concatenate(([0.0, 1.0, 0.25, 0.75], rng.uniform(size=4)))[:, None]
+        p_c = np.concatenate(([0.0, 0.5, 1.0], rng.uniform(size=5)))
+        xi = np.concatenate(([0.0, np.pi, -np.pi, 9.0], rng.uniform(-10.0, 10.0, size=4)))
+        overlap = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, size=5)))
+        stacked = _closed_form(name, p_c, p, xi, overlap)
+        assert stacked.shape == (8, 8)
+        singles = [
+            [_closed_form(name, p_c[j], p[i, 0], xi[j], overlap[j]) for j in range(8)]
+            for i in range(8)
+        ]
+        assert all(type(v) is float for row in singles for v in row)
+        assert np.array(singles).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("name", CONTROL)
+    def test_rejects_non_finite_and_outside_input(self, name):
+        nan, inf = math.nan, math.inf
+        cases = [
+            ((0.5, 0.5, 0.6, nan), r"axis component must lie in \[-1, 1\], got nan"),
+            ((0.5, 0.5, 0.6, [0.0, -1.5]), r"axis component must lie in \[-1, 1\], got -1.5"),
+            ((0.5, 0.5, nan, 0.0), "xi must be a finite number of radians, got nan"),
+            ((0.3, 0.5, inf, 0.0), "xi must be a finite number of radians, got inf"),
+            ((0.5, 0.5, [0.6, -inf, 0.1], 0.0), "xi must be a finite number of radians, got -inf"),
+            ((0.5, [0.2, nan], 0.6, 0.0), r"p must be a probability in \[0, 1\], got nan"),
+        ]
+        if name != "qc":
+            p_c_message = r"p_c must be a probability in \[0, 1\], got 1.5"
+            cases.append((([0.5, 1.5], 0.5, 0.6, 0.0), p_c_message))
+        for args, message in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning on the way is a failure too
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    _closed_form(name, *args)

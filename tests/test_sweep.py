@@ -484,6 +484,16 @@ class TestSvg:
         with pytest.raises(ValueError, match="2 rows"):
             render_svg({"x": [0.0], "y": [0.0]})
 
+    def test_x_column_alone_rejected(self):
+        with pytest.raises(ValueError) as info:
+            render_svg({"x": [0.0, 1.0]})
+        assert str(info.value) == "the plot needs a series: a column after the x column"
+
+    def test_text_column_named(self):
+        with pytest.raises(ValueError) as info:
+            render_svg(run_sweep(parse_config("p = 0:1:0.5")))
+        assert str(info.value) == "column 'noise_kind' is not numeric, so the plot cannot draw it"
+
     @pytest.mark.parametrize("case", range(3))
     def test_points_match_scalar_formulas(self, case):
         # Every column but text, which render_svg cannot draw.
