@@ -14,8 +14,7 @@ rotation about n.  The columns come from three routes, each exact in xi:
 * fq_cas, the plain cascade: v = (D R)^2 r with dR/dxi = [n]_x R, and the
   qubit QFI |v'|^2 + (v.v')^2 / (1 - |v|^2) (Zhong et al., PRA 87, 022337
   (2013)), with 1 - |v|^2 and v.v' summed from the losses 1 - D_l^2 so that
-  neither cancels near a pure output; as in the oracle, the second term is
-  dropped where 1 - |v|^2 <= 1e-10.
+  neither cancels near a pure output.
 * qc, fq_con, fc_con, the control qubit, in closed form for any Pauli
   mixture.  With c = 2 sin^2(xi/2), m_l = 1 - n_l^2 and s^2 = p_c (1 - p_c),
 
@@ -45,7 +44,7 @@ one-Pauli parameters for qc_closed_form, qfi_control and cfi_control.  The
 density-matrix code in channels, switch and metrology is the independent
 oracle the tests and ``verify`` hold these routes against.  The arrow runs
 one way: this module imports only math and numpy, and the oracle takes its
-input rules, its Pauli matrices and its eigenvalue cutoff from here.
+input rules and its Pauli matrices from here.
 """
 
 from __future__ import annotations
@@ -68,9 +67,6 @@ QUANTITIES = ("qc", "fq_con", "fq_cas", "fc_con", "fq_joint")
 # Excess Bloch norm up to this is attributed to roundoff and rescaled away.
 BLOCH_NORM_TOL = 1e-12
 AXIS_UNIT_TOL = 1e-12
-# Pairs with lambda_j + lambda_k below this are in the kernel of the SLD
-# formula and are excluded (standard regularization).
-SLD_EIGENVALUE_CUTOFF = 1e-10
 
 _PAULIS = np.stack((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 # fq_joint runs over the grid in chunks of this many levels, so its (m, 4, 32)
@@ -187,9 +183,10 @@ def _cascade_qfi(flips: np.ndarray, n, xi: float, r) -> np.ndarray:
     1 - |v|^2 = (1 - |r|^2) + sum_i loss_i (x_i^2 + y_i^2), a sum of
     nonnegative terms; its derivative gives v.v' = -sum_i loss_i (x_i x_i' +
     y_i y_i').  Both stay exact to roundoff as the output nears a pure
-    state, where the direct 1 - |v|^2 and v.v' would cancel.  As in the
-    density-matrix oracle, (v.v')^2 / (1 - |v|^2) is dropped where
-    1 - |v|^2 <= SLD_EIGENVALUE_CUTOFF.
+    state, where the direct 1 - |v|^2 and v.v' would cancel.  By
+    Cauchy-Schwarz (v.v')^2 <= (1 - |v|^2) sum_i loss_i (x_i'^2 + y_i'^2),
+    so the second term is bounded and only the 0/0 of an exactly pure
+    output is skipped.
     """
     factors = 1.0 - 2.0 * flips
     loss = 2.0 * flips * (1.0 + factors)
@@ -210,7 +207,7 @@ def _cascade_qfi(flips: np.ndarray, n, xi: float, r) -> np.ndarray:
     # x term changes nothing exactly; isotropic noise then adds exactly 0.
     shifted = loss - loss.min(axis=1, keepdims=True)
     along = np.einsum("mi,i->m", shifted, x * dx) + np.einsum("mi,mi->m", loss, y * dy)
-    mixed = gap > SLD_EIGENVALUE_CUTOFF
+    mixed = gap > 0.0
     info[mixed] += along[mixed] ** 2 / gap[mixed]
     return info
 
@@ -222,10 +219,12 @@ def _control_columns(weights: np.ndarray, n: np.ndarray, xi, p_c) -> dict:
     mx, my, mz = (1.0 - n * n).T
     alpha = 2.0 * (mx * (w0 * wx - wy * wz) + my * (w0 * wy - wx * wz) + mz * (w0 * wz - wx * wy))
     beta = 4.0 * (wx * wy + wx * wz + wy * wz)
-    # A scalar xi keeps math's sin and cos, whose bits the printed columns carry.
-    sin, cos = (np.sin, np.cos) if np.ndim(xi) else (math.sin, math.cos)
-    c = 2.0 * sin(0.5 * xi) ** 2
-    c_bar = 2.0 * cos(0.5 * xi) ** 2  # 2 - c without cancellation near xi = pi
+    # One xi or a stack of them takes the same operations, so both give the
+    # same bits: numpy's sin and cos, and squares as products (a Python
+    # float's ``** 2`` is C pow, which is not always correctly rounded).
+    half_sin, half_cos = np.sin(0.5 * xi), np.cos(0.5 * xi)
+    c = 2.0 * (half_sin * half_sin)
+    c_bar = 2.0 * (half_cos * half_cos)  # 2 - c without cancellation near xi = pi
     g = alpha * c + beta
     single = beta == 0.0  # one Pauli (or none): g = alpha c cancels against q_c'^2
     spread = g * (2.0 - g)  # 1 - q_c^2
@@ -235,9 +234,10 @@ def _control_columns(weights: np.ndarray, n: np.ndarray, xi, p_c) -> dict:
         alpha * (alpha * c / np.where(single, 1.0, g)) * c_bar / (2.0 - g),
     )
     s2 = (1.0 - p_c) * p_c
+    off = p_c - 0.5
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where p_c = 1/2 takes ratio
         classical = np.where(
-            p_c == 0.5, ratio, s2 * alpha * alpha * c * c_bar / ((p_c - 0.5) ** 2 + s2 * spread)
+            p_c == 0.5, ratio, s2 * alpha * alpha * c * c_bar / (off * off + s2 * spread)
         )
     return {"qc": 1.0 - g, "fq_con": 4.0 * s2 * ratio, "fc_con": classical}
 

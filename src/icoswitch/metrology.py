@@ -31,13 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import KrausChannel, bloch_to_density, noisy_phase_channel
-from .engine import (
-    SLD_EIGENVALUE_CUTOFF,
-    _check_probability,
-    _pauli_control,
-    bloch_vector,
-    unit_axis,
-)
+from .engine import _check_probability, _pauli_control, bloch_vector, unit_axis
 from .qmat import ATOL_STRUCT, dagger, herm_eig
 from .switch import qc_numeric, s00, switch_state
 
@@ -47,6 +41,9 @@ DEFAULT_STEP = 1e-5
 # (1 - P_+) P_+ below this marks a degenerate measurement distribution in
 # cfi_numeric (xi -> 0, or noise-free), where the information is 0.
 QC_DEGENERACY_TOL = 1e-12
+# Pairs with lambda_j + lambda_k below this are in the kernel of the SLD
+# formula and are excluded (standard regularization).
+SLD_EIGENVALUE_CUTOFF = 1e-10
 
 StateFamily = Callable[[float], np.ndarray]
 

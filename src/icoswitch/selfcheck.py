@@ -5,10 +5,12 @@ Each check pits an independent construction against the primary one
 closed-form Fisher information vs the numeric SLD route) or asserts a
 structural invariant (complete positivity, probe independence, symmetry).
 All randomness is seeded, so a pass/fail outcome is reproducible.  A
-check that loops over random draws makes them all first, in a fixed order,
-and then hands the whole stack to the density-matrix routes and to the
-closed forms in one call each; only the per-draw grid-engine comparisons
-stay in a loop.
+check with random draws seeds its own generator and draws each parameter
+for all its draws as one array, the parameters in the order its code names
+them: Pauli letters from integers, levels and phases uniform, axes as
+normalised normals, Bloch vectors as such axes times radii u^(1/3).  It
+hands the whole stack to the density-matrix routes and to the closed forms
+in one call each; only the per-draw grid-engine comparisons stay in a loop.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
-    bloch_to_density,
-    depolarizing_channel,
-    noisy_phase_channel,
-    pauli_channel,
-)
+from .channels import bloch_to_density, depolarizing_channel, noisy_phase_channel, pauli_channel
 from .engine import PAULI_OF_KIND, evaluate_grid, switch_state_grid
 from .metrology import (
     cfi_control,
@@ -46,6 +42,7 @@ from .switch import (
 
 _SEED = 20230536
 _KIND_OF_PAULI = {pauli: kind for kind, pauli in PAULI_OF_KIND.items()}
+_LETTERS = np.array(["x", "y", "z"])
 
 
 @dataclass(frozen=True)
@@ -80,42 +77,25 @@ def _result(name: str, passed: bool, *parts) -> CheckResult:
     return CheckResult(name, passed, "".join(text), tuple(values))
 
 
-def _rand_axis(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+def _axes(rng, *shape) -> np.ndarray:
+    """Random unit 3-vectors of batch ``shape``, uniform on the sphere: one normal draw."""
+    v = rng.normal(size=(*shape, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _rand_bloch(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform() ** (1.0 / 3.0)
+def _blochs(rng, *shape) -> np.ndarray:
+    """Random Bloch vectors of batch ``shape``, uniform in the ball: axes, then radii."""
+    return _axes(rng, *shape) * rng.uniform(size=(*shape, 1)) ** (1.0 / 3.0)
 
 
-def _rand_pauli(rng) -> str:
-    return "xyz"[rng.integers(3)]
+def _paulis(rng, n: int) -> np.ndarray:
+    """``n`` random Pauli letters."""
+    return _LETTERS[rng.integers(3, size=n)]
 
 
-def _draws(count: int, draw: Callable[[], tuple], **fields) -> np.ndarray:
-    """``count`` calls of ``draw`` in order, as a structured array with one field per item.
-
-    ``fields`` names the items of the tuple ``draw`` returns, in order, with
-    their dtypes (a Pauli letter is ``"U1"``, a 3-vector ``(float, 3)``).  The
-    draws are written into the array as they are made.
-    """
-    return np.fromiter((draw() for _ in range(count)), dtype=list(fields.items()), count=count)
-
-
-_VEC = (np.float64, 3)
-
-
-def _overlap(d: np.ndarray) -> np.ndarray:
-    """Each draw's ``axis`` component along its ``pauli``."""
-    return d["axis"][d["pauli"][:, None] == np.array(["x", "y", "z"])]
-
-
-def _noisy_pauli(d: np.ndarray) -> KrausChannel:
-    """The noisy phase channels of the draws' ``pauli``, ``p``, ``axis`` and ``xi`` fields."""
-    return noisy_phase_channel(pauli_channel(d["pauli"], d["p"]), d["axis"], d["xi"])
+def _overlap(pauli: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Each axis's component along its Pauli."""
+    return axis[pauli[:, None] == _LETTERS]
 
 
 def check_joint_state_oracle() -> CheckResult:
@@ -124,19 +104,16 @@ def check_joint_state_oracle() -> CheckResult:
     Every tenth draw also holds the grid engine's joint state to it.
     """
     rng = np.random.default_rng(_SEED)
-    d = _draws(
-        200,
-        lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi),
-                 _rand_bloch(rng), rng.uniform()),
-        pauli="U1", p=float, axis=_VEC, xi=float, probe=_VEC, p_c=float,
-    )  # fmt: skip
-    ch = _noisy_pauli(d)
-    rho = bloch_to_density(d["probe"])
-    oracle = switch_kraus_apply(ch, rho, d["p_c"])
-    worst = float(np.max(np.abs(switch_state(ch, rho, d["p_c"]).joint - oracle)))
+    pauli, p, axis = _paulis(rng, 200), rng.uniform(size=200), _axes(rng, 200)
+    xi, probe, p_c = rng.uniform(0.0, 2.0 * np.pi, 200), _blochs(rng, 200), rng.uniform(size=200)
+    ch = noisy_phase_channel(pauli_channel(pauli, p), axis, xi)
+    rho = bloch_to_density(probe)
+    oracle = switch_kraus_apply(ch, rho, p_c)
+    worst = float(np.max(np.abs(switch_state(ch, rho, p_c).joint - oracle)))
+    every_tenth = zip(pauli[::10], p[::10], p_c[::10], xi[::10], axis[::10], probe[::10])
     engine = [
-        switch_state_grid(_KIND_OF_PAULI[pauli], [p], p_c, xi, axis, probe)[0][0]
-        for pauli, p, axis, xi, probe, p_c in d[::10]
+        switch_state_grid(_KIND_OF_PAULI[letter], [level], *rest)[0][0]
+        for letter, level, *rest in every_tenth
     ]
     engine_diff = float(np.max(np.abs(engine - oracle[::10])))
     return _result(
@@ -152,15 +129,11 @@ def check_joint_state_oracle() -> CheckResult:
 def check_qc_closed_form() -> CheckResult:
     """Trace of the order-interference term equals the Pauli closed form."""
     rng = np.random.default_rng(_SEED + 1)
-    d = _draws(
-        1000,
-        lambda: (_rand_pauli(rng), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), _rand_axis(rng),
-                 _rand_bloch(rng)),
-        pauli="U1", p=float, xi=float, axis=_VEC, probe=_VEC,
-    )  # fmt: skip
-    got = qc_numeric(_noisy_pauli(d), bloch_to_density(d["probe"]))
-    want = qc_closed_form(d["p"], d["xi"], _overlap(d))
-    worst = float(np.max(np.abs(got - want)))
+    pauli, p, xi = _paulis(rng, 1000), rng.uniform(size=1000), rng.uniform(0.0, 2.0 * np.pi, 1000)
+    axis, probe = _axes(rng, 1000), _blochs(rng, 1000)
+    ch = noisy_phase_channel(pauli_channel(pauli, p), axis, xi)
+    got = qc_numeric(ch, bloch_to_density(probe))
+    worst = float(np.max(np.abs(got - qc_closed_form(p, xi, _overlap(pauli, axis)))))
     return _result(
         "coupling scalar closed form", worst < 1e-10, ("max |diff|", worst), " over 1000 draws"
     )
@@ -169,15 +142,11 @@ def check_qc_closed_form() -> CheckResult:
 def check_qc_probe_independence() -> CheckResult:
     """The coupling scalar does not depend on the input probe (Pauli noise)."""
     rng = np.random.default_rng(_SEED + 2)
-    d = _draws(
-        5,
-        lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi),
-                 [_rand_bloch(rng) for _ in range(50)]),
-        pauli="U1", p=float, axis=_VEC, xi=float, probes=(np.float64, (50, 3)),
-    )  # fmt: skip
+    pauli, p, axis = _paulis(rng, 5), rng.uniform(size=5), _axes(rng, 5)
+    xi, probes = rng.uniform(0.0, 2.0 * np.pi, 5), _blochs(rng, 5, 50)
     # Channels of batch shape (5, 1) against probes of (5, 50): row i is channel i.
-    d = d[:, None]
-    values = qc_numeric(_noisy_pauli(d), bloch_to_density(d["probes"][:, 0]))
+    ch = noisy_phase_channel(pauli_channel(pauli[:, None], p[:, None]), axis[:, None], xi[:, None])
+    values = qc_numeric(ch, bloch_to_density(probes))
     worst = float(np.max(values.max(axis=1) - values.min(axis=1)))
     return _result(
         "coupling probe independence",
@@ -190,16 +159,11 @@ def check_qc_probe_independence() -> CheckResult:
 def check_qfi_closed_vs_sld() -> CheckResult:
     """Control-qubit QFI: the closed form, the grid engine's fq_con, matches the SLD route."""
     rng = np.random.default_rng(_SEED + 3)
-    d = _draws(
-        200,
-        lambda: (_rand_pauli(rng), rng.uniform(), rng.uniform(), rng.uniform(0.0, 2.0 * np.pi),
-                 _rand_axis(rng), _rand_bloch(rng)),
-        pauli="U1", p=float, p_c=float, xi=float, axis=_VEC, probe=_VEC,
-    )  # fmt: skip
-    rho = bloch_to_density(d["probe"])
-    family = control_family(pauli_channel(d["pauli"], d["p"]), d["axis"], rho, d["p_c"])
-    closed = qfi_control(d["p_c"], d["p"], d["xi"], _overlap(d))
-    worst = float(np.max(np.abs(qfi_numeric(family, d["xi"]) - closed)))
+    pauli, p, p_c = _paulis(rng, 200), rng.uniform(size=200), rng.uniform(size=200)
+    xi, axis, probe = rng.uniform(0.0, 2.0 * np.pi, 200), _axes(rng, 200), _blochs(rng, 200)
+    family = control_family(pauli_channel(pauli, p), axis, bloch_to_density(probe), p_c)
+    closed = qfi_control(p_c, p, xi, _overlap(pauli, axis))
+    worst = float(np.max(np.abs(qfi_numeric(family, xi) - closed)))
     return _result(
         "control QFI closed form vs SLD", worst < 1e-6, ("max |diff|", worst), " over 200 draws"
     )
@@ -230,13 +194,9 @@ def check_commuting_degeneracy() -> CheckResult:
     though the overlap comes from different axis components (n_x, n_z).
     """
     rng = np.random.default_rng(_SEED + 4)
-    d = _draws(
-        20,
-        lambda: (rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), _rand_bloch(rng)),
-        p=float, xi=float, probe=_VEC,
-    )  # fmt: skip
-    ch = noisy_phase_channel(pauli_channel("x", d["p"]), (1.0, 0.0, 0.0), d["xi"])
-    rho = bloch_to_density(d["probe"])
+    p, xi, probe = rng.uniform(size=20), rng.uniform(0.0, 2.0 * np.pi, 20), _blochs(rng, 20)
+    ch = noisy_phase_channel(pauli_channel("x", p), (1.0, 0.0, 0.0), xi)
+    rho = bloch_to_density(probe)
     worst = float(np.max(np.abs(s01(ch, rho) - s00(ch, rho))))
     zero = qfi_control(0.5, 0.37, 1.234, 1.0)
     axis = (0.0, 1.0, 0.0)
@@ -258,12 +218,9 @@ def check_commuting_degeneracy() -> CheckResult:
 def check_cptp() -> CheckResult:
     """The switched channel is completely positive and trace preserving."""
     rng = np.random.default_rng(_SEED + 5)
-    d = _draws(
-        50,
-        lambda: (_rand_pauli(rng), rng.uniform(), _rand_axis(rng), rng.uniform(0.0, 2.0 * np.pi)),
-        pauli="U1", p=float, axis=_VEC, xi=float,
-    )  # fmt: skip
-    ops = switch_kraus_ops(_noisy_pauli(d))
+    pauli, p, axis = _paulis(rng, 50), rng.uniform(size=50), _axes(rng, 50)
+    xi = rng.uniform(0.0, 2.0 * np.pi, 50)
+    ops = switch_kraus_ops(noisy_phase_channel(pauli_channel(pauli, p), axis, xi))
     total = (dagger(ops) @ ops).sum(axis=-3)
     worst_comp = float(np.max(np.abs(total - np.eye(4))))
     worst_eig = min(0.0, float(np.min(herm_eig(channel_choi(ops)).eigenvalues[..., 0])))
@@ -283,10 +240,9 @@ def check_depolarizing_invariance() -> CheckResult:
     probes at the fixed axis e_y; the spread is taken over all 40 values.
     """
     rng = np.random.default_rng(_SEED + 6)
-    axes = [_rand_axis(rng) for _ in range(20)] + [(0.0, 1.0, 0.0)] * 20
-    probes = [(0.1, 0.2, 0.3)] * 20 + [_rand_bloch(rng) for _ in range(20)]
-    rho = bloch_to_density(probes)
-    family = control_family(depolarizing_channel(0.4), np.array(axes), rho, 0.5)
+    axes = np.concatenate((_axes(rng, 20), np.tile((0.0, 1.0, 0.0), (20, 1))))
+    probes = np.concatenate((np.tile((0.1, 0.2, 0.3), (20, 1)), _blochs(rng, 20)))
+    family = control_family(depolarizing_channel(0.4), axes, bloch_to_density(probes), 0.5)
     values = qfi_numeric(family, np.pi / 5)
     spread = float(values.max() - values.min())
     return _result(
@@ -304,12 +260,9 @@ def check_symmetry_and_limits() -> CheckResult:
     the SLD route at xi = 1e-4 must come within 1e-4 of it.
     """
     rng = np.random.default_rng(_SEED + 7)
-    d = _draws(
-        100,
-        lambda: (rng.uniform(), rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-1.0, 1.0)),
-        p=float, xi=float, nl=float,
-    )  # fmt: skip
-    both = qfi_control(0.5, np.stack((d["p"], 1.0 - d["p"])), d["xi"], d["nl"])
+    p, xi = rng.uniform(size=100), rng.uniform(0.0, 2.0 * np.pi, 100)
+    nl = rng.uniform(-1.0, 1.0, 100)
+    both = qfi_control(0.5, np.stack((p, 1.0 - p)), xi, nl)
     worst = float(np.max(np.abs(both[0] - both[1])))
     cases = ((0.5, 0.0), (0.3, 0.4), (0.8, -0.6))
     wants = [2.0 * (1.0 - nl**2) * ((1.0 - p) * p) for p, nl in cases]
