@@ -6,115 +6,44 @@ probe-control output, the reduced control state and its coupling scalar,
 and evaluates quantum and classical Fisher information for estimating the
 phase, each quantity both in closed form and through independent
 brute-force density-matrix routes.
+
+A public name is imported from its submodule when it is looked up (PEP 562),
+so ``import icoswitch`` loads no submodule and ``from icoswitch import
+evaluate_grid`` loads only ``icoswitch.engine``.
 """
 
-from .channels import (
-    KrausChannel,
-    apply_channel,
-    bloch_to_density,
-    check_density,
-    depolarizing_channel,
-    noisy_phase_channel,
-    pauli_channel,
-    rotation_unitary,
-)
-from .engine import (
-    bloch_vector,
-    evaluate_grid,
-    noise_weights,
-    switch_state_grid,
-    unit_axis,
-)
-from .metrology import (
-    cascade_family,
-    cfi_control,
-    cfi_numeric,
-    control_family,
-    joint_family,
-    qfi_cascade,
-    qfi_control,
-    qfi_joint,
-    qfi_numeric,
-)
-from .qmat import (
-    EigDecomp,
-    as_cmatrix,
-    channel_choi,
-    herm_eig,
-    partial_trace,
-)
-from .selfcheck import CheckResult, run_all_checks
-from .switch import (
-    SwitchResult,
-    qc_closed_form,
-    qc_numeric,
-    reduced_control,
-    s00,
-    s01,
-    switch_kraus_apply,
-    switch_kraus_ops,
-    switch_state,
-)
-from .sweep import (
-    ConfigError,
-    SweepConfig,
-    emit_csv,
-    emit_svg,
-    fig2_preset,
-    parse_config,
-    render_csv,
-    render_svg,
-    run_sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "ConfigError",
-    "EigDecomp",
-    "KrausChannel",
-    "SweepConfig",
-    "SwitchResult",
-    "apply_channel",
-    "as_cmatrix",
-    "bloch_to_density",
-    "bloch_vector",
-    "cascade_family",
-    "cfi_control",
-    "cfi_numeric",
-    "channel_choi",
-    "check_density",
-    "control_family",
-    "depolarizing_channel",
-    "emit_csv",
-    "emit_svg",
-    "evaluate_grid",
-    "fig2_preset",
-    "herm_eig",
-    "joint_family",
-    "noise_weights",
-    "noisy_phase_channel",
-    "parse_config",
-    "partial_trace",
-    "pauli_channel",
-    "qc_closed_form",
-    "qc_numeric",
-    "qfi_cascade",
-    "qfi_control",
-    "qfi_joint",
-    "qfi_numeric",
-    "reduced_control",
-    "render_csv",
-    "render_svg",
-    "rotation_unitary",
-    "run_all_checks",
-    "run_sweep",
-    "s00",
-    "s01",
-    "switch_kraus_apply",
-    "switch_kraus_ops",
-    "switch_state",
-    "switch_state_grid",
-    "unit_axis",
-]
+# Public name -> the submodule that defines it.
+_SOURCE = {
+    name: module
+    for module, names in {
+        "channels": "KrausChannel apply_channel bloch_to_density check_density"
+        " depolarizing_channel noisy_phase_channel pauli_channel rotation_unitary",
+        "engine": "bloch_vector evaluate_grid noise_weights switch_state_grid unit_axis",
+        "metrology": "cfi_control cfi_numeric control_family qfi_cascade qfi_control"
+        " qfi_joint qfi_numeric",
+        "qmat": "EigDecomp as_cmatrix channel_choi herm_eig partial_trace",
+        "selfcheck": "CheckResult run_all_checks",
+        "switch": "SwitchResult qc_closed_form qc_numeric reduced_control s00 s01"
+        " switch_kraus_apply switch_kraus_ops switch_state",
+        "sweep": "ConfigError SweepConfig emit_csv emit_svg fig2_preset parse_config"
+        " render_csv render_svg run_sweep",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    # Nothing is stored here, so every lookup sees the submodule's current attribute.
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -44,9 +44,16 @@ def _parse_triple(raw: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"expected three numbers, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one ``error:`` line through ``main``, not usage and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="icoswitch",
         description="Switched quantum channel with indefinite causal order: "
         "noisy qubit phase-estimation sweeps.",
@@ -107,8 +114,8 @@ def _write_json(results, path) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "fig2":
             table = fig2_preset(args.steps, args.xi)
             _write_csv(table, args.out)

@@ -20,8 +20,8 @@ rotation about n.  The columns come from three routes, each exact in xi:
 
       alpha = 2 sum_l m_l (w_0 w_l - w_j w_k)      beta = 4 sum_{j<k} w_j w_k
       g = 1 - q_c = alpha c + beta                  q_c' = -alpha sin xi
-      R = q_c'^2 / (1 - q_c^2) = alpha^2 c (2 - c) / (g (2 - g)),
-          or alpha (2 - c) / (2 - alpha c) where beta = 0,
+      R = q_c'^2 / (1 - q_c^2) = alpha (alpha c / g) (2 - c) / (2 - g),
+          with alpha c / g = 1 where beta = 0 (so also at xi = 0),
 
   fq_con = 4 s^2 R, and the Hadamard measurement's classical FI is
   s^2 q_c'^2 / ((p_c - 1/2)^2 + s^2 g (2 - g)), which is R at p_c = 1/2.
@@ -226,16 +226,13 @@ def _control_columns(weights: np.ndarray, n: np.ndarray, xi, p_c) -> dict:
     c = 2.0 * (half_sin * half_sin)
     c_bar = 2.0 * (half_cos * half_cos)  # 2 - c without cancellation near xi = pi
     g = alpha * c + beta
-    single = beta == 0.0  # one Pauli (or none): g = alpha c cancels against q_c'^2
     spread = g * (2.0 - g)  # 1 - q_c^2
-    ratio = np.where(
-        single,
-        alpha * c_bar / (2.0 - alpha * c),
-        alpha * (alpha * c / np.where(single, 1.0, g)) * c_bar / (2.0 - g),
-    )
     s2 = (1.0 - p_c) * p_c
     off = p_c - 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where p_c = 1/2 takes ratio
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where np.where drops it
+        # alpha c / g is exactly 1 under one-Pauli noise (beta = 0, g = alpha c),
+        # which keeps the xi -> 0 limit; g = 0 only there, at c = 0 or alpha = 0.
+        ratio = alpha * np.where(g > 0.0, alpha * c / g, 1.0) * c_bar / (2.0 - g)
         classical = np.where(
             p_c == 0.5, ratio, s2 * alpha * alpha * c * c_bar / (off * off + s2 * spread)
         )

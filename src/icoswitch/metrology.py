@@ -105,17 +105,6 @@ def cfi_control(p_c, p, xi, overlap):
     return _pauli_control(p_c, p, xi, overlap)["fc_con"]
 
 
-def cascade_family(noise: KrausChannel, axis, probe) -> StateFamily:
-    """Family xi -> cascade output s00 for a fixed noise level and probe."""
-    axis = unit_axis(axis, stack=True)
-    rho = bloch_to_density(bloch_vector(probe, stack=True))
-
-    def family(xi: float) -> np.ndarray:
-        return s00(noisy_phase_channel(noise, axis, xi), rho)
-
-    return family
-
-
 def control_family(noise: KrausChannel, axis, rho: np.ndarray, p_c) -> StateFamily:
     """Family xi -> reduced control state of the switched channel.
 
@@ -131,24 +120,19 @@ def control_family(noise: KrausChannel, axis, rho: np.ndarray, p_c) -> StateFami
     return family
 
 
-def joint_family(noise: KrausChannel, axis, rho: np.ndarray, p_c: float) -> StateFamily:
-    """Family xi -> joint probe-control output of the switched channel."""
-    axis = unit_axis(axis, stack=True)
-    p_c = _check_probability(p_c, "p_c", stack=True)
-
-    def family(xi: float) -> np.ndarray:
-        return switch_state(noisy_phase_channel(noise, axis, xi), rho, p_c).joint
-
-    return family
-
-
 def qfi_cascade(noise: KrausChannel, axis, xi: float, probe) -> float | np.ndarray:
     """Quantum Fisher information of the plain cascade, evaluated numerically.
 
     No closed form is transcribed for this quantity; the SLD route on the
-    dim-2 family keeps it free of transcription risk.
+    dim-2 family xi -> s00 keeps it free of transcription risk.
     """
-    return qfi_numeric(cascade_family(noise, axis, probe), xi)
+    axis = unit_axis(axis, stack=True)
+    rho = bloch_to_density(bloch_vector(probe, stack=True))
+
+    def family(x):
+        return s00(noisy_phase_channel(noise, axis, x), rho)
+
+    return qfi_numeric(family, xi)
 
 
 def qfi_joint(
@@ -160,7 +144,13 @@ def qfi_joint(
     Fisher information) and equal to the cascade value when the two causal
     orders coincide.
     """
-    return qfi_numeric(joint_family(noise, axis, rho, p_c), xi)
+    axis = unit_axis(axis, stack=True)
+    p_c = _check_probability(p_c, "p_c", stack=True)
+
+    def family(x):
+        return switch_state(noisy_phase_channel(noise, axis, x), rho, p_c).joint
+
+    return qfi_numeric(family, xi)
 
 
 def cfi_numeric(noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float) -> float:

@@ -7,8 +7,8 @@ implementation and one set of draws.  Each check pits an independent route
 (explicit Kraus reconstruction, SLD spectral formula, Choi matrix) against
 the primary one.  The remaining criterion 5 tests and criterion 10 hold the
 ``fig2`` output to exact closed-form anchors (such as (15 + 2 sqrt 5)/41),
-to the exact Bloch-vector oracle of test_metrology, and to itself across
-runs.
+to the exact Bloch-vector oracle of tests/references.py, and to itself
+across runs.
 
 Criterion 5's monotonicity clause holds the cascade columns to what the
 physics guarantees.  For p <= 1/2 they must be non-increasing in the noise
@@ -16,8 +16,8 @@ level (1e-9 slack).  Past p = 1/2 the bit-flip channel tends to the unitary
 sigma_x, under which the cascade sigma_x U sigma_x U is the identity, so the
 cascade Fisher information is not monotone there: at xi = pi/5 it has a
 local minimum near p = 0.61 and rises by about 2e-3 up to p = 0.69.  For
-p > 1/2 each value must instead agree with the exact Bloch-vector oracle of
-test_metrology to 1e-6, and every column must vanish at p = 1.
+p > 1/2 each value must instead agree with that Bloch-vector oracle to
+1e-6, and every column must vanish at p = 1.
 """
 
 import numpy as np
@@ -36,15 +36,9 @@ from icoswitch.selfcheck import (
     check_symmetry_and_limits,
 )
 from icoswitch.sweep import fig2_preset
-from test_metrology import cascade_bloch_oracle
+from references import FQ_CON_ANCHOR, XI, cascade_bloch_oracle
 
-XI = np.pi / 5
 R_VALUES = (1.0, 0.8, 0.6, 0.4, 0.2)
-
-# Exact value of the control-qubit QFI at p = 1/2, p_c = 1/2, overlap 0,
-# xi = pi/5: numerator (a sin xi)^2 with a = 1/2 and denominator 1 - q_c^2
-# with q_c = (5 + sqrt 5)/8 reduce to (15 + 2 sqrt 5)/41 = 0.474930145244.
-FQ_CON_ANCHOR = (15 + 2 * np.sqrt(5.0)) / 41
 
 
 def _report(number: int, name: str, detail: str) -> None:

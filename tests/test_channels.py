@@ -17,21 +17,9 @@ from icoswitch.channels import (
     rotation_unitary,
     unit_axis,
 )
-from icoswitch.engine import I2, PAULI_OF_KIND, SIGMA_X, SIGMA_Y, SIGMA_Z
+from icoswitch.engine import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from icoswitch.qmat import herm_eig
-
-
-def noise_channel(kind: str, p) -> KrausChannel:
-    """The oracle's noise channel of a noise kind at level p."""
-    if kind == "depolarizing":
-        return depolarizing_channel(p)
-    return pauli_channel(PAULI_OF_KIND[kind], p)
-
-
-def random_bloch(rng):
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform() ** (1 / 3)
+from references import random_bloch
 
 
 class TestBlochMaps:

@@ -35,8 +35,7 @@ from icoswitch.metrology import (
 )
 from icoswitch.sweep import compute_quantity
 from icoswitch.switch import qc_closed_form, qc_numeric, s00, s01, switch_state
-from test_channels import noise_channel
-from test_metrology import unit_vectors
+from references import NOISE_LEVELS, noise_channel, phases, unit_vectors
 
 PAULI_BASIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -80,38 +79,10 @@ def hadamard_joint_witness(kind, p, xi, axis, probe):
     return total
 
 
-def _phase():
-    """Phases 0.02 to 0.1 from 0 and from +-pi, and in between, mod 2 pi.
-
-    At 0, and at pi for some axes, an eigenvalue of the states vanishes as
-    (xi - xi_0)^2 while the information it carries does not.  Within about
-    0.014 of such a point it falls below the oracle's 1e-10 cutoff, which
-    drops that information; the engine's limits there are held by
-    TestExactAnchors and test_information_ordering_down_to_tiny_phase.
-    """
-    size = st.one_of(
-        st.floats(0.02, 0.1),
-        st.floats(math.pi - 0.1, math.pi - 0.02),
-        st.floats(0.02, math.pi - 0.02),
-    )
-    return st.builds(
-        lambda x, sign, turns: sign * x + 2.0 * math.pi * turns,
-        size,
-        st.sampled_from((1.0, -1.0)),
-        st.sampled_from((0, 0, 0, 1, -1)),
-    )
-
-
 def _resolved_by_oracle(state):
     """No eigenvalue between 1e-15 (kernel up to roundoff) and 1e-9."""
     values = np.linalg.eigvalsh(state)
     return not np.any((values > 1e-15) & (values < 1e-9))
-
-
-NOISE_LEVELS = st.one_of(
-    st.sampled_from((0.0, 1.0, 1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12)),
-    st.floats(0, 1, allow_nan=False),
-)
 
 
 class TestEngineMatchesOracle:
@@ -122,7 +93,7 @@ class TestEngineMatchesOracle:
         direction=unit_vectors(),
         length=st.one_of(st.just(1.0), st.floats(0, 1, allow_nan=False)),
         p_c=st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0, 1, allow_nan=False)),
-        xi=_phase(),
+        xi=phases(),
     )
     @settings(max_examples=150, deadline=None)
     def test_columns_match_density_matrix_routes(self, kind, p, axis, direction, length, p_c, xi):

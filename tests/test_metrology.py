@@ -26,46 +26,17 @@ from icoswitch.metrology import (
 )
 from icoswitch.sweep import FIG2_R_VALUES, fig2_preset
 from icoswitch.switch import qc_closed_form
-from test_channels import noise_channel
-
-XI = np.pi / 5
-E_Y = (0.0, 1.0, 0.0)
-
-# Exact closed-form anchor at p = 1/2, p_c = 1/2, overlap 0, xi = pi/5:
-# a = 1/2, q_c = (5 + sqrt 5)/8, value (15 + 2 sqrt 5)/41.
-FQ_CON_ANCHOR = (15 + 2 * np.sqrt(5.0)) / 41
-
-
-def random_axis(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def random_bloch(rng):
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform() ** (1 / 3)
-
-
-def cascade_bloch_oracle(p, r, xi):
-    """Cascade QFI for bit-flip noise, axis e_y, probe r e_z, by Bloch algebra.
-
-    Exact dynamics: the doubled rotation and two independent flips give the
-    output Bloch vector
-        v_x = r (1-p) sin 2xi
-        v_z = r (1-2p) [(1-p) cos 2xi - p]
-    and the qubit QFI is |v'|^2 + (v.v')^2 / (1 - |v|^2), reducing to |v'|^2
-    for a pure output.  Independent of the density-matrix code paths.
-    """
-    vx = r * (1 - p) * np.sin(2 * xi)
-    vz = r * (1 - 2 * p) * ((1 - p) * np.cos(2 * xi) - p)
-    dvx = 2 * r * (1 - p) * np.cos(2 * xi)
-    dvz = -2 * r * (1 - 2 * p) * (1 - p) * np.sin(2 * xi)
-    v2 = vx * vx + vz * vz
-    quad = dvx * dvx + dvz * dvz
-    if v2 >= 1.0 - 1e-12:
-        return quad
-    return quad + (vx * dvx + vz * dvz) ** 2 / (1 - v2)
+from references import (
+    E_Y,
+    FQ_CON_ANCHOR,
+    XI,
+    cascade_bloch_oracle,
+    noise_channel,
+    phases,
+    random_axis,
+    random_bloch,
+    unit_vectors,
+)
 
 
 class TestQfiNumeric:
@@ -259,14 +230,6 @@ class TestQfiCascade:
         assert col[10] < 1e-9
 
 
-def unit_vectors():
-    return (
-        st.tuples(*(st.floats(-1, 1, allow_nan=False),) * 3)
-        .filter(lambda v: np.linalg.norm(v) > 0.1)
-        .map(lambda v: np.asarray(v) / np.linalg.norm(v))
-    )
-
-
 def fq_cas(kind, grid, axis, xi, probe):
     return evaluate_grid(("fq_cas",), kind, grid, 0.5, xi, axis, probe)["fq_cas"]
 
@@ -280,7 +243,7 @@ class TestCascadeQfiGrid:
         axis=unit_vectors(),
         direction=unit_vectors(),
         length=st.one_of(st.just(1.0), st.floats(0, 1, allow_nan=False)),
-        xi=st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False),
+        xi=phases(),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_sld_route(self, kind, p, axis, direction, length, xi):

@@ -34,9 +34,7 @@ from icoswitch.sweep import (
     run_sweep,
 )
 from icoswitch.switch import qc_numeric
-from test_channels import noise_channel
-
-FQ_CON_ANCHOR = (15 + 2 * np.sqrt(5.0)) / 41
+from references import FQ_CON_ANCHOR, noise_channel
 
 
 def reference_csv(table):
@@ -626,6 +624,31 @@ class TestCli:
         assert done.returncode == 1 and done.stdout == ""
         assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1, done.stderr
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["point", "--p", "abc", "--quantity", "qc"], "--p"),
+            (["point", "--p", "0.3", "--quantity", "qc", "--axis=0,0.6"], "--axis"),
+            (["point", "--p", "0.3"], "--quantity"),
+            (["point", "--noise", "x", "--p", "0.3", "--quantity", "qc"], "--noise"),
+            (["fig2", "--steps", "x"], "--steps"),
+            ([], "command"),
+        ],
+        ids=["float", "triple", "missing", "choice", "int", "no-command"],
+    )
+    def test_argument_error_is_one_line(self, argv, named, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["point", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: icoswitch point")
+
     def test_missing_config_file(self, capsys):
         code = main(["sweep", "--config", "/nonexistent/path.cfg"])
         assert code == 1
@@ -704,3 +727,46 @@ class TestCli:
         code = main(["point", "--noise", "bitflip", "--p", "1.7", "--quantity", "qc"])
         assert code == 1
         assert "probability" in capsys.readouterr().err
+
+
+def _modules_loaded_by(statement):
+    """The icoswitch modules in sys.modules after ``statement`` in a fresh interpreter."""
+    src = str(Path(icoswitch.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys; print(*sorted(m for m in sys.modules if m.startswith('icoswitch')))"
+    done = subprocess.run(
+        [sys.executable, "-c", f"{statement}\n{probe}"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )  # fmt: skip
+    return done.stdout.split()
+
+
+class TestPackageNamespace:
+    def test_bare_import_loads_no_submodule(self):
+        assert _modules_loaded_by("import icoswitch") == ["icoswitch"]
+
+    def test_a_name_loads_only_its_submodule(self):
+        loaded = _modules_loaded_by("from icoswitch import evaluate_grid")
+        assert loaded == ["icoswitch", "icoswitch.engine"]
+
+    def test_cli_loads_every_module(self):
+        modules = "channels cli engine metrology qmat selfcheck sweep switch".split()
+        assert _modules_loaded_by("import icoswitch.cli") == [
+            "icoswitch",
+            *(f"icoswitch.{m}" for m in modules),
+        ]
+
+    def test_each_public_name_is_its_submodules_attribute(self):
+        assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 45
+        for name in icoswitch.__all__:
+            value = getattr(icoswitch, name)
+            module = sys.modules[value.__module__]
+            assert module.__name__.startswith("icoswitch.") and getattr(module, name) is value, name
+        assert set(icoswitch.__all__) <= set(dir(icoswitch))
+        with pytest.raises(AttributeError, match="nope"):
+            icoswitch.nope
+
+    def test_lookup_sees_the_current_attribute(self, monkeypatch):
+        # Nothing is cached in the package, so a patched submodule shows through.
+        monkeypatch.setattr(sweep, "run_sweep", lambda cfg: "patched")
+        assert icoswitch.run_sweep("cfg") == "patched"

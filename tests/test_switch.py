@@ -30,21 +30,7 @@ from icoswitch.switch import (
     switch_kraus_ops,
     switch_state,
 )
-
-XI = np.pi / 5
-E_Y = (0.0, 1.0, 0.0)
-
-
-def random_axis(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
-
-
-def random_bloch(rng):
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return v * rng.uniform() ** (1 / 3)
-
+from references import E_Y, XI, random_axis, random_bloch
 
 def random_pauli_setup(rng):
     """A noisy phase channel with its parameters, plus a random probe."""
