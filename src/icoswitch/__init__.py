@@ -29,8 +29,7 @@ _SOURCE = {
         "selfcheck": "CheckResult run_all_checks",
         "switch": "SwitchResult qc_closed_form qc_numeric reduced_control s00 s01"
         " switch_kraus_apply switch_kraus_ops switch_state",
-        "sweep": "ConfigError SweepConfig emit_csv emit_svg fig2_preset parse_config"
-        " render_csv render_svg run_sweep",
+        "sweep": "ConfigError SweepConfig fig2_preset parse_config render_csv render_svg run_sweep",
     }.items()
     for name in names.split()
 }

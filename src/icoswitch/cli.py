@@ -8,40 +8,38 @@ Subcommands:
             (--json PATH also writes each check's name, outcome, detail
             line and printed numbers as a JSON list)
 
+Every CSV, SVG and JSON output goes through one writer, to its file or stdout.
 Exit code is 0 on success and 1 with a one-line diagnostic on any error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
+from .engine import NOISE_KINDS, QUANTITIES, evaluate_grid
 from .selfcheck import run_all_checks
 from .sweep import (
-    DEFAULT_AXIS,
-    DEFAULT_PROBE,
     DEFAULT_XI,
-    NOISE_KINDS,
-    QUANTITIES,
-    compute_quantity,
-    emit_csv,
-    emit_svg,
+    SweepConfig,
+    _triple,
     fig2_preset,
     format_number,
     parse_config,
+    render_csv,
+    render_svg,
     run_sweep,
 )
 
 
-def _parse_triple(raw: str) -> tuple[float, float, float]:
-    parts = raw.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected X,Y,Z, got {raw!r}")
+def _vector(raw: str) -> tuple[float, float, float]:
+    """An X,Y,Z flag, read as a config line reads a vector."""
     try:
-        return tuple(float(s) for s in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected three numbers, got {raw!r}") from None
+        return _triple(raw, "vector")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,13 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="path to the key = value config")
     sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
 
+    # point starts from the values an empty sweep config gives.
     point = sub.add_parser("point", help="print one quantity at one parameter point")
-    point.add_argument("--noise", choices=NOISE_KINDS, default="bitflip")
+    point.add_argument("--noise", choices=NOISE_KINDS, default=SweepConfig.noise_kind)
     point.add_argument("--p", type=float, required=True, help="noise level in [0, 1]")
-    point.add_argument("--pc", type=float, default=0.5, help="control weight (default 0.5)")
-    point.add_argument("--xi", type=float, default=DEFAULT_XI, help="phase in radians")
-    point.add_argument("--axis", type=_parse_triple, default=DEFAULT_AXIS, help="rotation axis X,Y,Z")
-    point.add_argument("--probe", type=_parse_triple, default=DEFAULT_PROBE, help="probe Bloch X,Y,Z")
+    point.add_argument(
+        "--pc", type=float, default=SweepConfig.p_c, help="control weight (default %(default)s)"
+    )
+    point.add_argument("--xi", type=float, default=SweepConfig.xi, help="phase in radians")
+    point.add_argument("--axis", type=_vector, default=SweepConfig.axis, help="rotation axis X,Y,Z")
+    point.add_argument("--probe", type=_vector, default=SweepConfig.probe, help="probe Bloch X,Y,Z")
     point.add_argument("--quantity", choices=QUANTITIES, required=True)
 
     verify = sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
@@ -88,29 +89,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(table, out_path) -> None:
-    if out_path is None:
-        emit_csv(table, sys.stdout.buffer)
-        sys.stdout.buffer.flush()
-    else:
-        emit_csv(table, out_path)
+def _write(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) as UTF-8 to path, or to stdout for None, opening every file first."""
+    with contextlib.ExitStack() as stack:
+        sinks = [
+            sys.stdout.buffer if path is None else stack.enter_context(open(path, "wb"))
+            for _, path in outputs
+        ]
+        for (text, _), sink in zip(outputs, sinks):
+            sink.write(text.encode("utf-8"))
+            sink.flush()
 
 
-def _write_json(results, path) -> None:
+def _json(results) -> str:
     import json  # only verify --json needs it; kept out of the import time of every call
 
     doc = [
-        {
-            "name": r.name,
-            "passed": bool(r.passed),
-            "detail": r.detail,
-            "values": dict(r.values),
-        }
+        {"name": r.name, "passed": bool(r.passed), "detail": r.detail, "values": dict(r.values)}
         for r in results
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,17 +116,17 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "fig2":
             table = fig2_preset(args.steps, args.xi)
-            _write_csv(table, args.out)
-            if args.svg is not None:
-                emit_svg(table, args.svg)
+            svg = [] if args.svg is None else [(render_svg(table), args.svg)]
+            _write((render_csv(table), args.out), *svg)
         elif args.command == "sweep":
             with open(args.config, encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
-            _write_csv(run_sweep(cfg), args.out)
+            _write((render_csv(run_sweep(cfg)), args.out))
         elif args.command == "point":
-            value = compute_quantity(
-                args.quantity, args.noise, args.p, args.pc, args.xi, args.axis, args.probe
-            )
+            q = args.quantity
+            value = evaluate_grid(
+                (q,), args.noise, [args.p], args.pc, args.xi, args.axis, args.probe
+            )[q][0]
             print(format_number(value))
         elif args.command == "verify":
             results = run_all_checks()
@@ -137,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             failed = sum(not r.passed for r in results)
             print(f"{len(results) - failed}/{len(results)} checks passed")
             if args.json is not None:
-                _write_json(results, args.json)
+                _write((_json(results), args.json))
             if failed:
                 return 1
         return 0

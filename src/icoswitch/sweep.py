@@ -1,4 +1,4 @@
-"""Parameter sweeps: config parsing, the sweep and fig2 presets, CSV and SVG output.
+"""Parameter sweeps: config parsing, the sweep and fig2 presets, CSV and SVG rendering.
 
 The sweep walks a grid of noise levels p and evaluates the requested
 quantities at fixed (p_c, xi, axis, probe):
@@ -39,8 +39,6 @@ from .engine import (
 )
 
 DEFAULT_XI = math.pi / 5
-DEFAULT_AXIS = (0.0, 1.0, 0.0)
-DEFAULT_PROBE = (0.0, 0.0, 1.0)
 FIG2_R_VALUES = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 # Config axes are human-typed; near-unit vectors within this are renormalized.
@@ -59,8 +57,8 @@ class SweepConfig:
     """Declarative sweep: one noise grid, fixed everything else."""
 
     noise_kind: str = "bitflip"
-    axis: tuple[float, float, float] = DEFAULT_AXIS
-    probe: tuple[float, float, float] = DEFAULT_PROBE
+    axis: tuple[float, float, float] = (0.0, 1.0, 0.0)
+    probe: tuple[float, float, float] = (0.0, 0.0, 1.0)
     xi: float = DEFAULT_XI
     p_c: float = 0.5
     p_grid: tuple[float, float, float] = (0.0, 1.0, 0.1)  # start, stop, step
@@ -90,28 +88,83 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
     return [min(start + i * step, stop) for i in range(count)]
 
 
-def _parse_float(raw: str, lineno: int, key: str) -> float:
+def _number(raw: str, key: str) -> float:
+    raw = raw.strip()
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects a number, got {raw!r}") from None
+        raise ValueError(f"{key} expects a number, got {raw!r}") from None
 
 
-def _parse_triple(raw: str, lineno: int, key: str) -> tuple[float, float, float]:
-    parts = [s.strip() for s in raw.split(",")]
+def _triple(raw: str, key: str) -> tuple[float, float, float]:
+    parts = raw.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"line {lineno}: {key} expects three comma-separated numbers")
-    return tuple(_parse_float(s, lineno, key) for s in parts)  # type: ignore[return-value]
+        raise ValueError(f"{key} expects three comma-separated numbers")
+    return tuple(_number(s, key) for s in parts)  # type: ignore[return-value]
 
 
-def _parse_range(raw: str, lineno: int, key: str) -> tuple[float, float, float]:
-    parts = [s.strip() for s in raw.split(":")]
+def _noise(raw: str) -> str:
+    if raw not in NOISE_KINDS:
+        raise ValueError(f"noise must be one of {', '.join(NOISE_KINDS)}, got {raw!r}")
+    return raw
+
+
+def _axis(raw: str) -> tuple[float, float, float]:
+    vec = np.asarray(_triple(raw, "axis"))
+    with np.errstate(over="ignore"):  # an infinite norm is rejected below
+        norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= CONFIG_AXIS_TOL:
+        raise ValueError(f"axis must be a unit vector, |n| = {norm}")
+    return tuple((vec / norm).tolist())
+
+
+def _probe(raw: str) -> tuple[float, float, float]:
+    vec = _triple(raw, "probe")
+    try:
+        bloch_vector(vec)
+    except ValueError as exc:
+        raise ValueError(f"probe {exc}") from None
+    return vec
+
+
+def _p_grid(raw: str) -> tuple[float, float, float]:
+    parts = raw.split(":")
     if len(parts) == 1:
-        v = _parse_float(parts[0], lineno, key)
-        return (v, v, 1.0)
-    if len(parts) != 3:
-        raise ConfigError(f"line {lineno}: {key} expects start:stop:step or a single number")
-    return tuple(_parse_float(s, lineno, key) for s in parts)  # type: ignore[return-value]
+        start = stop = _number(raw, "p")
+        step = 1.0
+    elif len(parts) == 3:
+        start, stop, step = (_number(s, "p") for s in parts)
+    else:
+        raise ValueError("p expects start:stop:step or a single number")
+    try:
+        _check_probability(start, "grid start")
+        _check_probability(stop, "grid stop")
+        grid_points(start, stop, step)
+    except ValueError as exc:
+        raise ValueError(f"p {exc}") from None
+    return (start, stop, step)
+
+
+def _quantities(raw: str) -> tuple[str, ...]:
+    names = tuple(s.strip() for s in raw.split(","))
+    bad = [n for n in names if n not in QUANTITIES]
+    if bad:
+        raise ValueError(f"unknown quantity {bad[0]!r}; choose from {', '.join(QUANTITIES)}")
+    if len(set(names)) != len(names):
+        raise ValueError("repeated quantity")
+    return names
+
+
+# Config key -> (SweepConfig field, rule that turns the raw text into its value).
+_KEYS = {
+    "noise": ("noise_kind", _noise),
+    "axis": ("axis", _axis),
+    "probe": ("probe", _probe),
+    "xi": ("xi", lambda raw: _check_phase(_number(raw, "xi"))),
+    "p_c": ("p_c", lambda raw: _check_probability(_number(raw, "p_c"), "p_c")),
+    "p": ("p_grid", _p_grid),
+    "quantities": ("quantities", _quantities),
+}
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -131,83 +184,22 @@ def parse_config(text: str) -> SweepConfig:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw_line.strip()!r}")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        if not raw:
-            raise ConfigError(f"line {lineno}: empty value for {key!r}")
-
-        if key == "noise":
-            if raw not in NOISE_KINDS:
-                raise ConfigError(
-                    f"line {lineno}: noise must be one of {', '.join(NOISE_KINDS)}, got {raw!r}"
-                )
-            cfg.noise_kind = raw
-        elif key == "axis":
-            vec = np.asarray(_parse_triple(raw, lineno, key))
-            with np.errstate(over="ignore"):  # an infinite norm is rejected below
-                norm = float(np.linalg.norm(vec))
-            if not abs(norm - 1.0) <= CONFIG_AXIS_TOL:
-                raise ConfigError(f"line {lineno}: axis must be a unit vector, |n| = {norm}")
-            cfg.axis = tuple((vec / norm).tolist())
-        elif key == "probe":
-            vec = _parse_triple(raw, lineno, key)
-            try:
-                bloch_vector(vec)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-            cfg.probe = vec
-        elif key == "xi":
-            v = _parse_float(raw, lineno, key)
-            try:
-                cfg.xi = _check_phase(v)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-        elif key == "p_c":
-            v = _parse_float(raw, lineno, key)
-            try:
-                cfg.p_c = _check_probability(v, "p_c")
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-        elif key == "p":
-            start, stop, step = _parse_range(raw, lineno, key)
-            try:
-                _check_probability(start, "grid start")
-                _check_probability(stop, "grid stop")
-                grid_points(start, stop, step)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: p {exc}") from None
-            cfg.p_grid = (start, stop, step)
-        elif key == "quantities":
-            names = tuple(s.strip() for s in raw.split(","))
-            bad = [n for n in names if n not in QUANTITIES]
-            if bad:
-                raise ConfigError(
-                    f"line {lineno}: unknown quantity {bad[0]!r}; choose from {', '.join(QUANTITIES)}"
-                )
-            if len(set(names)) != len(names):
-                raise ConfigError(f"line {lineno}: repeated quantity")
-            cfg.quantities = names
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        key, _, raw = (s.strip() for s in line.partition("="))
+        try:
+            if "=" not in line:
+                raise ValueError(f"expected key = value, got {raw_line.strip()!r}")
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+            if not raw:
+                raise ValueError(f"empty value for {key!r}")
+            if key not in _KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            field, rule = _KEYS[key]
+            setattr(cfg, field, rule(raw))
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return cfg
-
-
-def compute_quantity(
-    name: str,
-    kind: str,
-    p: float,
-    p_c: float,
-    xi: float,
-    axis,
-    probe,
-) -> float:
-    """One scalar of the sweep at one grid point: a one-point grid-engine call."""
-    return float(evaluate_grid((name,), kind, [p], p_c, xi, axis, probe)[name][0])
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
@@ -303,21 +295,6 @@ def render_csv(table: dict) -> str:
     template = ",".join([conversion for conversion, _ in parsed])
     lines = zip(*[cells for _, cells in parsed])
     return "\n".join([",".join(table), *(template % line for line in lines)]) + "\n"
-
-
-def _emit(text: str, destination) -> None:
-    """Write ``text`` as UTF-8 to a path or binary file-like destination."""
-    data = text.encode("utf-8")
-    if hasattr(destination, "write"):
-        destination.write(data)
-    else:
-        with open(destination, "wb") as fh:
-            fh.write(data)
-
-
-def emit_csv(table: dict, destination) -> None:
-    """Write the table's CSV to a path or binary file-like destination."""
-    _emit(render_csv(table), destination)
 
 
 # Fixed palette (tab10 order) so SVG bytes are reproducible.
@@ -435,7 +412,3 @@ def render_svg(table: dict) -> str:
     out.write("</svg>\n")
     return out.getvalue()
 
-
-def emit_svg(table: dict, destination) -> None:
-    """Write the table's SVG plot to a path or binary file-like destination."""
-    _emit(render_svg(table), destination)

@@ -33,7 +33,6 @@ from icoswitch.metrology import (
     qfi_joint,
     qfi_numeric,
 )
-from icoswitch.sweep import compute_quantity
 from icoswitch.switch import qc_closed_form, qc_numeric, s00, s01, switch_state
 from references import NOISE_LEVELS, noise_channel, phases, unit_vectors
 
@@ -175,8 +174,8 @@ class TestExactAnchors:
                 assert abs(got["fq_joint"][0] - 4.0) < 1e-12
         # The defaults of `point`: axis e_y, p_c = 1/2, xi = pi/5.
         e_y, e_z = (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-        default = compute_quantity("fq_joint", "bitflip", 0.0, 0.5, math.pi / 5, e_y, e_z)
-        assert default == 4.0
+        default = evaluate_grid(("fq_joint",), "bitflip", [0.0], 0.5, math.pi / 5, e_y, e_z)
+        assert default["fq_joint"][0] == 4.0
         assert main(["point", "--p", "0", "--quantity", "fq_joint"]) == 0
         assert capsys.readouterr().out == "4.00000000000\n"
 

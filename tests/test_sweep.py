@@ -1,6 +1,5 @@
 """Tests for config parsing, the sweep engine, CSV/SVG output, and the CLI."""
 
-import io
 import json
 import math
 import os
@@ -16,15 +15,13 @@ import icoswitch
 from icoswitch import cli, sweep
 from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
+from icoswitch.engine import evaluate_grid
 from icoswitch.metrology import qfi_joint
 from icoswitch.selfcheck import CheckResult, _result
 from icoswitch.sweep import (
     MAX_GRID_POINTS,
     ConfigError,
     SweepConfig,
-    compute_quantity,
-    emit_csv,
-    emit_svg,
     fig2_preset,
     format_number,
     grid_points,
@@ -216,6 +213,29 @@ class TestParseConfig:
             parse_config(f"xi = 0.3\np = {raw}\n")
         assert str(info.value) == f"line 2: {message}"
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("noise", "thermal", "noise must be one of bitflip, phaseflip, bitphaseflip, "
+             "depolarizing, got 'thermal'"),
+            ("axis", "0,2,0", "axis must be a unit vector, |n| = 2.0"),
+            ("probe", "0,0,1.5", "probe Bloch vector norm 1.5 exceeds 1"),
+            ("probe", "nan,0,0", "probe Bloch vector has non-finite components"),
+            ("xi", "abc", "xi expects a number, got 'abc'"),
+            ("p_c", "7", "p_c must be a probability in [0, 1], got 7.0"),
+            ("p", "1:0:0.1", "p grid start 1.0 exceeds stop 0.0"),
+            ("quantities", "qc, entropy", "unknown quantity 'entropy'; choose from qc, fq_con, "
+             "fq_cas, fc_con, fq_joint"),
+        ],
+        ids=["noise", "axis", "probe-norm", "probe-nan", "xi", "p_c", "p", "quantities"],
+    )
+    def test_bad_value_names_line_and_key(self, key, raw, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"# the rest are defaults\n\n{key} = {raw}\n")
+        assert str(info.value) == f"line 3: {message}"
+        # Each message names its key; a bad quantity follows the word "quantity".
+        assert (key if key != "quantities" else "quantity") in message
+
     def test_vector_arity(self):
         with pytest.raises(ConfigError, match="three"):
             parse_config("axis = 1,0")
@@ -259,17 +279,17 @@ class TestRunSweep:
 
     def test_consistency_between_sweep_and_point(self):
         cfg = parse_config("p = 0.3\nquantities = qc")
-        direct = compute_quantity("qc", "bitflip", 0.3, 0.5, math.pi / 5, (0, 1, 0), (0, 0, 1))
-        assert run_sweep(cfg)["qc"][0] == direct
+        direct = evaluate_grid(("qc",), "bitflip", [0.3], 0.5, math.pi / 5, (0, 1, 0), (0, 0, 1))
+        assert run_sweep(cfg)["qc"][0] == direct["qc"][0]
         cfg = parse_config(
             "noise = depolarizing\np = 0:1:0.25\nprobe = 0.3,0,0.6\nquantities = fq_cas"
         )
         table = run_sweep(cfg)
         for p, value in zip(table["p"], table["fq_cas"]):
-            direct = compute_quantity(
-                "fq_cas", "depolarizing", p, 0.5, math.pi / 5, (0, 1, 0), (0.3, 0, 0.6)
+            direct = evaluate_grid(
+                ("fq_cas",), "depolarizing", [p], 0.5, math.pi / 5, (0, 1, 0), (0.3, 0, 0.6)
             )
-            assert value == direct
+            assert value == direct["fq_cas"][0]
         # Every row of a 101-level all-quantity sweep is bit-identical to the
         # one-point evaluation, for every noise kind.
         probe = (0.3, -0.2, 0.6)
@@ -282,8 +302,8 @@ class TestRunSweep:
             assert len(table["p"]) == 101
             for i, p in enumerate(table["p"]):
                 for name in sweep.QUANTITIES:
-                    direct = compute_quantity(name, kind, p, p_c, 2.2, cfg.axis, probe)
-                    assert table[name][i] == direct, (kind, p, name)
+                    direct = evaluate_grid((name,), kind, [p], p_c, 2.2, cfg.axis, probe)
+                    assert table[name][i] == direct[name][0], (kind, p, name)
 
     @pytest.mark.parametrize("kind", [*sweep.NOISE_KINDS, "fig2"])
     def test_huge_xi_evaluated_at_reduced_phase(self, kind):
@@ -297,15 +317,15 @@ class TestRunSweep:
             cells += [(name, "fq_cas", r) for name, r in zip(list(table)[2:], sweep.FIG2_R_VALUES)]
             for i, p in enumerate(table["p"]):
                 for column, name, r in cells:
-                    want = compute_quantity(name, "bitflip", p, 0.5, xi, (0, 1, 0), (0, 0, r))
-                    assert table[column][i] == want, (p, column)
+                    want = evaluate_grid((name,), "bitflip", [p], 0.5, xi, (0, 1, 0), (0, 0, r))
+                    assert table[column][i] == want[name][0], (p, column)
             return
-        point = (kind, 0.3, 0.5)
+        point = (kind, [0.3], 0.5)
         axis, probe = (0.6, 0.8, 0.0), (0.0, 0.0, 1.0)
         values = {}
         for name in sweep.QUANTITIES:
-            values[name] = compute_quantity(name, *point, xi, axis, probe)
-            assert values[name] == compute_quantity(name, *point, reduced, axis, probe)
+            values[name] = evaluate_grid((name,), *point, xi, axis, probe)[name][0]
+            assert values[name] == evaluate_grid((name,), *point, reduced, axis, probe)[name][0]
         assert values["fq_con"] > 0.0
         assert values["fq_joint"] >= max(values["fq_con"], values["fq_cas"]) - 1e-8
 
@@ -414,11 +434,6 @@ class TestCsv:
         table = fig2_preset(steps=5)
         assert render_csv(table) == render_csv(table)
 
-    def test_emit_to_path(self, tmp_path):
-        target = tmp_path / "out.csv"
-        emit_csv({"p": [1.0]}, target)
-        assert target.read_bytes() == b"p\n1.00000000000\n"
-
     @pytest.mark.parametrize("case", range(3))
     def test_matches_per_cell_rule(self, case):
         table = spec_tables()[case]
@@ -508,22 +523,31 @@ class TestSvg:
             render_svg(table)
         assert str(info.value) == f"non-finite value {bad} in column {col!r} of the plot"
 
-    def test_emit_writes_rendered_bytes(self, tmp_path):
-        table = {"x": [0.0, 1.0], "y": [1.0, 2.0]}
-        csv, svg, path = io.BytesIO(), io.BytesIO(), tmp_path / "plot.svg"
-        emit_csv(table, csv)
-        emit_svg(table, svg)
-        emit_svg(table, path)
-        assert csv.getvalue() == render_csv(table).encode("utf-8")
-        assert svg.getvalue() == path.read_bytes()
-        assert svg.getvalue() == render_svg(table).encode("utf-8")
-
 
 class TestCli:
     def test_point_prints_anchor(self, capsys):
         code = main(["point", "--noise", "bitflip", "--p", "0.5", "--quantity", "fq_con"])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0.474930145244"
+
+    @pytest.mark.parametrize("quantity", sweep.QUANTITIES)
+    @pytest.mark.parametrize("kind", sweep.NOISE_KINDS)
+    def test_point_prints_the_engine_value(self, kind, quantity, capsys):
+        argv = ["point", "--noise", kind, "--p", "0.37", "--pc", "0.3", "--xi", "-2.5"]
+        argv += ["--axis=0.6,0,-0.8", "--probe=-0.3,0.2,0.1", "--quantity", quantity]
+        assert main(argv) == 0
+        value = evaluate_grid(
+            (quantity,), kind, [0.37], 0.3, -2.5, (0.6, 0, -0.8), (-0.3, 0.2, 0.1)
+        )[quantity][0]
+        assert capsys.readouterr().out == format_number(value) + "\n"
+
+    def test_vector_flag_reads_like_a_config_vector(self, capsys):
+        for flag, raw, message in (
+            ("--axis", "0,0.6", "vector expects three comma-separated numbers"),
+            ("--probe", "0,a,1", "vector expects a number, got 'a'"),
+        ):
+            assert main(["point", "--p", "0.3", "--quantity", "qc", f"{flag}={raw}"]) == 1
+            assert capsys.readouterr().err == f"error: argument {flag}: {message}\n"
 
     def test_point_all_quantities(self, capsys):
         for quantity in ("qc", "fq_con", "fq_cas", "fc_con", "fq_joint"):
@@ -566,6 +590,32 @@ class TestCli:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("p,fq_con,fq_cas_r1")
         assert svg_path.read_text().count("<polyline") == 6
+
+    def test_files_and_stdout_hold_the_rendered_bytes(self, tmp_path, capsysbinary):
+        csv, svg = tmp_path / "fig2.csv", tmp_path / "fig2.svg"
+        assert main(["fig2", "--steps", "5", "--out", str(csv), "--svg", str(svg)]) == 0
+        assert main(["fig2", "--steps", "5"]) == 0
+        table = fig2_preset(steps=5)
+        assert csv.read_bytes() == capsysbinary.readouterr().out == render_csv(table).encode()
+        assert svg.read_bytes() == render_svg(table).encode()
+        config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        config.write_text("noise = depolarizing\np = 0:1:0.5\nquantities = qc,fq_joint\n")
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(config)]) == 0
+        table = run_sweep(parse_config(config.read_text()))
+        assert out.read_bytes() == capsysbinary.readouterr().out == render_csv(table).encode()
+
+    def test_fig2_unopenable_svg_writes_nothing(self, tmp_path, capsysbinary):
+        # Both texts are rendered and both files opened before any byte is written.
+        missing = str(tmp_path / "missing" / "fig2")
+        for flag in ("--svg", "--out"):
+            assert main(["fig2", "--steps", "5", flag, missing]) == 1
+            captured = capsysbinary.readouterr()
+            assert captured.out == b""
+            assert captured.err.startswith(b"error: ") and len(captured.err.splitlines()) == 1
+        csv = tmp_path / "fig2.csv"
+        assert main(["fig2", "--steps", "5", "--out", str(csv), "--svg", missing]) == 1
+        assert csv.read_bytes() == b""
 
     def test_fig2_byte_identical_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
@@ -757,7 +807,7 @@ class TestPackageNamespace:
         ]
 
     def test_each_public_name_is_its_submodules_attribute(self):
-        assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 45
+        assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 43
         for name in icoswitch.__all__:
             value = getattr(icoswitch, name)
             module = sys.modules[value.__module__]
