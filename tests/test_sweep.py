@@ -434,6 +434,11 @@ class TestCsv:
         table = fig2_preset(steps=5)
         assert render_csv(table) == render_csv(table)
 
+    def test_emit_to_path(self, tmp_path):
+        target = tmp_path / "out.csv"
+        cli._write((render_csv({"p": [1.0]}), str(target)))
+        assert target.read_bytes() == b"p\n1.00000000000\n"
+
     @pytest.mark.parametrize("case", range(3))
     def test_matches_per_cell_rule(self, case):
         table = spec_tables()[case]
@@ -522,6 +527,15 @@ class TestSvg:
         with pytest.raises(ValueError) as info:
             render_svg(table)
         assert str(info.value) == f"non-finite value {bad} in column {col!r} of the plot"
+
+    def test_emit_writes_rendered_bytes(self, tmp_path, capsysbinary):
+        table = {"x": [0.0, 1.0], "y": [1.0, 2.0]}
+        path = tmp_path / "plot.svg"
+        cli._write((render_csv(table), None))
+        assert capsysbinary.readouterr().out == render_csv(table).encode("utf-8")
+        cli._write((render_svg(table), None), (render_svg(table), str(path)))
+        assert capsysbinary.readouterr().out == path.read_bytes()
+        assert path.read_bytes() == render_svg(table).encode("utf-8")
 
 
 class TestCli:
