@@ -20,14 +20,14 @@ __version__ = "0.1.0"
 _SOURCE = {
     name: module
     for module, names in {
-        "channels": "KrausChannel apply_channel bloch_to_density check_density"
+        "channels": "KrausChannel bloch_to_density check_density"
         " depolarizing_channel noisy_phase_channel pauli_channel rotation_unitary",
         "engine": "bloch_vector evaluate_grid noise_weights switch_state_grid unit_axis",
         "metrology": "cfi_control cfi_numeric control_family qfi_cascade qfi_control"
         " qfi_joint qfi_numeric",
         "qmat": "EigDecomp as_cmatrix channel_choi herm_eig partial_trace",
         "selfcheck": "CheckResult run_all_checks",
-        "switch": "SwitchResult qc_closed_form qc_numeric reduced_control s00 s01"
+        "switch": "SwitchResult qc_closed_form qc_numeric s00 s01"
         " switch_kraus_apply switch_kraus_ops switch_state",
         "sweep": "ConfigError SweepConfig fig2_preset parse_config render_csv render_svg run_sweep",
     }.items()

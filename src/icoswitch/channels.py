@@ -33,7 +33,7 @@ from .qmat import ATOL_STRUCT, as_cmatrix, dagger, psd_within
 
 def bloch_to_density(r) -> np.ndarray:
     """Density matrix (I + r.sigma)/2 of each Bloch vector."""
-    x, y, z = np.moveaxis(bloch_vector(r, stack=True)[..., None, None], -3, 0)
+    x, y, z = np.moveaxis(bloch_vector(r)[..., None, None], -3, 0)
     return (I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0
 
 
@@ -62,7 +62,7 @@ def rotation_unitary(axis, phase) -> np.ndarray:
     deterministic; no matrix exponential is involved.  Axes ``(..., 3)`` and
     phases ``(...)`` broadcast against each other.
     """
-    x, y, z = np.moveaxis(unit_axis(axis, stack=True)[..., None, None], -3, 0)
+    x, y, z = np.moveaxis(unit_axis(axis)[..., None, None], -3, 0)
     n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
     half = 0.5 * np.asarray(phase, dtype=np.float64)[..., None, None]
     return np.cos(half) * I2 - 1j * np.sin(half) * n_sigma
@@ -147,7 +147,7 @@ def pauli_channel(axis, p) -> KrausChannel:
     against an array ``p``.
     """
     sigma = _pauli_matrices(axis)
-    p = _check_probability(p, stack=True)
+    p = _check_probability(p)
     ops = np.broadcast_arrays(_levels(np.sqrt(1.0 - p)) * I2, _levels(np.sqrt(p)) * sigma)
     return KrausChannel(np.stack(ops, axis=-3))
 
@@ -158,7 +158,7 @@ def depolarizing_channel(p) -> KrausChannel:
     Kraus set {sqrt(1-3p/4) I, sqrt(p/4) sigma_x, sqrt(p/4) sigma_y,
     sqrt(p/4) sigma_z}.  An array ``p`` gives one channel per level.
     """
-    p = _check_probability(p, stack=True)
+    p = _check_probability(p)
     w = _levels(np.sqrt(p / 4.0))
     keep = _levels(np.sqrt(1.0 - 3.0 * p / 4.0)) * I2
     return KrausChannel(np.stack((keep, w * SIGMA_X, w * SIGMA_Y, w * SIGMA_Z), axis=-3))
@@ -191,7 +191,3 @@ def _act(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """
     return sum(k @ rho @ dagger(k) for k in np.moveaxis(kraus, -3, 0))
 
-
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel action sum_m K_m rho K_m^dag, member by member."""
-    return _act(ch.kraus, _matching_state(ch, rho))

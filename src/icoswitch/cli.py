@@ -8,8 +8,9 @@ Subcommands:
             (--json PATH also writes each check's name, outcome, detail
             line and printed numbers as a JSON list)
 
-Every CSV, SVG and JSON output goes through one writer, to its file or stdout.
-Exit code is 0 on success and 1 with a one-line diagnostic on any error.
+A flag that has a config key is read by that key's rule.  Every CSV, SVG and
+JSON output goes through one writer, to its file or stdout.  Exit code is 0
+on success and 1 with a one-line diagnostic on any error.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
+import tempfile
 
 from .engine import NOISE_KINDS, QUANTITIES, evaluate_grid
 from .selfcheck import run_all_checks
 from .sweep import (
-    DEFAULT_XI,
+    _KEYS,
     SweepConfig,
-    _triple,
     fig2_preset,
     format_number,
     parse_config,
@@ -34,12 +36,16 @@ from .sweep import (
 )
 
 
-def _vector(raw: str) -> tuple[float, float, float]:
-    """An X,Y,Z flag, read as a config line reads a vector."""
-    try:
-        return _triple(raw, "vector")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _key(name: str):
+    """An argparse type that reads a flag by the rule of config key ``name``."""
+
+    def read(raw: str):
+        try:
+            return _KEYS[name][1](raw)
+        except ValueError as exc:  # argparse puts "argument --flag: " before it
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig2 = sub.add_parser("fig2", help="control-vs-cascade sweep over the noise level")
     fig2.add_argument("--steps", type=int, default=201, help="grid points on [0, 1] (default 201)")
     fig2.add_argument(
-        "--xi", type=float, default=DEFAULT_XI, help="phase in radians (default pi/5)"
+        "--xi", type=_key("xi"), default=SweepConfig.xi, help="phase in radians (default pi/5)"
     )
     fig2.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     fig2.add_argument("--svg", default=None, help="also write an SVG line plot here")
@@ -75,11 +81,18 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--noise", choices=NOISE_KINDS, default=SweepConfig.noise_kind)
     point.add_argument("--p", type=float, required=True, help="noise level in [0, 1]")
     point.add_argument(
-        "--pc", type=float, default=SweepConfig.p_c, help="control weight (default %(default)s)"
+        "--pc",
+        type=_key("p_c"),
+        default=SweepConfig.p_c,
+        help="control weight (default %(default)s)",
     )
-    point.add_argument("--xi", type=float, default=SweepConfig.xi, help="phase in radians")
-    point.add_argument("--axis", type=_vector, default=SweepConfig.axis, help="rotation axis X,Y,Z")
-    point.add_argument("--probe", type=_vector, default=SweepConfig.probe, help="probe Bloch X,Y,Z")
+    point.add_argument("--xi", type=_key("xi"), default=SweepConfig.xi, help="phase in radians")
+    point.add_argument(
+        "--axis", type=_key("axis"), default=SweepConfig.axis, help="rotation axis X,Y,Z"
+    )
+    point.add_argument(
+        "--probe", type=_key("probe"), default=SweepConfig.probe, help="probe Bloch X,Y,Z"
+    )
     point.add_argument("--quantity", choices=QUANTITIES, required=True)
 
     verify = sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
@@ -90,14 +103,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(*outputs: tuple[str, str | None]) -> None:
-    """Write each (text, path) as UTF-8 to path, or to stdout for None, opening every file first."""
+    """Write each (text, path) as UTF-8 to path, or to stdout for None.
+
+    Each regular (or new) file is written under a temporary name beside it,
+    with the mode a new file gets, and all are renamed into place only once
+    every one is written, so a failed run leaves an earlier file as it was.
+    Stdout and other paths, such as /dev/null, are opened first and written last.
+    """
+    umask = os.umask(0o022)
+    os.umask(umask)
+    staged, last = [], []  # (temporary name, target) and (bytes, sink)
     with contextlib.ExitStack() as stack:
-        sinks = [
-            sys.stdout.buffer if path is None else stack.enter_context(open(path, "wb"))
-            for _, path in outputs
-        ]
-        for (text, _), sink in zip(outputs, sinks):
-            sink.write(text.encode("utf-8"))
+        try:
+            for text, path in outputs:
+                data = text.encode("utf-8")
+                if path is None:
+                    last.append((data, sys.stdout.buffer))
+                elif os.path.exists(path) and not os.path.isfile(path):
+                    last.append((data, stack.enter_context(open(path, "wb"))))
+                else:
+                    target = os.path.realpath(path)  # write through a symlink, not over it
+                    try:
+                        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target))
+                    except OSError as exc:
+                        exc.filename = path  # the path given, not the temporary name
+                        raise
+                    staged.append((tmp, target))
+                    with open(fd, "wb") as fh:
+                        fh.write(data)
+                    os.chmod(tmp, 0o666 & ~umask)
+            for tmp, target in staged:
+                os.replace(tmp, target)
+        except BaseException:
+            for tmp, _ in staged:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+            raise
+        for data, sink in last:
+            sink.write(data)
             sink.flush()
 
 

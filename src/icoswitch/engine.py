@@ -74,18 +74,13 @@ _PAULIS = np.stack((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 JOINT_CHUNK = 32
 
 
-def _check_probability(p, name: str = "p", stack: bool = False):
-    """``p`` as a float in [0, 1]; with ``stack``, an array of them as float64."""
-    if stack:
-        p = np.asarray(p, dtype=np.float64)
-        bad = ~((p >= 0.0) & (p <= 1.0))
-        if bad.any():
-            raise ValueError(f"{name} must be a probability in [0, 1], got {p[bad][0]}")
-        return p
-    p = float(p)
-    if not np.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
-    return p
+def _check_probability(p, name: str = "p"):
+    """``p`` as float64 in [0, 1]: a float for a scalar, an array of the batch shape for a stack."""
+    p = np.asarray(p, dtype=np.float64)
+    ok = (p >= 0.0) & (p <= 1.0)
+    if not ok.all():
+        raise ValueError(f"{name} must be a probability in [0, 1], got {p[~ok][0]}")
+    return p if p.ndim else float(p)
 
 
 def _check_phase(xi: float) -> float:
@@ -95,8 +90,8 @@ def _check_phase(xi: float) -> float:
     return xi
 
 
-def _three_vectors(x, what: str, stack: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` as one float64 3-vector (or with ``stack`` a stack of them), and each norm.
+def _three_vectors(x, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as float64 3-vectors of any batch shape ``(..., 3)``, and the norm of each.
 
     The norm is the square root of one (1, 3) @ (3, 1) product per vector,
     the dot product ``np.linalg.norm`` takes for a single vector.  A
@@ -104,7 +99,7 @@ def _three_vectors(x, what: str, stack: bool) -> tuple[np.ndarray, np.ndarray]:
     finiteness only once the norm test has failed.
     """
     v = np.asarray(x, dtype=np.float64)
-    if v.shape[-1:] != (3,) or not (stack or v.ndim == 1):
+    if v.shape[-1:] != (3,):
         raise ValueError(f"{what} must have 3 components, got shape {v.shape}")
     with np.errstate(over="ignore"):  # an infinite norm fails every caller's norm test
         return v, np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0][()])
@@ -115,13 +110,13 @@ def _reject_non_finite(v: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has non-finite components")
 
 
-def bloch_vector(r, stack: bool = False) -> np.ndarray:
-    """Validate a Bloch vector, or with ``stack`` an array ``(..., 3)`` of them: norm <= 1.
+def bloch_vector(r) -> np.ndarray:
+    """Validate Bloch vectors ``(..., 3)``, a single one or a stack: each norm <= 1.
 
     A norm overshoot of at most 1e-12 is rescaled silently (roundoff from
     upstream arithmetic); anything larger is an error.
     """
-    v, norm = _three_vectors(r, "Bloch vector", stack)
+    v, norm = _three_vectors(r, "Bloch vector")
     if not (norm <= 1.0).all():
         _reject_non_finite(v, "Bloch vector")
         over = norm > 1.0 + BLOCH_NORM_TOL
@@ -131,9 +126,9 @@ def bloch_vector(r, stack: bool = False) -> np.ndarray:
     return v
 
 
-def unit_axis(n, stack: bool = False) -> np.ndarray:
-    """Validate a rotation axis, or with ``stack`` an array ``(..., 3)`` of them: |n| = 1 to 1e-12."""
-    v, norm = _three_vectors(n, "axis", stack)
+def unit_axis(n) -> np.ndarray:
+    """Validate rotation axes ``(..., 3)``, a single one or a stack: each |n| = 1 to 1e-12."""
+    v, norm = _three_vectors(n, "axis")
     off = ~(abs(norm - 1.0) <= AXIS_UNIT_TOL)
     if off.any():
         _reject_non_finite(v, "axis")
@@ -143,9 +138,9 @@ def unit_axis(n, stack: bool = False) -> np.ndarray:
 
 def noise_weights(kind: str, p_array) -> np.ndarray:
     """Pauli weights (w_0, w_x, w_y, w_z) of the noise, one row per level p."""
-    p = _check_probability(p_array, stack=True)
-    if p.ndim != 1:
-        raise ValueError(f"noise levels must form a 1-d array, got shape {p.shape}")
+    p = _check_probability(p_array)
+    if np.ndim(p) != 1:
+        raise ValueError(f"noise levels must form a 1-d array, got shape {np.shape(p)}")
     if kind == "depolarizing":
         quarter = p / 4.0
         return np.stack((1.0 - 3.0 * quarter, quarter, quarter, quarter), axis=1)
@@ -248,8 +243,8 @@ def _pauli_control(p_c, p, xi, overlap) -> dict:
     stack gives its members' values bit for bit.  The values have the
     broadcast shape, and are floats for scalar arguments.
     """
-    p_c = _check_probability(p_c, "p_c", stack=True)
-    p = _check_probability(p, stack=True)
+    p_c = _check_probability(p_c, "p_c")
+    p = _check_probability(p)
     overlap = np.asarray(overlap, dtype=np.float64)
     outside = ~(abs(overlap) <= 1.0)
     if outside.any():
@@ -320,13 +315,14 @@ def _joint_qfi(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
 
 
 def _validated(kind, p_array, p_c, xi, axis, probe):
-    return (
-        noise_weights(kind, p_array),
-        _check_probability(p_c, "p_c"),
-        _reduce_phase(xi),
-        unit_axis(axis),
-        bloch_vector(probe),
-    )
+    """The inputs of one evaluation, each checked once; p_c and xi are single numbers, and
+    axis and probe single 3-vectors."""
+    checked = noise_weights(kind, p_array), float(_check_probability(p_c, "p_c")), _reduce_phase(xi)
+    n, r = np.asarray(axis, dtype=np.float64), np.asarray(probe, dtype=np.float64)
+    for v, what in ((n, "axis"), (r, "Bloch vector")):
+        if v.shape != (3,):
+            raise ValueError(f"{what} must have 3 components, got shape {v.shape}")
+    return (*checked, unit_axis(n), bloch_vector(r))
 
 
 def switch_state_grid(kind: str, p_array, p_c: float, xi: float, axis, probe):

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import KrausChannel, bloch_to_density, noisy_phase_channel
-from .engine import _check_probability, _pauli_control, bloch_vector, unit_axis
+from .engine import _check_probability, _pauli_control
 from .qmat import ATOL_STRUCT, dagger, herm_eig
 from .switch import qc_numeric, s00, switch_state
 
@@ -109,10 +109,9 @@ def control_family(noise: KrausChannel, axis, rho: np.ndarray, p_c) -> StateFami
     """Family xi -> reduced control state of the switched channel.
 
     Noise, axes ``(..., 3)``, states, p_c and the phase broadcast, so one
-    family can stand for a whole stack of draws.
+    family can stand for a whole stack of draws.  Each call checks its
+    inputs, in noisy_phase_channel and switch_state.
     """
-    axis = unit_axis(axis, stack=True)
-    p_c = _check_probability(p_c, "p_c", stack=True)
 
     def family(xi: float) -> np.ndarray:
         return switch_state(noisy_phase_channel(noise, axis, xi), rho, p_c).control_reduced
@@ -126,8 +125,7 @@ def qfi_cascade(noise: KrausChannel, axis, xi: float, probe) -> float | np.ndarr
     No closed form is transcribed for this quantity; the SLD route on the
     dim-2 family xi -> s00 keeps it free of transcription risk.
     """
-    axis = unit_axis(axis, stack=True)
-    rho = bloch_to_density(bloch_vector(probe, stack=True))
+    rho = bloch_to_density(probe)
 
     def family(x):
         return s00(noisy_phase_channel(noise, axis, x), rho)
@@ -144,8 +142,6 @@ def qfi_joint(
     Fisher information) and equal to the cascade value when the two causal
     orders coincide.
     """
-    axis = unit_axis(axis, stack=True)
-    p_c = _check_probability(p_c, "p_c", stack=True)
 
     def family(x):
         return switch_state(noisy_phase_channel(noise, axis, x), rho, p_c).joint
@@ -153,27 +149,28 @@ def qfi_joint(
     return qfi_numeric(family, xi)
 
 
-def cfi_numeric(noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float) -> float:
+def cfi_numeric(noise: KrausChannel, axis, xi, rho: np.ndarray, p_c) -> float | np.ndarray:
     """Classical Fisher information of the Hadamard measurement, any noise.
 
     Differentiates P_+(xi) = 1/2 + sqrt((1-p_c) p_c) q_c(xi) by central
     difference with step DEFAULT_STEP.  At an exactly degenerate point (P_+
-    in {0, 1} with vanishing slope) it returns 0.
+    in {0, 1} with vanishing slope) it returns 0.  Noise, axes ``(..., 3)``,
+    states, p_c and the phase broadcast, as in control_family.
     """
-    axis = unit_axis(axis)
     p_c = _check_probability(p_c, "p_c")
     s_c = np.sqrt((1.0 - p_c) * p_c)
 
-    def p_plus(x: float) -> float:
+    def p_plus(x):
         return 0.5 + s_c * qc_numeric(noisy_phase_channel(noise, axis, x), rho)
 
     center = p_plus(xi)
     slope = (p_plus(xi + DEFAULT_STEP) - p_plus(xi - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
     denom = (1.0 - center) * center
-    if denom < QC_DEGENERACY_TOL:
-        if abs(slope) > 1e-6:
-            raise ArithmeticError(
-                f"measurement distribution degenerate (P_+ = {center}) with nonzero derivative"
-            )
-        return _fisher(0.0)
-    return _fisher(slope * slope / denom)
+    degenerate = denom < QC_DEGENERACY_TOL
+    steep = degenerate & (abs(slope) > 1e-6)
+    if steep.any():
+        raise ArithmeticError(
+            f"measurement distribution degenerate (P_+ = {np.asarray(center)[steep][0]})"
+            " with nonzero derivative"
+        )
+    return _fisher(np.where(degenerate, 0.0, slope * slope / np.where(degenerate, 1.0, denom)))

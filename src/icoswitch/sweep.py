@@ -34,6 +34,7 @@ from .engine import (
     QUANTITIES,
     _check_phase,
     _check_probability,
+    _three_vectors,
     bloch_vector,
     evaluate_grid,
 )
@@ -41,7 +42,7 @@ from .engine import (
 DEFAULT_XI = math.pi / 5
 FIG2_R_VALUES = (1.0, 0.8, 0.6, 0.4, 0.2)
 
-# Config axes are human-typed; near-unit vectors within this are renormalized.
+# Config and flag axes are human-typed; near-unit vectors within this are renormalized.
 CONFIG_AXIS_TOL = 1e-6
 # Largest noise grid accepted (config `p` ranges and `fig2 --steps`): checked
 # before anything is allocated, so a tiny step fails at once instead of hanging.
@@ -110,9 +111,7 @@ def _noise(raw: str) -> str:
 
 
 def _axis(raw: str) -> tuple[float, float, float]:
-    vec = np.asarray(_triple(raw, "axis"))
-    with np.errstate(over="ignore"):  # an infinite norm is rejected below
-        norm = float(np.linalg.norm(vec))
+    vec, norm = _three_vectors(_triple(raw, "axis"), "axis")
     if not abs(norm - 1.0) <= CONFIG_AXIS_TOL:
         raise ValueError(f"axis must be a unit vector, |n| = {norm}")
     return tuple((vec / norm).tolist())
@@ -156,6 +155,7 @@ def _quantities(raw: str) -> tuple[str, ...]:
 
 
 # Config key -> (SweepConfig field, rule that turns the raw text into its value).
+# The CLI reads each flag that has a config key by the same rule.
 _KEYS = {
     "noise": ("noise_kind", _noise),
     "axis": ("axis", _axis),

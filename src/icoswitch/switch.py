@@ -124,7 +124,7 @@ def switch_state(ch: KrausChannel, rho: np.ndarray, p_c) -> SwitchResult:
     state is its partial trace over the probe, and q_c = tr s01.  The state
     stack is coerced once, and every joint state passes ``check_density``.
     """
-    p_c = _check_probability(p_c, "p_c", stack=True)
+    p_c = _check_probability(p_c, "p_c")
     rho = _matching_state(ch, rho)
     s00_part = _act(ch.kraus, _act(ch.kraus, rho))
     s01_part = _interference(ch.kraus, rho)
@@ -161,20 +161,9 @@ def switch_kraus_apply(ch: KrausChannel, rho: np.ndarray, p_c) -> np.ndarray:
     switch_state joint; kept as a separate code path so a transcription
     error in either construction is caught by comparison.
     """
-    p_c = _check_probability(p_c, "p_c", stack=True)
+    p_c = _check_probability(p_c, "p_c")
     rho = _matching_state(ch, rho)
     psi = np.stack((np.sqrt(p_c), np.sqrt(1.0 - p_c)), axis=-1).astype(np.complex128)
     rho_c = psi[..., :, None] * psi[..., None, :].conj()
     return _act(switch_kraus_ops(ch), _kron(rho, rho_c))
 
-
-def reduced_control(ch: KrausChannel, rho: np.ndarray, p_c) -> np.ndarray:
-    """Reduced control state, built directly rather than by partial trace.
-
-    p_c |0><0| + (1-p_c) |1><1| + q_c sqrt((1-p_c) p_c) (|0><1| + |1><0|),
-    with q_c the trace of the order-interference term.  Agrees with the
-    partial trace of the joint output over the probe.
-    """
-    p_c = _check_probability(p_c, "p_c", stack=True)
-    coherence = qc_numeric(ch, rho) * np.sqrt((1.0 - p_c) * p_c)
-    return _control_diagonal(p_c) + _levels(coherence) * _FLIP

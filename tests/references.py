@@ -2,7 +2,10 @@
 
 Besides the random draws and Hypothesis strategies, this holds one oracle
 that is independent of the package's density-matrix code: the exact
-Bloch-vector cascade QFI of the fig2 setting (cascade_bloch_oracle).
+Bloch-vector cascade QFI of the fig2 setting (cascade_bloch_oracle).  It
+also holds two direct forms that only the tests use: a channel's action on
+a state (apply_channel) and the reduced control state built without a
+partial trace (reduced_control).
 """
 
 import math
@@ -10,8 +13,16 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from icoswitch.channels import KrausChannel, depolarizing_channel, pauli_channel
-from icoswitch.engine import PAULI_OF_KIND
+from icoswitch.channels import (
+    KrausChannel,
+    _act,
+    _levels,
+    _matching_state,
+    depolarizing_channel,
+    pauli_channel,
+)
+from icoswitch.engine import PAULI_OF_KIND, _check_probability
+from icoswitch.switch import _FLIP, _control_diagonal, qc_numeric
 
 XI = np.pi / 5
 E_Y = (0.0, 1.0, 0.0)
@@ -32,6 +43,23 @@ def noise_channel(kind: str, p) -> KrausChannel:
     if kind == "depolarizing":
         return depolarizing_channel(p)
     return pauli_channel(PAULI_OF_KIND[kind], p)
+
+
+def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """Channel action sum_m K_m rho K_m^dag, member by member."""
+    return _act(ch.kraus, _matching_state(ch, rho))
+
+
+def reduced_control(ch: KrausChannel, rho: np.ndarray, p_c) -> np.ndarray:
+    """Reduced control state, built directly rather than by partial trace.
+
+    p_c |0><0| + (1-p_c) |1><1| + q_c sqrt((1-p_c) p_c) (|0><1| + |1><0|),
+    with q_c the trace of the order-interference term.  Agrees with the
+    partial trace of the joint output over the probe.
+    """
+    p_c = _check_probability(p_c, "p_c")
+    coherence = qc_numeric(ch, rho) * np.sqrt((1.0 - p_c) * p_c)
+    return _control_diagonal(p_c) + _levels(coherence) * _FLIP
 
 
 def random_axis(rng):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from icoswitch.channels import (
     KrausChannel,
-    apply_channel,
     bloch_to_density,
     bloch_vector,
     check_density,
@@ -17,9 +16,9 @@ from icoswitch.channels import (
     rotation_unitary,
     unit_axis,
 )
-from icoswitch.engine import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from icoswitch.engine import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, evaluate_grid
 from icoswitch.qmat import herm_eig
-from references import random_bloch
+from references import apply_channel, random_bloch
 
 
 class TestBlochMaps:
@@ -346,29 +345,31 @@ class TestStacks:
             pauli_channel("x", np.array([0.2, 1.2, np.nan]))
         assert str(info.value) == "p must be a probability in [0, 1], got 1.2"
         with pytest.raises(ValueError) as info:
-            unit_axis(np.array([[0.0, 1.0, 0.0], [0.0, 0.6, 0.6]]), stack=True)
+            unit_axis(np.array([[0.0, 1.0, 0.0], [0.0, 0.6, 0.6]]))
         assert str(info.value) == f"axis must be a unit vector, |n| = {np.sqrt(0.72)}"
         with pytest.raises(ValueError, match="non-finite"):
-            bloch_vector(np.array([[0.0, 0.0, 0.5], [np.inf, 0.0, 0.0]]), stack=True)
+            bloch_vector(np.array([[0.0, 0.0, 0.5], [np.inf, 0.0, 0.0]]))
         ops = np.array([pauli_channel("x", 0.3).kraus] * 3)
         ops[1, 0] *= 0.5
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel(ops)
 
     def test_bloch_overshoot_rescales_only_its_member(self):
-        v = bloch_vector(np.array([[0.0, 0.0, 1.0 + 5e-13], [0.1, 0.2, 0.3]]), stack=True)
+        v = bloch_vector(np.array([[0.0, 0.0, 1.0 + 5e-13], [0.1, 0.2, 0.3]]))
         assert abs(np.linalg.norm(v[0]) - 1.0) <= 1e-15
         np.testing.assert_array_equal(v[1], [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("check, what", [(bloch_vector, "Bloch vector"), (unit_axis, "axis")])
     def test_single_vector_checks_refuse_a_stack(self, check, what):
-        # The grid engine validates its axis and probe with these; a stack
-        # passes only when asked for.
+        # The validators take any batch shape; the grid engine alone asks for
+        # one axis and one probe, and refuses a stack of either by name.
         axes = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(check(axes), axes)
+        vectors = {"axis": (0.0, 1.0, 0.0), "Bloch vector": (0.0, 0.0, 1.0), what: axes}
+        axis, probe = vectors["axis"], vectors["Bloch vector"]
         with pytest.raises(ValueError) as info:
-            check(axes)
+            evaluate_grid(("qc",), "bitflip", [0.3], 0.5, 0.1, axis, probe)
         assert str(info.value) == f"{what} must have 3 components, got shape (2, 3)"
-        np.testing.assert_array_equal(check(axes, stack=True), axes)
 
     def test_rotation_and_noisy_channel_per_member(self):
         rng = np.random.default_rng(26)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icoswitch.channels import (
-    apply_channel,
     bloch_to_density,
     depolarizing_channel,
     pauli_channel,
@@ -30,6 +29,7 @@ from references import (
     E_Y,
     FQ_CON_ANCHOR,
     XI,
+    apply_channel,
     cascade_bloch_oracle,
     noise_channel,
     phases,
@@ -201,6 +201,20 @@ class TestCfiControl:
             numeric = cfi_numeric(noise, axis, xi, rho, p_c)
             closed = cfi_control(p_c, p, xi, axis[0])
             assert abs(numeric - closed) < 1e-6
+
+    def test_numeric_route_on_a_stack_equals_its_draws(self):
+        # The validators take any batch shape, so the numeric route takes a
+        # stack of draws as every other oracle evaluator does.
+        rng = np.random.default_rng(58)
+        p, p_c, xi = rng.uniform(size=6), rng.uniform(0.1, 0.9, 6), rng.uniform(0.3, 6.0, 6)
+        axes = np.array([random_axis(rng) for _ in range(6)])
+        rho = bloch_to_density(np.array([random_bloch(rng) for _ in range(6)]))
+        xi[0], p_c[0] = 0.0, 0.5  # one degenerate draw: P_+ = 1 with vanishing slope
+        stacked = cfi_numeric(pauli_channel("x", p), axes, xi, rho, p_c)
+        assert stacked.shape == (6,) and stacked[0] == 0.0
+        for i in range(6):
+            one = cfi_numeric(pauli_channel("x", p[i]), axes[i], xi[i], rho[i], p_c[i])
+            assert isinstance(one, float) and one == stacked[i]
 
 
 class TestQfiCascade:

@@ -557,11 +557,45 @@ class TestCli:
 
     def test_vector_flag_reads_like_a_config_vector(self, capsys):
         for flag, raw, message in (
-            ("--axis", "0,0.6", "vector expects three comma-separated numbers"),
-            ("--probe", "0,a,1", "vector expects a number, got 'a'"),
+            ("--axis", "0,0.6", "axis expects three comma-separated numbers"),
+            ("--probe", "0,a,1", "probe expects a number, got 'a'"),
         ):
             assert main(["point", "--p", "0.3", "--quantity", "qc", f"{flag}={raw}"]) == 1
             assert capsys.readouterr().err == f"error: argument {flag}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "keys, printed",
+        [
+            (
+                {
+                    "noise": "phaseflip",
+                    "axis": "-0.8226902875991798,-0.18198613373554226,-0.5385737997878915",
+                    "probe": "-0.15398733711782248,0.7230309877294577,0.5624860752368",
+                    "xi": "2.187078777020501",
+                    "p_c": "0.32151296323629663",
+                    "p": "0.6900000000000001",  # level 69 of the grid p = 0:1:0.01
+                    "quantities": "fq_cas",
+                },
+                "0.000212138514348",
+            ),
+            (
+                {"axis": "0.70710678,0,0.70710678", "p": "0.3", "quantities": "fq_con"},
+                "0.193833774886",
+            ),
+        ],
+        ids=["phaseflip-fq_cas", "near-unit-axis"],
+    )
+    def test_point_prints_the_sweep_cell(self, keys, printed, tmp_path, capsys):
+        # Each flag is read by its config key's rule (a near-unit axis is
+        # renormalized), so point prints the bytes of a one-level sweep.
+        config = tmp_path / "point.cfg"
+        config.write_text("".join(f"{key} = {raw}\n" for key, raw in keys.items()))
+        assert main(["sweep", "--config", str(config)]) == 0
+        cell = capsys.readouterr().out.splitlines()[1].rpartition(",")[2]
+        flag = {"p_c": "--pc", "quantities": "--quantity"}
+        argv = [f"{flag.get(key, '--' + key)}={raw}" for key, raw in keys.items()]
+        assert main(["point", *argv]) == 0
+        assert capsys.readouterr().out == cell + "\n" == printed + "\n"
 
     def test_point_all_quantities(self, capsys):
         for quantity in ("qc", "fq_con", "fq_cas", "fc_con", "fq_joint"):
@@ -620,7 +654,8 @@ class TestCli:
         assert out.read_bytes() == capsysbinary.readouterr().out == render_csv(table).encode()
 
     def test_fig2_unopenable_svg_writes_nothing(self, tmp_path, capsysbinary):
-        # Both texts are rendered and both files opened before any byte is written.
+        # Both texts are rendered and written under temporary names before
+        # any file is replaced or any byte reaches stdout.
         missing = str(tmp_path / "missing" / "fig2")
         for flag in ("--svg", "--out"):
             assert main(["fig2", "--steps", "5", flag, missing]) == 1
@@ -628,8 +663,11 @@ class TestCli:
             assert captured.out == b""
             assert captured.err.startswith(b"error: ") and len(captured.err.splitlines()) == 1
         csv = tmp_path / "fig2.csv"
+        assert main(["fig2", "--steps", "3", "--out", str(csv)]) == 0
+        earlier = csv.read_bytes()
         assert main(["fig2", "--steps", "5", "--out", str(csv), "--svg", missing]) == 1
-        assert csv.read_bytes() == b""
+        assert csv.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [csv]  # no temporary file is left behind
 
     def test_fig2_byte_identical_across_runs_and_threads(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
@@ -693,12 +731,20 @@ class TestCli:
         [
             (["point", "--p", "abc", "--quantity", "qc"], "--p"),
             (["point", "--p", "0.3", "--quantity", "qc", "--axis=0,0.6"], "--axis"),
+            (["point", "--p", "0.3", "--quantity", "qc", "--probe=0,0,1.5"], "--probe"),
+            (["point", "--p", "0.3", "--quantity", "qc", "--axis=0,0,2"], "--axis"),
+            (["point", "--p", "0.3", "--quantity", "qc", "--pc", "2"], "--pc"),
+            (["point", "--p", "0.3", "--quantity", "qc", "--xi", "nan"], "--xi"),
+            (["fig2", "--xi", "inf"], "--xi"),
             (["point", "--p", "0.3"], "--quantity"),
             (["point", "--noise", "x", "--p", "0.3", "--quantity", "qc"], "--noise"),
             (["fig2", "--steps", "x"], "--steps"),
             ([], "command"),
         ],
-        ids=["float", "triple", "missing", "choice", "int", "no-command"],
+        ids=[
+            "float", "triple", "probe-norm", "axis-norm", "probability", "point-xi", "fig2-xi",
+            "missing", "choice", "int", "no-command",
+        ],  # fmt: skip
     )
     def test_argument_error_is_one_line(self, argv, named, capsys):
         assert main(argv) == 1
@@ -821,7 +867,7 @@ class TestPackageNamespace:
         ]
 
     def test_each_public_name_is_its_submodules_attribute(self):
-        assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 43
+        assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 41
         for name in icoswitch.__all__:
             value = getattr(icoswitch, name)
             module = sys.modules[value.__module__]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from icoswitch.channels import (
     KrausChannel,
-    apply_channel,
     bloch_to_density,
     check_density,
     depolarizing_channel,
@@ -23,14 +22,13 @@ from icoswitch.qmat import channel_choi, herm_eig, partial_trace
 from icoswitch.switch import (
     qc_closed_form,
     qc_numeric,
-    reduced_control,
     s00,
     s01,
     switch_kraus_apply,
     switch_kraus_ops,
     switch_state,
 )
-from references import E_Y, XI, random_axis, random_bloch
+from references import E_Y, XI, apply_channel, random_axis, random_bloch, reduced_control
 
 def random_pauli_setup(rng):
     """A noisy phase channel with its parameters, plus a random probe."""
