@@ -17,8 +17,10 @@ grid.  Every quantity is 2 pi-periodic in xi, so the engine evaluates at
 xi reduced to [-pi, pi]; the CSV xi column echoes the configured value.
 A table is one dict of columns in CSV order, each holding one cell per grid
 point (a float64 array, or a list of floats or of strings).  Output is
-formatted a column at a time, byte for byte as format_number and the scalar
-pixel formulas format a cell.
+formatted a column at a time: CSV cells byte for byte as format_number
+formats a cell, and polyline pixels by a fixed-point kernel whose rule is
+"%.2f", which it calls itself for any cell it cannot prove it writes the
+same (near a rounding tie, from 100000.00 up, or with the sign bit set).
 """
 
 from __future__ import annotations
@@ -315,6 +317,75 @@ _SVG_W, _SVG_H = 800, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 170, 40, 60
 
 
+# Polyline pixels go through a fixed-point kernel.  A kernel cell is the
+# ASCII of "ddddd.ff" in one little-endian uint64, ORed from four lookups of
+# two bytes each and then cleared of its leading zeros; a cell that "%.2f"
+# writes itself holds the one byte _SCALAR until the text is joined.
+def _table(layout: bytes, count: int) -> np.ndarray:
+    return np.frombuffer(b"".join([layout % i for i in range(count)]), "<u8")
+
+
+_HI = _table(b"%02d\0\0\0\0\0\0", 100)
+_MID = _table(b"\0\0%02d\0\0\0\0", 100)
+_UNITS = _table(b"\0\0\0\0%d.\0\0", 10)
+_FRAC = _table(b"\0\0\0\0\0\0%02d", 100)
+# _LEAD[j] clears the 4 - j leading zeros of a whole part with j + 1 digits.
+_LEAD = np.array([(1 << 64) - (1 << 8 * k) for k in (4, 3, 2, 1, 0)], np.uint64)
+_SCALAR = 1
+_TIE_BAND = 1e-6
+
+
+def _fixed2(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """The bytes of ``"%.2f" % v`` for each cell of a float64 array.
+
+    Returns an (n, 8) uint8 array, each row its cell right-aligned after NUL
+    bytes, then the rows that "%.2f" writes itself and their bytes.  For
+    0 <= v < 1e5, 100 v < 2**24, so fl(100 v) lies within 2**-30 of the
+    exact 100 v; where its fraction is at least _TIE_BAND from 1/2, rint
+    gives the correctly rounded cent count that "%.2f" prints.  Cells in
+    that band, that round to 100000.00 or more, that are not finite, or
+    that have the sign bit set ("%.2f" % -0.0 is "-0.00") go to "%.2f",
+    one cell at a time.
+    """
+    scaled = np.clip(values, 0.0, 1e5) * 100.0  # clipped: no overflow; NaN stays NaN
+    kernel = (
+        (scaled < 9_999_999.5)
+        & ~np.signbit(values)
+        & (np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_BAND)
+    )
+    cents = np.rint(np.where(kernel, scaled, 0.0)).astype(np.int64)
+    whole, frac = np.divmod(cents, 100)
+    tens, units = np.divmod(whole, 10)
+    hi, mid = np.divmod(tens, 100)
+    cells = _HI[hi] | _MID[mid] | _UNITS[units] | _FRAC[frac]
+    cells &= _LEAD[np.searchsorted((10, 100, 1000, 10_000), whole, side="right")]
+    rows = np.flatnonzero(~kernel)
+    cells[rows] = _SCALAR << 56
+    scalar = [b"%.2f" % v for v in values[rows].tolist()]
+    return cells.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8), rows, scalar
+
+
+def _points(x: tuple, y: tuple) -> str:
+    """Polyline points "x,y x,y ..." from the _fixed2 cells of two equal-length columns."""
+    (x_cells, x_rows, x_scalar), (y_cells, y_rows, y_scalar) = x, y
+    row = np.empty((len(x_cells), 18), np.uint8)
+    row[:, :8] = x_cells
+    row[:, 8] = ord(",")
+    row[:, 9:17] = y_cells
+    row[:, 17] = ord(" ")
+    text = row.tobytes().translate(None, b"\0")[:-1]
+    if x_scalar or y_scalar:
+        # Scalar cells in text order: x before y within a row.
+        order = np.argsort(np.concatenate([2 * x_rows, 2 * y_rows + 1]), kind="stable")
+        texts = [*x_scalar, *y_scalar]
+        pieces = text.split(bytes([_SCALAR]))
+        joined = [b""] * (2 * len(pieces) - 1)
+        joined[::2] = pieces
+        joined[1::2] = [texts[i] for i in order.tolist()]
+        text = b"".join(joined)
+    return text.decode("ascii")
+
+
 def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
 
@@ -335,7 +406,9 @@ def render_svg(table: dict) -> str:
 
     Every other column is a series, in order: the first solid, the rest
     dashed.  Each column must be finite; px/py map whole float64 columns, in
-    the scalar order of operations, to "%.2f,%.2f" polyline points.
+    the scalar order of operations, to pixels, and the fixed-point kernel
+    (_fixed2, with "%.2f" as its rule and its per-cell fallback) writes them
+    as "x,y" polyline points, the x cells once for every series.
     """
     if _row_count(table) < 2:
         raise ValueError("need at least 2 rows to draw lines")
@@ -392,9 +465,9 @@ def render_svg(table: dict) -> str:
     )
     # Series.
     styles = [(_PALETTE[i % len(_PALETTE)], _DASHED if i else "") for i in range(len(ys))]
-    x_pixels = px(xs).tolist()
+    x_cells = _fixed2(px(xs))
     for (color, dash), y in zip(styles, ys):
-        pts = " ".join(["%.2f,%.2f" % xy for xy in zip(x_pixels, py(y).tolist())])
+        pts = _points(x_cells, _fixed2(py(y)))
         out.write(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>\n'
         )

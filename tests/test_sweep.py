@@ -1,5 +1,6 @@
 """Tests for config parsing, the sweep engine, CSV/SVG output, and the CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icoswitch
 from icoswitch import cli, sweep
@@ -76,6 +79,34 @@ def spec_tables():
     }
     return [fig2_preset(steps=201), run_sweep(cfg), hand]
 
+
+def svg_tables():
+    """Tables on which render_svg meets the scalar pixel formulas: spec_tables, the
+    fig2 figure, and a hand table whose pixels include exact ties (70.125, 290.125,
+    539.875, 40.125) beside ordinary values in one polyline."""
+    ties = {
+        "x": [0.0, 0.125 / 560, 0.5, 0.5 + 0.125 / 560, 1.0],
+        "y": [0.0, 0.49975, 0.3, 0.00025, 1.0],
+        "z": [0.99975, 0.1, 0.2, 0.7, 0.5],
+    }
+    return [*spec_tables(), fig2_preset(steps=2001), ties]
+
+
+def kernel_points(x, y=None):
+    """Polyline points of the fixed-point kernel on x against y (x itself when y is None),
+    and the rows of x that the kernel left to "%.2f"."""
+    cells = sweep._fixed2(np.asarray(x, dtype=np.float64))
+    other = cells if y is None else sweep._fixed2(np.asarray(y, dtype=np.float64))
+    return sweep._points(cells, other).split(" "), cells[1].tolist()
+
+
+def printf_points(x, y=None):
+    cells = ["%.2f" % v for v in np.asarray(x, dtype=np.float64).tolist()]
+    other = cells if y is None else ["%.2f" % v for v in np.asarray(y, dtype=np.float64).tolist()]
+    return [",".join(xy) for xy in zip(cells, other)]
+
+
+GOLDEN_FIG2_SVG = Path(__file__).parent / "golden" / "fig2-2001.svg.sha256"
 
 
 class TestGridPoints:
@@ -512,10 +543,10 @@ class TestSvg:
             render_svg(run_sweep(parse_config("p = 0:1:0.5")))
         assert str(info.value) == "column 'noise_kind' is not numeric, so the plot cannot draw it"
 
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(5))
     def test_points_match_scalar_formulas(self, case):
         # Every column but text, which render_svg cannot draw.
-        table = {n: cells for n, cells in spec_tables()[case].items() if not isinstance(cells[0], str)}
+        table = {n: cells for n, cells in svg_tables()[case].items() if not isinstance(cells[0], str)}
         svg = render_svg(table)
         assert re.findall(r'points="([^"]*)"', svg) == reference_points(table)
 
@@ -536,6 +567,50 @@ class TestSvg:
         cli._write((render_svg(table), None), (render_svg(table), str(path)))
         assert capsysbinary.readouterr().out == path.read_bytes()
         assert path.read_bytes() == render_svg(table).encode("utf-8")
+
+    def test_fig2_matches_golden_hash(self):
+        svg = render_svg(fig2_preset(steps=2001)).encode("utf-8")
+        assert hashlib.sha256(svg).hexdigest() == GOLDEN_FIG2_SVG.read_text().strip()
+
+
+class TestFixedPointKernel:
+    """The polyline kernel against "%.2f", cell by cell; small sets also pair each
+    value with another row's, so cells "%.2f" writes itself fall in x alone, y alone
+    and both."""
+
+    def test_cents_and_their_neighbours_take_the_kernel(self):
+        cents = np.arange(100_000) / 100
+        values = np.concatenate([cents, np.nextafter(cents, -1.0), np.nextafter(cents, 1e6)])
+        points, scalar = kernel_points(values)
+        assert points == printf_points(values)
+        assert scalar == [100_000]  # the lower neighbour of 0.0 is -5e-324
+
+    def test_binary_ties_take_printf(self):
+        values = np.arange(1, 800_000, 2) / 8  # every k/8 below 1e5 whose cent count ends in .5
+        points, scalar = kernel_points(values)
+        assert points == printf_points(values)
+        assert scalar == list(range(len(values)))
+
+    def test_below_and_at_1e5(self):
+        below = 1e5 - np.arange(1, 6) * np.spacing(1e5)
+        values = np.array([99999.99, 99999.994, *below, 99999.995, 1e5, 100000.01, 2e5])
+        points, scalar = kernel_points(values, values[::-1])
+        assert points == printf_points(values, values[::-1])
+        # Just below 1e5 the cell rounds to 100000.00, so printf writes it too.
+        assert scalar == list(range(2, len(values)))
+
+    def test_sign_bit_and_subnormal(self):
+        values = np.array([-0.0, 0.0, -1e-300, -0.001, -0.004, -0.006, 5e-324, 0.004, 290.125])
+        points, scalar = kernel_points(values, values[::-1])
+        assert points == printf_points(values, values[::-1])
+        assert points[0].startswith("-0.00,") and points[2].startswith("-0.00,")
+        assert scalar == [0, 2, 3, 4, 5, 8]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 2e5), min_size=1, max_size=40))
+    def test_floats_up_to_2e5(self, values):
+        values = np.array(values)
+        assert kernel_points(values, values[::-1])[0] == printf_points(values, values[::-1])
 
 
 class TestCli:
