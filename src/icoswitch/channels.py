@@ -28,7 +28,7 @@ from .engine import (
     bloch_vector,
     unit_axis,
 )
-from .qmat import ATOL_STRUCT, as_cmatrix, dagger, psd_within
+from .qmat import ATOL_STRUCT, _product, as_cmatrix, dagger, psd_within
 
 
 def bloch_to_density(r) -> np.ndarray:
@@ -101,7 +101,7 @@ class KrausChannel:
         d = ops.shape[-1]
         # sum_m K_m^dag K_m = A^dag A for the operators stacked as rows, A = (m d, d).
         rows = ops.reshape(*ops.shape[:-3], -1, d)
-        if not (np.abs(dagger(rows) @ rows - np.eye(d)) < ATOL_STRUCT).all():
+        if not (np.abs(_product(dagger(rows), rows) - np.eye(d)) < ATOL_STRUCT).all():
             raise ValueError("Kraus operators violate completeness sum K^dag K = I")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
@@ -173,7 +173,7 @@ def noisy_phase_channel(noise: KrausChannel, axis, phase) -> KrausChannel:
     """
     if noise.dim != 2:
         raise ValueError(f"noise channel must act on a qubit, got dim {noise.dim}")
-    return KrausChannel(noise.kraus @ rotation_unitary(axis, phase)[..., None, :, :])
+    return KrausChannel(_product(noise.kraus, rotation_unitary(axis, phase)[..., None, :, :]))
 
 
 def _matching_state(ch: KrausChannel, rho) -> np.ndarray:
@@ -189,5 +189,5 @@ def _act(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     The sum runs over the operators in order, one (..., d, d) term at a time.
     """
-    return sum(k @ rho @ dagger(k) for k in np.moveaxis(kraus, -3, 0))
+    return sum(_product(_product(k, rho), dagger(k)) for k in np.moveaxis(kraus, -3, 0))
 

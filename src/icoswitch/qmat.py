@@ -14,7 +14,10 @@ is deterministic and does not depend on the stack it came in.
 ``psd_within`` answers the positivity check with a Cholesky factorization
 shifted by the structural tolerance.  ``herm_eig`` is a cyclic Jacobi
 eigensolver; it serves the routes that need the spectrum itself (the SLD
-sum and the Choi-matrix eigenvalues).
+sum and the Choi-matrix eigenvalues), and rotates only the rows that are
+nonzero in some member, so a Choi matrix of the switch is solved on half
+its rows.  The private ``_product`` forms the oracle's stacked 2x2
+products elementwise, where ``@`` pays a BLAS call per member.
 
 Tolerances are centralized here: structural checks at 1e-10,
 eigendecomposition reconstruction at 1e-11, Jacobi convergence at 1e-13
@@ -65,6 +68,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices, batch shapes broadcast as by matmul.
+
+    Written out as one elementwise term per inner index, summed left to
+    right, so it costs a few array operations per stack where matmul pays a
+    call per member, and each member's product does not depend on its stack.
+    """
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for i in range(1, a.shape[-1]):
+        out += a[..., :, i, None] * b[..., None, i, :]
+    return out
+
+
 def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
     """Trace out one factor of each bipartite operator in the stack.
 
@@ -102,7 +118,11 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     complex Givens rotations until the off-diagonal Frobenius norm falls
     below ``JACOBI_REL_TOL`` times the Frobenius norm of the input (Golub &
     Van Loan, *Matrix Computations*, section 8.5).  Each rotation touches
-    only rows and columns p and q, and eigenvector columns p and q.  All
+    only rows and columns p and q, and eigenvector columns p and q.  An
+    index whose row and column are exactly zero in every member is dropped
+    before the sweeps and gets eigenvalue 0 and eigenvector e_i: a pivot in
+    it never turns and no rotation fills it, so the eigenvalues are bit for
+    bit those of the full solve, at a fraction of its pivots.  All
     matrices of the stack rotate in lockstep: each has its own scaling,
     norms, stop test and pivot skip, and one that has converged is frozen
     (c = 1, s = 0), so every member gets exactly the rotations it would get
@@ -121,13 +141,10 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     batch, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, n, n)
     members = a.shape[0]
-    # Batch on the last axis: z[i, j, 0] and z[i, j, 1] are the real and
-    # imaginary parts of entry (i, j) of every member.  Rows 0..n-1 hold the
-    # matrix W, rows n..2n-1 the eigenvectors V; a column rotation acts on both.
-    z = np.zeros((2 * n, n, 2, members))
-    w = z[:n]
+    # Batch on the last axis: w[i, j, 0] and w[i, j, 1] are the real and
+    # imaginary parts of entry (i, j) of every member.
+    w = np.empty((n, n, 2, members))
     w[:, :, 0], w[:, :, 1] = a.real.transpose(1, 2, 0), a.imag.transpose(1, 2, 0)
-    z[np.arange(n, 2 * n), np.arange(n), 0] = 1.0
     re, im = w[:, :, 0], w[:, :, 1]
     asymmetry = re - re.swapaxes(0, 1)  # |a - a^dag| from its real and imaginary parts
     if np.max(np.hypot(asymmetry, im + im.swapaxes(0, 1), out=asymmetry)) >= ATOL_STRUCT:
@@ -140,6 +157,37 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     w *= np.ldexp(1.0, half - exponent)
     # Fold roundoff asymmetry so the iteration starts exactly Hermitian.
     w[...] = (w + w.transpose(1, 0, 2, 3) * _CONJ) / 2.0
+    # Only the live indices, whose row is nonzero in some member, rotate; a
+    # dropped index keeps its diagonal entry, a signed zero, as eigenvalue.
+    live = np.flatnonzero(w.any(axis=(1, 2, 3)))
+    k = len(live)
+    # Rows 0..k-1 of z hold the live block of W, rows k..2k-1 the
+    # eigenvectors V; a column rotation acts on both.
+    z = np.zeros((2 * k, k, 2, members))
+    z[:k] = w[live[:, None], live]
+    z[np.arange(k, 2 * k), np.arange(k), 0] = 1.0
+    if k > 1:
+        _jacobi(z, k, max_sweeps)
+
+    diagonal = np.arange(n)
+    vals = w[diagonal, diagonal, 0].T
+    vals[:, live] = z[np.arange(k), np.arange(k), 0].T
+    vals = vals * np.ldexp(1.0, half)[:, None] * np.ldexp(1.0, exponent - half)[:, None]
+    vecs = np.zeros((members, n, n), dtype=np.complex128)
+    vecs[:, diagonal, diagonal] = 1.0
+    block = np.empty((members, k, k), dtype=np.complex128)
+    block.real, block.imag = z[k:, :, 0].transpose(2, 0, 1), z[k:, :, 1].transpose(2, 0, 1)
+    vecs[:, live[:, None], live] = block
+    order = np.argsort(vals, axis=-1, kind="stable")
+    member = np.arange(members)[:, None]
+    vals = vals[member, order]
+    vecs = vecs[member[:, :, None], diagonal[:, None], order[:, None, :]]
+    return EigDecomp(vals.reshape(*batch, n), vecs.reshape(*batch, n, n))
+
+
+def _jacobi(z: np.ndarray, n: int, max_sweeps: int) -> None:
+    """Row-cyclic Jacobi sweeps on the n x n matrices of ``z`` (see herm_eig), in place; n > 1."""
+    members = z.shape[-1]
     offdiag = ~np.eye(n, dtype=bool).ravel()
 
     def squares():
@@ -156,22 +204,11 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
         for _ in range(max_sweeps):
             active &= ~(np.sqrt(_sum_in_order(squares()[offdiag])) <= off_tol)
             if not active.any():
-                break
+                return
             for p in range(n - 1):
                 for q in range(p + 1, n):
                     _rotate(z, n, p, q, active, pivot_skip)
-        else:
-            raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-
-    vals = z[np.arange(n), np.arange(n), 0].T * np.ldexp(1.0, half)[:, None]
-    vals = vals * np.ldexp(1.0, exponent - half)[:, None]
-    vecs = np.empty((members, n, n), dtype=np.complex128)
-    vecs.real, vecs.imag = z[n:, :, 0].transpose(2, 0, 1), z[n:, :, 1].transpose(2, 0, 1)
-    order = np.argsort(vals, axis=-1, kind="stable")
-    member = np.arange(members)[:, None]
-    vals = vals[member, order]
-    vecs = vecs[member[:, :, None], np.arange(n)[:, None], order[:, None, :]]
-    return EigDecomp(vals.reshape(*batch, n), vecs.reshape(*batch, n, n))
+    raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
 
 
 def _rotate(z: np.ndarray, n: int, p: int, q: int, active: np.ndarray, pivot_skip) -> None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import KrausChannel, _act, _levels, _matching_state, check_density
 from .engine import _check_probability, _pauli_control
-from .qmat import dagger, partial_trace
+from .qmat import _product, dagger, partial_trace
 
 # s01 must come out Hermitian ((j,k) and (k,j) terms are mutual adjoints);
 # a larger residual signals a broken channel construction, not noise.
@@ -73,7 +73,11 @@ def _interference(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """s01 of a checked Kraus stack and state stack, with its Hermiticity check."""
     ops = list(np.moveaxis(kraus, -3, 0))
     # K_j^dag K_k^dag = (K_k K_j)^dag; the terms are summed with j major.
-    out = sum(kj @ kk @ rho @ dagger(kk @ kj) for kj in ops for kk in ops)
+    out = sum(
+        _product(_product(_product(kj, kk), rho), dagger(_product(kk, kj)))
+        for kj in ops
+        for kk in ops
+    )
     if np.max(np.abs(out - dagger(out))) >= S01_HERMITICITY_TOL:
         raise ArithmeticError("order-interference term came out non-Hermitian")
     return out
@@ -143,7 +147,7 @@ def switch_kraus_ops(ch: KrausChannel) -> np.ndarray:
     joint space.
     """
     k = ch.kraus
-    pairs = k[..., :, None, :, :] @ k[..., None, :, :, :]  # [..., j, k] holds K_j K_k
+    pairs = _product(k[..., :, None, :, :], k[..., None, :, :, :])  # [..., j, k] holds K_j K_k
     d = ch.dim
     # Entry ((a, c), (b, c')) of W_jk is zero unless c = c'; the probe factor
     # is K_j K_k for c = 0 and K_k K_j for c = 1.

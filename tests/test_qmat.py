@@ -9,6 +9,7 @@ from icoswitch.engine import I2, SIGMA_X, SIGMA_Y
 from icoswitch.qmat import (
     ATOL_RECON,
     ATOL_STRUCT,
+    _product,
     as_cmatrix,
     channel_choi,
     herm_eig,
@@ -138,11 +139,35 @@ class TestHermEig:
     def test_zero_matrix(self):
         vals, vecs = herm_eig(np.zeros((4, 4), dtype=complex))
         np.testing.assert_array_equal(vals, np.zeros(4))
+        np.testing.assert_array_equal(vals, np.linalg.eigvalsh(np.zeros((4, 4))))
         np.testing.assert_array_equal(vecs, np.eye(4))
+
+    def test_one_live_row(self):
+        # Only row and column 2 are nonzero: the rest is deflated, and the
+        # live 1x1 block needs no sweep.
+        a = np.zeros((4, 4), dtype=complex)
+        a[2, 2] = -1.5
+        vals, vecs = herm_eig(a)
+        np.testing.assert_array_equal(vals, np.linalg.eigvalsh(a))
+        np.testing.assert_array_equal(vecs, np.eye(4)[:, [2, 0, 1, 3]])
+
+    @pytest.mark.parametrize("entry", [2.0, -0.75, 1e-170, 3e300])
+    def test_one_by_one(self, entry):
+        vals, vecs = herm_eig(np.array([[entry + 0j]]))
+        np.testing.assert_array_equal(vals, [entry])
+        np.testing.assert_array_equal(vecs, [[1.0]])
+
+    def test_stack_of_one_by_one(self):
+        entries = np.array([2.0, 0.0, -1e-170, 5.0])
+        vals, vecs = herm_eig(entries.reshape(2, 2, 1, 1))
+        np.testing.assert_array_equal(vals, entries.reshape(2, 2, 1))
+        np.testing.assert_array_equal(vecs, np.ones((2, 2, 1, 1)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            herm_eig(np.array([[1j]]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -228,20 +253,29 @@ def stack_member(rng, kind, n):
 
     "dense" has complex entries of one size and takes the most sweeps (5 or
     6 at n = 4); "tiny" is a dense member scaled to entries near 1e-170, so
-    herm_eig scales it by a power of two; "diagonal" makes no rotation.
+    herm_eig scales it by a power of two; "diagonal" makes no rotation;
+    "gaps" is a Gram matrix whose odd rows and columns are exactly zero, as
+    in a Choi matrix, so alone it is solved on its even rows only.
     """
     if kind == "diagonal":
         return np.diag(rng.normal(size=n)).astype(complex)
+    if kind == "gaps":
+        v = random_complex(rng, n)
+        v[:, 1::2] = 0.0
+        return v.T @ v.conj()
     dense = random_hermitian(rng, n)
     return 1e-170 * dense if kind == "tiny" else dense
 
 
 @st.composite
 def hermitian_stacks(draw):
-    """A stack of 2, 4 or 16 Hermitian matrices mixing the kinds of ``stack_member``."""
+    """A stack of 2, 4 or 16 Hermitian matrices mixing the kinds of ``stack_member``.
+
+    Every stack has a dense member, so none of its rows is zero throughout.
+    """
     size = draw(st.sampled_from([2, 4, 16]))
     n = draw(st.sampled_from([2, 3, 4]))
-    kinds = draw(st.permutations((["diagonal", "tiny", "dense"] * 6)[:size]))
+    kinds = draw(st.permutations((["dense", "gaps", "diagonal", "tiny"] * 4)[:size]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return np.array([stack_member(rng, kind, n) for kind in kinds])
 
@@ -253,7 +287,9 @@ class TestHermEigStacks:
     @settings(max_examples=30, deadline=None)
     def test_stack_equals_members(self, stack):
         # Entry for entry, with no tolerance: a frozen member's rotations are
-        # exactly c = 1, s = 0 (a zero may come out with the other sign).
+        # exactly c = 1, s = 0 (a zero may come out with the other sign), and
+        # a "gaps" member solved alone on its live rows matches its full-size
+        # solve inside the stack.
         together = herm_eig(stack)
         assert together.eigenvalues.shape == stack.shape[:-1]
         assert together.eigenvectors.shape == stack.shape
@@ -274,7 +310,7 @@ class TestHermEigStacks:
 
     def test_choi_sized_stack(self):
         rng = np.random.default_rng(410)
-        kinds = ("dense", "diagonal", "tiny", "dense")
+        kinds = ("dense", "diagonal", "tiny", "gaps")
         stack = np.array([stack_member(rng, kind, 16) for kind in kinds])
         together = herm_eig(stack.reshape(2, 2, 16, 16))
         for i, member in enumerate(stack):
@@ -282,6 +318,43 @@ class TestHermEigStacks:
             np.testing.assert_array_equal(together.eigenvalues[i // 2, i % 2], alone.eigenvalues)
             np.testing.assert_array_equal(together.eigenvectors[i // 2, i % 2], alone.eigenvectors)
             assert_matches_eigh(member, 16)
+
+
+class TestProduct:
+    """The elementwise stacked product against matmul on the oracle's shapes."""
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [
+            ((2, 2), (2, 2)),
+            ((4, 4), (4, 4)),
+            ((30, 4, 2, 2), (30, 1, 2, 2)),  # noise Kraus sets times rotations
+            ((30, 4, 1, 2, 2), (30, 1, 4, 2, 2)),  # the pair products K_j K_k
+            ((16, 30, 4, 4), (30, 4, 4)),  # switched Kraus operators on joint states
+            ((30, 2, 8), (30, 8, 2)),  # the completeness sum over stacked operators
+            ((5, 1, 2, 2), (5, 50, 2, 2)),  # channels (5, 1) against probes (5, 50)
+        ],
+    )
+    def test_matches_matmul(self, a_shape, b_shape):
+        rng = np.random.default_rng(700)
+        a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+        a_before, b_before = a.copy(), b.copy()
+        got, want = _product(a, b), a @ b
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(a) @ np.abs(b))
+        np.testing.assert_array_equal(a, a_before)
+        np.testing.assert_array_equal(b, b_before)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_stack_equals_members(self, d):
+        rng = np.random.default_rng(710 + d)
+        a = rng.normal(size=(6, 3, d, d)) + 1j * rng.normal(size=(6, 3, d, d))
+        b = rng.normal(size=(6, 1, d, d)) + 1j * rng.normal(size=(6, 1, d, d))
+        together = _product(a, b.conj().swapaxes(-1, -2))
+        for i, j in np.ndindex(6, 3):
+            alone = _product(a[i, j].copy(), b[i, 0].conj().T.copy())
+            np.testing.assert_array_equal(together[i, j].view(float), alone.view(float))
 
 
 class TestPsdWithinStacks:
