@@ -8,16 +8,18 @@ Subcommands:
             (--json PATH also writes each check's name, outcome, detail
             line and printed numbers as a JSON list)
 
-A flag that has a config key is read by that key's rule.  Every CSV, SVG and
-JSON output goes through one writer, to its file or stdout.  Exit code is 0
-on success and 1 with a one-line diagnostic on any error.
+Every flag is read from one table, _COMMANDS, which also gives the usage
+lines of ``--help``.  A flag is written ``--flag value`` or ``--flag=value``;
+the token after a flag is always its value, so ``--xi -2.5`` works.  A
+unique prefix of a flag stands for it.  A flag that has a config key is read
+by that key's rule.  Every CSV, SVG and JSON output goes through one writer,
+to its file or stdout.  Exit code is 0 on success and 1 with a one-line
+diagnostic on any error.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import os
 import sys
 import tempfile
@@ -36,70 +38,128 @@ from .sweep import (
 )
 
 
-def _key(name: str):
-    """An argparse type that reads a flag by the rule of config key ``name``."""
-
-    def read(raw: str):
-        try:
-            return _KEYS[name][1](raw)
-        except ValueError as exc:  # argparse puts "argument --flag: " before it
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return read
+def _quantity(raw: str) -> str:
+    if raw not in QUANTITIES:
+        choices = ", ".join(map(repr, QUANTITIES))
+        raise ValueError(f"invalid choice: {raw!r} (choose from {choices})")
+    return raw
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad argument as one ``error:`` line through ``main``, not usage and exit 2."""
+_REQUIRED = object()  # the default of a flag that must be given
 
-    def error(self, message):
-        raise ValueError(message)
-
-
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="icoswitch",
-        description="Switched quantum channel with indefinite causal order: "
-        "noisy qubit phase-estimation sweeps.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fig2 = sub.add_parser("fig2", help="control-vs-cascade sweep over the noise level")
-    fig2.add_argument("--steps", type=int, default=201, help="grid points on [0, 1] (default 201)")
-    fig2.add_argument(
-        "--xi", type=_key("xi"), default=SweepConfig.xi, help="phase in radians (default pi/5)"
-    )
-    fig2.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-    fig2.add_argument("--svg", default=None, help="also write an SVG line plot here")
-
-    sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
-    sweep.add_argument("--config", required=True, help="path to the key = value config")
-    sweep.add_argument("--out", default=None, help="CSV output path (default: stdout)")
-
+# Command -> (help line, {flag: (rule, default, metavar, help line)}).  A
+# flag's value is stored under its name without the dashes.
+_COMMANDS = {
+    "fig2": (
+        "control-vs-cascade sweep over the noise level",
+        {
+            "--steps": (int, 201, "N", "grid points on [0, 1] (default 201)"),
+            "--xi": (_KEYS["xi"][1], SweepConfig.xi, "RAD", "phase in radians (default pi/5)"),
+            "--out": (str, None, "PATH", "CSV output path (default: stdout)"),
+            "--svg": (str, None, "PATH", "also write an SVG line plot here"),
+        },
+    ),
+    "sweep": (
+        "run a sweep described by a config file",
+        {
+            "--config": (str, _REQUIRED, "PATH", "path to the key = value config"),
+            "--out": (str, None, "PATH", "CSV output path (default: stdout)"),
+        },
+    ),
     # point starts from the values an empty sweep config gives.
-    point = sub.add_parser("point", help="print one quantity at one parameter point")
-    point.add_argument("--noise", choices=NOISE_KINDS, default=SweepConfig.noise_kind)
-    point.add_argument("--p", type=float, required=True, help="noise level in [0, 1]")
-    point.add_argument(
-        "--pc",
-        type=_key("p_c"),
-        default=SweepConfig.p_c,
-        help="control weight (default %(default)s)",
-    )
-    point.add_argument("--xi", type=_key("xi"), default=SweepConfig.xi, help="phase in radians")
-    point.add_argument(
-        "--axis", type=_key("axis"), default=SweepConfig.axis, help="rotation axis X,Y,Z"
-    )
-    point.add_argument(
-        "--probe", type=_key("probe"), default=SweepConfig.probe, help="probe Bloch X,Y,Z"
-    )
-    point.add_argument("--quantity", choices=QUANTITIES, required=True)
+    "point": (
+        "print one quantity at one parameter point",
+        {
+            "--noise": (
+                _KEYS["noise"][1],
+                SweepConfig.noise_kind,
+                "KIND",
+                f"{', '.join(NOISE_KINDS)} (default bitflip)",
+            ),
+            "--p": (float, _REQUIRED, "VAL", "noise level in [0, 1]"),
+            "--pc": (_KEYS["p_c"][1], SweepConfig.p_c, "VAL", "control weight (default 0.5)"),
+            "--xi": (_KEYS["xi"][1], SweepConfig.xi, "RAD", "phase in radians (default pi/5)"),
+            "--axis": (
+                _KEYS["axis"][1], SweepConfig.axis, "X,Y,Z", "rotation axis (default 0,1,0)"
+            ),
+            "--probe": (
+                _KEYS["probe"][1], SweepConfig.probe, "X,Y,Z", "probe Bloch vector (default 0,0,1)"
+            ),
+            "--quantity": (_quantity, _REQUIRED, "NAME", ", ".join(QUANTITIES)),
+        },
+    ),
+    "verify": (
+        "run the oracle-equivalence and invariant suite",
+        {"--json": (str, None, "PATH", "also write the results here as JSON")},
+    ),
+}
 
-    verify = sub.add_parser("verify", help="run the oracle-equivalence and invariant suite")
-    verify.add_argument(
-        "--json", default=None, metavar="PATH", help="also write the results here as JSON"
-    )
-    return parser
+
+def _usage(command: str) -> str:
+    words = [
+        f"{flag} {metavar}" if default is _REQUIRED else f"[{flag} {metavar}]"
+        for flag, (_, default, metavar, _) in _COMMANDS[command][1].items()
+    ]
+    return " ".join(["icoswitch", command, *words])
+
+
+def _help(command: str | None) -> None:
+    """Print the usage of one command, or of every command for None, and exit 0."""
+    if command is None:
+        usage = "\n       ".join(map(_usage, _COMMANDS))
+        rows = {name: about for name, (about, _) in _COMMANDS.items()}
+    else:
+        usage = f"{_usage(command)}\n\n{_COMMANDS[command][0]}"
+        rows = {f"{flag} {spec[2]}": spec[3] for flag, spec in _COMMANDS[command][1].items()}
+    width = max(map(len, rows))
+    print(f"usage: {usage}\n", *(f"  {a:<{width}}  {b}" for a, b in rows.items()), sep="\n")
+    raise SystemExit(0)
+
+
+def _flag(name: str, flags: dict) -> str:
+    """The flag ``name`` stands for: itself, or the one flag (or --help) it is a prefix of."""
+    if name in flags or name == "-h":
+        return name
+    matches = [f for f in (*flags, "--help") if f.startswith(name)] if name[:2] == "--" else []
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
+    if not matches:
+        raise ValueError(f"unrecognized argument: {name}")
+    return matches[0]
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command ``argv`` names and its flag values by name; one ValueError line if bad."""
+    if not argv:
+        raise ValueError("the following arguments are required: command")
+    command, *tokens = argv
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise ValueError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    flags = _COMMANDS[command][1]
+    values = {flag[2:]: spec[1] for flag, spec in flags.items()}
+    tokens = iter(tokens)
+    for token in tokens:  # a repeated flag keeps its last value
+        name, eq, raw = token.partition("=")
+        flag = _flag(name, flags)
+        if flag in ("-h", "--help"):
+            _help(command)
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+        rule = flags[flag][0]
+        try:
+            values[flag[2:]] = rule(raw)
+        except ValueError as exc:
+            why = f"invalid {rule.__name__} value: {raw!r}" if rule in (int, float) else exc
+            raise ValueError(f"argument {flag}: {why}") from None
+    missing = [flag for flag in flags if values[flag[2:]] is _REQUIRED]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return command, values
 
 
 def _write(*outputs: tuple[str, str | None]) -> None:
@@ -156,29 +216,29 @@ def _json(results) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command == "fig2":
-            table = fig2_preset(args.steps, args.xi)
-            svg = [] if args.svg is None else [(render_svg(table), args.svg)]
-            _write((render_csv(table), args.out), *svg)
-        elif args.command == "sweep":
-            with open(args.config, encoding="utf-8") as fh:
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        if command == "fig2":
+            table = fig2_preset(args["steps"], args["xi"])
+            svg = [] if args["svg"] is None else [(render_svg(table), args["svg"])]
+            _write((render_csv(table), args["out"]), *svg)
+        elif command == "sweep":
+            with open(args["config"], encoding="utf-8") as fh:
                 cfg = parse_config(fh.read())
-            _write((render_csv(run_sweep(cfg)), args.out))
-        elif args.command == "point":
-            q = args.quantity
+            _write((render_csv(run_sweep(cfg)), args["out"]))
+        elif command == "point":
+            q, noise, p = args["quantity"], args["noise"], [args["p"]]
             value = evaluate_grid(
-                (q,), args.noise, [args.p], args.pc, args.xi, args.axis, args.probe
+                (q,), noise, p, args["pc"], args["xi"], args["axis"], args["probe"]
             )[q][0]
             print(format_number(value))
-        elif args.command == "verify":
+        elif command == "verify":
             results = run_all_checks()
             for res in results:
                 print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}")
             failed = sum(not r.passed for r in results)
             print(f"{len(results) - failed}/{len(results)} checks passed")
-            if args.json is not None:
-                _write((_json(results), args.json))
+            if args["json"] is not None:
+                _write((_json(results), args["json"]))
             if failed:
                 return 1
         return 0

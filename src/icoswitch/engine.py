@@ -259,8 +259,9 @@ def _pauli_control(p_c, p, xi, overlap) -> dict:
     return {name: col.reshape(p.shape) if p.ndim else float(col[0]) for name, col in columns}
 
 
-def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float):
-    """Unweighted column blocks of the Gram factor and their xi-derivatives, each (4, 4, 4, 2).
+def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float, paulis=(0, 1, 2, 3)):
+    """Unweighted column blocks of the Gram factor and their xi-derivatives, each (k, k, 4, 2)
+    for the k Pauli indices ``paulis``.
 
     Block (j, k) is W_jk (L (x) psi_c): the switch Kraus operator
     W_jk = sigma_j U sigma_k U (x) |0><0| + sigma_k U sigma_j U (x) |1><1|
@@ -273,25 +274,26 @@ def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float):
     rho = 0.5 * (I2 + np.einsum("i,iab->ab", r, _PAULIS[1:]))
     half_root_det = 0.5 * math.sqrt(max(0.0, 1.0 - r @ r))  # sqrt(det rho)
     root = (rho + half_root_det * I2) / math.sqrt(1.0 + 2.0 * half_root_det)
-    su, dsu = _PAULIS @ u, _PAULIS @ du  # sigma_j U and its derivative
+    sigma = _PAULIS[list(paulis)]
+    su, dsu = sigma @ u, sigma @ du  # sigma_j U and its derivative
     pair = np.einsum("jab,kbc->jkac", su, su)  # sigma_j U sigma_k U
     dpair = np.einsum("jab,kbc->jkac", dsu, su) + np.einsum("jab,kbc->jkac", su, dsu)
     amplitudes = math.sqrt(p_c), math.sqrt(1.0 - p_c)
 
     def blocks(ops):
         both_orders = (amplitudes[0] * ops @ root, amplitudes[1] * ops.transpose(1, 0, 2, 3) @ root)
-        return np.stack(both_orders, axis=3).reshape(4, 4, 4, 2)
+        return np.stack(both_orders, axis=3).reshape(len(paulis), len(paulis), 4, 2)
 
     return blocks(pair), blocks(dpair)
 
 
 def _gram_factor(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gram factor Phi, (m, 4, 32), of the joint output Phi Phi^dag.
+    """Gram factor Phi, (m, 4, 2 k^2), of the joint output Phi Phi^dag, for (m, k) weights.
 
     Column block (j, k) is block (j, k) of ``blocks`` times sqrt(w_j w_k).
     """
     scale = np.sqrt(weights[:, :, None] * weights[:, None, :])[:, :, :, None, None]
-    return (scale * blocks).transpose(0, 3, 1, 2, 4).reshape(-1, 4, 32)
+    return (scale * blocks).transpose(0, 3, 1, 2, 4).reshape(len(weights), 4, -1)
 
 
 def _joint_qfi(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -350,11 +352,18 @@ def evaluate_grid(names, kind: str, p_array, p_c: float, xi: float, axis, probe)
     if "fq_cas" in names:
         out["fq_cas"] = _cascade_qfi(_flip_weights(weights), n, xi, r)
     if "fq_joint" in names:
-        blocks, dblocks = _kraus_blocks(n, xi, r, p_c)
+        # Only the Paulis the kind can weight; every other block is 0 at every
+        # p.  They come from the kind, not from the grid's nonzero weights, so
+        # Phi keeps at least 8 columns and its SVD all four left singular
+        # vectors: the QFI sums over the kernel directions too.
+        pauli = PAULI_OF_KIND.get(kind)
+        paulis = [0, 1 + "xyz".index(pauli)] if pauli else [0, 1, 2, 3]
+        blocks, dblocks = _kraus_blocks(n, xi, r, p_c, paulis)
+        kept = weights[:, paulis]
         out["fq_joint"] = np.concatenate(
             [
                 _joint_qfi(_gram_factor(blocks, part), _gram_factor(dblocks, part))
-                for part in np.split(weights, range(JOINT_CHUNK, len(weights), JOINT_CHUNK))
+                for part in np.split(kept, range(JOINT_CHUNK, len(kept), JOINT_CHUNK))
             ]
         )
     return {name: out[name] for name in names}

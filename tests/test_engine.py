@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icoswitch.engine
@@ -93,6 +93,17 @@ class TestEngineMatchesOracle:
         length=st.one_of(st.just(1.0), st.floats(0, 1, allow_nan=False)),
         p_c=st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0, 1, allow_nan=False)),
         xi=phases(),
+    )
+    # A noise-free level: fq_joint builds the blocks of the kind's Paulis, not
+    # only those this grid weights, so its SVD keeps the kernel directions.
+    @example(
+        kind="bitflip",
+        p=0.0,
+        axis=np.array([0.0, 1.0, 0.0]),
+        direction=np.array([0.0, 0.0, 1.0]),
+        length=1.0,
+        p_c=0.0,
+        xi=0.0625,
     )
     @settings(max_examples=150, deadline=None)
     def test_columns_match_density_matrix_routes(self, kind, p, axis, direction, length, p_c, xi):

@@ -681,27 +681,43 @@ class TestCli:
             float(capsys.readouterr().out)  # parses as a number
 
     def test_consecutive_calls_share_no_parsed_state(self, capsys):
-        # The parser is built once per process; each call must still print
-        # what a freshly built parser would.
+        # Every call reads the one flag table; a value one call parses must
+        # not reach a later call, so each prints the same in either order.
         runs = (
             ["point", "--p", "0.3", "--pc", "0.2", "--quantity", "fq_con"],
             ["point", "--p", "0.3", "--quantity", "fq_con"],
             ["fig2", "--steps", "3"],
         )
 
-        def outputs(fresh):
-            printed = []
-            for argv in runs:
-                if fresh:
-                    cli._build_parser.cache_clear()
-                assert main(argv) == 0
-                printed.append(capsys.readouterr().out)
-            return printed
+        def outputs(order):
+            printed = {}
+            for i in order:
+                assert main(runs[i]) == 0
+                printed[i] = capsys.readouterr().out
+            return [printed[i] for i in range(len(runs))]
 
-        expected = outputs(fresh=True)
+        expected = outputs(reversed(range(len(runs))))
         assert expected[0] != expected[1]  # a leaked --pc would show
-        assert outputs(fresh=False) == expected
-        assert cli._build_parser() is cli._build_parser()
+        assert outputs(range(len(runs))) == expected
+
+    @pytest.mark.parametrize(
+        "spelled",
+        [
+            ["--xi", "-2.5", "--axis", "-0.6,0,0.8", "--quantity", "fq_joint"],
+            ["--x=-2.5", "--ax=-0.6,0,0.8", "--quant=fq_joint"],
+            ["--x", "-2.5", "--a", "-0.6,0,0.8", "--q", "fq_joint"],
+            ["--xi=1", "--axis=0,0,1", "--xi", "-2.5", "--axis=-0.6,0,0.8", "--quantity=fq_joint"],
+        ],
+        ids=["space", "prefix-equals", "prefix-space", "last-wins"],
+    )
+    def test_flag_spellings_print_the_same_bytes(self, spelled, capsysbinary):
+        # The token after a flag is always its value, so a negative number or
+        # vector may follow in its own token; a unique prefix names its flag.
+        point = ["point", "--noise", "depolarizing", "--p", "0.37", "--probe=-0.3,0.2,0.1"]
+        assert main([*point, "--xi=-2.5", "--axis=-0.6,0,0.8", "--quantity=fq_joint"]) == 0
+        expected = capsysbinary.readouterr().out
+        assert main([*point, *spelled]) == 0
+        assert capsysbinary.readouterr().out == expected
 
     def test_fig2_writes_csv_and_svg(self, tmp_path, capsys):
         csv_path = tmp_path / "fig2.csv"
@@ -815,10 +831,16 @@ class TestCli:
             (["point", "--noise", "x", "--p", "0.3", "--quantity", "qc"], "--noise"),
             (["fig2", "--steps", "x"], "--steps"),
             ([], "command"),
+            (["point", "--p", "0.3", "--quantity", "qc", "--bogus", "1"], "--bogus"),
+            (["point", "--p", "0.3", "--quantity", "qc", "stray"], "stray"),
+            (["point", "--p", "0.3", "--quantity"], "--quantity"),
+            (["plot", "--p", "0.3"], "command"),
+            (["fig2", "--s", "3"], "--s"),
         ],
         ids=[
             "float", "triple", "probe-norm", "axis-norm", "probability", "point-xi", "fig2-xi",
-            "missing", "choice", "int", "no-command",
+            "missing", "choice", "int", "no-command", "unknown-flag", "stray-token", "no-value",
+            "unknown-command", "ambiguous-prefix",
         ],  # fmt: skip
     )
     def test_argument_error_is_one_line(self, argv, named, capsys):
@@ -833,6 +855,16 @@ class TestCli:
             main(["point", "--help"])
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: icoswitch point")
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_exits_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0].splitlines()
+        assert [line.split()[:2] for line in usage] == [
+            ["usage:", "icoswitch"], *[["icoswitch", c] for c in ("sweep", "point", "verify")]
+        ]
 
     def test_missing_config_file(self, capsys):
         code = main(["sweep", "--config", "/nonexistent/path.cfg"])
@@ -914,11 +946,11 @@ class TestCli:
         assert "probability" in capsys.readouterr().err
 
 
-def _modules_loaded_by(statement):
-    """The icoswitch modules in sys.modules after ``statement`` in a fresh interpreter."""
+def _modules_loaded_by(statement, prefix="icoswitch"):
+    """The modules named ``prefix``... in sys.modules after ``statement`` in a fresh interpreter."""
     src = str(Path(icoswitch.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys; print(*sorted(m for m in sys.modules if m.startswith('icoswitch')))"
+    probe = f"import sys; print(*sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     done = subprocess.run(
         [sys.executable, "-c", f"{statement}\n{probe}"],
         capture_output=True, text=True, env=env, timeout=60, check=True,
@@ -940,6 +972,10 @@ class TestPackageNamespace:
             "icoswitch",
             *(f"icoswitch.{m}" for m in modules),
         ]
+
+    def test_cli_loads_no_argparse(self):
+        # cli reads its flags from its own table; importing argparse cost about 3 ms.
+        assert _modules_loaded_by("import icoswitch.cli", prefix="argparse") == []
 
     def test_each_public_name_is_its_submodules_attribute(self):
         assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 41
