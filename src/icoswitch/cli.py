@@ -24,7 +24,7 @@ import os
 import sys
 import tempfile
 
-from .engine import NOISE_KINDS, QUANTITIES, evaluate_grid
+from .engine import NOISE_KINDS, QUANTITIES, _evaluate
 from .selfcheck import run_all_checks
 from .sweep import (
     _KEYS,
@@ -120,7 +120,8 @@ def _flag(name: str, flags: dict) -> str:
     """The flag ``name`` stands for: itself, or the one flag (or --help) it is a prefix of."""
     if name in flags or name == "-h":
         return name
-    matches = [f for f in (*flags, "--help") if f.startswith(name)] if name[:2] == "--" else []
+    prefix = name[:2] == "--" and name != "--"  # a bare -- stands for no flag
+    matches = [f for f in (*flags, "--help") if f.startswith(name)] if prefix else []
     if len(matches) > 1:
         raise ValueError(f"ambiguous option: {name} could match {', '.join(matches)}")
     if not matches:
@@ -227,10 +228,8 @@ def main(argv: list[str] | None = None) -> int:
             _write((render_csv(run_sweep(cfg)), args["out"]))
         elif command == "point":
             q, noise, p = args["quantity"], args["noise"], [args["p"]]
-            value = evaluate_grid(
-                (q,), noise, p, args["pc"], args["xi"], args["axis"], args["probe"]
-            )[q][0]
-            print(format_number(value))
+            rest = args["pc"], args["xi"], args["axis"], args["probe"]
+            print(format_number(_evaluate((q,), noise, p, *rest)[q][0]))
         elif command == "verify":
             results = run_all_checks()
             for res in results:

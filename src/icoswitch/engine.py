@@ -36,12 +36,15 @@ rotation about n.  The columns come from three routes, each exact in xi:
   eigenvalues far below the finite-difference oracle's 1e-10 cutoff keep
   their information.
 
-evaluate_grid is the one entry that computes a column; fig2, sweep and
-point all go through it.  It validates every input once and reduces xi
-mod 2 pi, as switch_state_grid does for the joint states.  The control
-qubit's closed form has one more entry, _pauli_control, which stacks
-one-Pauli parameters for qc_closed_form, qfi_control and cfi_control.  The
-density-matrix code in channels, switch and metrology is the independent
+_evaluate computes every column.  It trusts the names, p_c, axis and probe;
+kind, p and xi get their only engine checks there (noise_weights, and
+_reduce_phase, which also reduces xi mod 2 pi).  point calls _evaluate on
+values its flag rules checked.  evaluate_grid first checks the names and, in
+_validated as switch_state_grid does, p_c, axis and probe; fig2, sweep and
+verify call it, since a hand-built SweepConfig reaches run_sweep unchecked.
+The control qubit's closed form has one more entry, _pauli_control, which
+stacks one-Pauli parameters for qc_closed_form, qfi_control and cfi_control.
+The density-matrix code in channels, switch and metrology is the independent
 oracle the tests and ``verify`` hold these routes against.  The arrow runs
 one way: this module imports only math and numpy, and the oracle takes its
 input rules and its Pauli matrices from here.
@@ -316,36 +319,40 @@ def _joint_qfi(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return terms.sum(axis=(1, 2))
 
 
-def _validated(kind, p_array, p_c, xi, axis, probe):
-    """The inputs of one evaluation, each checked once; p_c and xi are single numbers, and
-    axis and probe single 3-vectors."""
-    checked = noise_weights(kind, p_array), float(_check_probability(p_c, "p_c")), _reduce_phase(xi)
+def _validated(p_c, axis, probe):
+    """p_c as a float and axis and probe as float64 3-vectors, each checked once as a single
+    value; the probe takes bloch_vector's rescale of a roundoff overshoot."""
     n, r = np.asarray(axis, dtype=np.float64), np.asarray(probe, dtype=np.float64)
     for v, what in ((n, "axis"), (r, "Bloch vector")):
         if v.shape != (3,):
             raise ValueError(f"{what} must have 3 components, got shape {v.shape}")
-    return (*checked, unit_axis(n), bloch_vector(r))
+    return float(_check_probability(p_c, "p_c")), unit_axis(n), bloch_vector(r)
 
 
 def switch_state_grid(kind: str, p_array, p_c: float, xi: float, axis, probe):
     """Joint probe-control outputs and their exact xi-derivatives, shape (m, 4, 4) each."""
-    weights, p_c, xi, n, r = _validated(kind, p_array, p_c, xi, axis, probe)
-    blocks, dblocks = _kraus_blocks(n, xi, r, p_c)
+    (p_c, n, r), weights = _validated(p_c, axis, probe), noise_weights(kind, p_array)
+    blocks, dblocks = _kraus_blocks(n, _reduce_phase(xi), r, p_c)
     phi, dphi = _gram_factor(blocks, weights), _gram_factor(dblocks, weights)
     phi_dag = phi.conj().swapaxes(1, 2)
     return phi @ phi_dag, dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2)
 
 
 def evaluate_grid(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> dict:
-    """The named sweep quantities on the noise grid ``p_array``, one array each.
-
-    Validates every input once, reduces xi mod 2 pi, and computes only the
-    routes the names need.  Quantity names are those of QUANTITIES.
-    """
+    """The named sweep quantities (of QUANTITIES) on the noise grid ``p_array``, one array each."""
     unknown = [name for name in names if name not in QUANTITIES]
     if unknown:
         raise ValueError(f"unknown quantity {unknown[0]!r}")
-    weights, p_c, xi, n, r = _validated(kind, p_array, p_c, xi, axis, probe)
+    p_c, n, _ = _validated(p_c, axis, probe)  # the probe as given: _evaluate rescales it
+    return _evaluate(names, kind, p_array, p_c, xi, n, probe)
+
+
+def _evaluate(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> dict:
+    """evaluate_grid on checked names, p_c, axis and probe; kind, p and xi take their only
+    engine checks here, and only the routes the names need are computed."""
+    weights, xi = noise_weights(kind, p_array), _reduce_phase(xi)
+    n, (r, norm) = np.asarray(axis, dtype=np.float64), _three_vectors(probe, "Bloch vector")
+    r = r / max(norm, 1.0)  # bloch_vector's rescale, once: a second can move a bit
     out = {}
     if {"qc", "fq_con", "fc_con"} & set(names):
         out.update(_control_columns(weights, n, xi, p_c))

@@ -107,6 +107,7 @@ def printf_points(x, y=None):
 
 
 GOLDEN_FIG2_SVG = Path(__file__).parent / "golden" / "fig2-2001.svg.sha256"
+GOLDEN_FIG2_CSV = Path(__file__).parent / "golden" / "fig2-2001.csv.sha256"
 
 
 class TestGridPoints:
@@ -572,6 +573,10 @@ class TestSvg:
         svg = render_svg(fig2_preset(steps=2001)).encode("utf-8")
         assert hashlib.sha256(svg).hexdigest() == GOLDEN_FIG2_SVG.read_text().strip()
 
+    def test_fig2_csv_matches_golden_hash(self):
+        csv = render_csv(fig2_preset(steps=2001)).encode("utf-8")
+        assert hashlib.sha256(csv).hexdigest() == GOLDEN_FIG2_CSV.read_text().strip()
+
 
 class TestFixedPointKernel:
     """The polyline kernel against "%.2f", cell by cell; small sets also pair each
@@ -836,11 +841,12 @@ class TestCli:
             (["point", "--p", "0.3", "--quantity"], "--quantity"),
             (["plot", "--p", "0.3"], "command"),
             (["fig2", "--s", "3"], "--s"),
+            (["verify", "--"], "--"),
         ],
         ids=[
             "float", "triple", "probe-norm", "axis-norm", "probability", "point-xi", "fig2-xi",
             "missing", "choice", "int", "no-command", "unknown-flag", "stray-token", "no-value",
-            "unknown-command", "ambiguous-prefix",
+            "unknown-command", "ambiguous-prefix", "bare-double-dash",
         ],  # fmt: skip
     )
     def test_argument_error_is_one_line(self, argv, named, capsys):
@@ -849,6 +855,8 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
         assert len(captured.err.splitlines()) == 1, captured.err
+        if named == "--":  # a bare -- is a prefix of every flag, but stands for none
+            assert captured.err == "error: unrecognized argument: --\n"
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
