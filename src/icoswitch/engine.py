@@ -38,10 +38,10 @@ rotation about n.  The columns come from three routes, each exact in xi:
 
 _evaluate computes every column.  It trusts the names, p_c, axis and probe;
 kind, p and xi get their only engine checks there (noise_weights, and
-_reduce_phase, which also reduces xi mod 2 pi).  point calls _evaluate on
-values its flag rules checked.  evaluate_grid first checks the names and, in
-_validated as switch_state_grid does, p_c, axis and probe; fig2, sweep and
-verify call it, since a hand-built SweepConfig reaches run_sweep unchecked.
+_reduce_phase, which also reduces xi mod 2 pi).  point and fig2_preset call it
+on checked or constant values.  evaluate_grid first checks the names and, in
+_validated as switch_state_grid does, p_c, axis and probe; sweep and verify
+call it, since a hand-built SweepConfig reaches run_sweep unchecked.
 The control qubit's closed form has one more entry, _pauli_control, which
 stacks one-Pauli parameters for qc_closed_form, qfi_control and cfi_control.
 The density-matrix code in channels, switch and metrology is the independent
@@ -72,8 +72,11 @@ BLOCH_NORM_TOL = 1e-12
 AXIS_UNIT_TOL = 1e-12
 
 _PAULIS = np.stack((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
-# fq_joint runs over the grid in chunks of this many levels, so its (m, 4, 32)
-# temporaries stay near 100 kB on any grid up to the 1,000,000-point cap.
+# Largest noise grid an engine entry accepts (and the config `p` ranges and
+# `fig2 --steps`): checked before the weights are built.
+MAX_GRID_POINTS = 1_000_000
+# fq_joint and switch_state_grid run over the grid in chunks of this many
+# levels, so their (m, 4, 32) Gram factors stay near 100 kB on any grid.
 JOINT_CHUNK = 32
 
 
@@ -140,10 +143,13 @@ def unit_axis(n) -> np.ndarray:
 
 
 def noise_weights(kind: str, p_array) -> np.ndarray:
-    """Pauli weights (w_0, w_x, w_y, w_z) of the noise, one row per level p."""
+    """Pauli weights (w_0, w_x, w_y, w_z) of the noise, one row per level p, for at most
+    MAX_GRID_POINTS levels."""
     p = _check_probability(p_array)
     if np.ndim(p) != 1:
         raise ValueError(f"noise levels must form a 1-d array, got shape {np.shape(p)}")
+    if p.size > MAX_GRID_POINTS:
+        raise ValueError(f"noise grid has {p.size} levels, more than {MAX_GRID_POINTS}")
     if kind == "depolarizing":
         quarter = p / 4.0
         return np.stack((1.0 - 3.0 * quarter, quarter, quarter, quarter), axis=1)
@@ -333,9 +339,15 @@ def switch_state_grid(kind: str, p_array, p_c: float, xi: float, axis, probe):
     """Joint probe-control outputs and their exact xi-derivatives, shape (m, 4, 4) each."""
     (p_c, n, r), weights = _validated(p_c, axis, probe), noise_weights(kind, p_array)
     blocks, dblocks = _kraus_blocks(n, _reduce_phase(xi), r, p_c)
-    phi, dphi = _gram_factor(blocks, weights), _gram_factor(dblocks, weights)
-    phi_dag = phi.conj().swapaxes(1, 2)
-    return phi @ phi_dag, dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2)
+    joint = np.empty((len(weights), 4, 4), dtype=np.complex128)
+    djoint = np.empty_like(joint)
+    for start in range(0, len(weights), JOINT_CHUNK):
+        part = slice(start, start + JOINT_CHUNK)
+        phi, dphi = _gram_factor(blocks, weights[part]), _gram_factor(dblocks, weights[part])
+        phi_dag = phi.conj().swapaxes(1, 2)
+        joint[part] = phi @ phi_dag
+        djoint[part] = dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2)
+    return joint, djoint
 
 
 def evaluate_grid(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> dict:

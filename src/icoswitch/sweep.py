@@ -16,7 +16,7 @@ state's Gram factor with its exact derivative; ``point`` is a one-point
 grid.  Every quantity is 2 pi-periodic in xi, so the engine evaluates at
 xi reduced to [-pi, pi]; the CSV xi column echoes the configured value.
 A table is one dict of columns in CSV order, each holding one cell per grid
-point (a float64 array, or a list of floats or of strings).  Output is
+point (a float64 array in the package's tables, or a list).  Output is
 formatted a column at a time: CSV cells byte for byte as format_number
 formats a cell, and polyline pixels by a fixed-point kernel whose rule is
 "%.2f", which it calls itself for any cell it cannot prove it writes the
@@ -32,10 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    MAX_GRID_POINTS,
     NOISE_KINDS,
     QUANTITIES,
     _check_phase,
     _check_probability,
+    _evaluate,
     _three_vectors,
     bloch_vector,
     evaluate_grid,
@@ -46,9 +48,6 @@ FIG2_R_VALUES = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 # Config and flag axes are human-typed; near-unit vectors within this are renormalized.
 CONFIG_AXIS_TOL = 1e-6
-# Largest noise grid accepted (config `p` ranges and `fig2 --steps`): checked
-# before anything is allocated, so a tiny step fails at once instead of hanging.
-MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -67,16 +66,13 @@ class SweepConfig:
     p_grid: tuple[float, float, float] = (0.0, 1.0, 0.1)  # start, stop, step
     quantities: tuple[str, ...] = ("qc", "fq_con", "fq_cas", "fc_con")
 
-    def grid(self) -> list[float]:
-        return grid_points(*self.p_grid)
 
-
-def grid_points(start: float, stop: float, step: float) -> list[float]:
-    """Arithmetic grid start, start+step, ..., inclusive of stop.
+def grid_points(start: float, stop: float, step: float) -> np.ndarray:
+    """Arithmetic grid start, start+step, ..., inclusive of stop, as a float64 array.
 
     Points are clipped to stop so roundoff cannot push a probability past
     its validated range.  The point count is checked against
-    MAX_GRID_POINTS before the list is built.
+    MAX_GRID_POINTS before the array is built, so a tiny step fails at once.
     """
     if not 0.0 < step < math.inf:
         raise ValueError(f"grid step must be positive and finite, got {step}")
@@ -88,7 +84,7 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
             f"grid step {step} on [{start}, {stop}] gives more than {MAX_GRID_POINTS} points"
         )
     count = math.floor(span) + 1
-    return [min(start + i * step, stop) for i in range(count)]
+    return np.minimum(start + np.arange(count, dtype=np.float64) * step, stop)
 
 
 def _number(raw: str, key: str) -> float:
@@ -208,9 +204,9 @@ def run_sweep(cfg: SweepConfig) -> dict:
     """Evaluate the sweep; returns the table, one cell per grid point in each column.
 
     All requested columns come from one evaluate_grid call over the grid;
-    the configured p_c, xi, axis, probe and noise kind fill a column each.
+    p_c, xi, axis and probe fill a float64 column each, the noise kind a list.
     """
-    grid = cfg.grid()
+    grid = grid_points(*cfg.p_grid)
     try:
         values = evaluate_grid(
             cfg.quantities, cfg.noise_kind, grid, cfg.p_c, cfg.xi, cfg.axis, cfg.probe
@@ -218,8 +214,9 @@ def run_sweep(cfg: SweepConfig) -> dict:
     except ValueError as exc:
         raise RuntimeError(f"sweep failed on p = {grid[0]} to {grid[-1]}: {exc}") from exc
     names = ("p_c", "xi", "axis_x", "axis_y", "axis_z", "probe_x", "probe_y", "probe_z")
-    fixed = zip((*names, "noise_kind"), (cfg.p_c, cfg.xi, *cfg.axis, *cfg.probe, cfg.noise_kind))
-    return {"p": grid, **{name: [v] * len(grid) for name, v in fixed}, **values}
+    cells = (cfg.p_c, cfg.xi, *cfg.axis, *cfg.probe)
+    fixed = {name: np.full(len(grid), v, dtype=np.float64) for name, v in zip(names, cells)}
+    return {"p": grid, **fixed, "noise_kind": [cfg.noise_kind] * len(grid), **values}
 
 
 def fig2_preset(steps: int = 201, xi: float = DEFAULT_XI) -> dict:
@@ -228,9 +225,9 @@ def fig2_preset(steps: int = 201, xi: float = DEFAULT_XI) -> dict:
     Bit-flip noise, rotation axis e_y, probe r e_z, and a grid of ``steps``
     noise levels on [0, 1] (at most MAX_GRID_POINTS).  Columns: p, the
     control-qubit quantum FI at p_c = 1/2 and one cascade column per probe
-    length r of FIG2_R_VALUES, each from one evaluate_grid call over the
-    whole grid, so every cell equals ``point`` at the same p and probe, xi
-    reduced mod 2 pi included.  The control column is probe independent; the
+    length r of FIG2_R_VALUES, each from one engine call over the whole
+    grid, so every cell equals ``point`` at the same p and probe, xi reduced
+    mod 2 pi included.  The control column is probe independent; the
     cascade columns start at exactly 4 r^2 and vanish at p = 1.  They are
     non-increasing in p up to p = 1/2; past it the noise tends to the
     unitary sigma_x and they show a small rebound (at xi = pi/5 and r = 1,
@@ -242,11 +239,11 @@ def fig2_preset(steps: int = 201, xi: float = DEFAULT_XI) -> dict:
     if steps > MAX_GRID_POINTS:
         raise ValueError(f"steps must not exceed {MAX_GRID_POINTS}, got {steps}")
     grid = np.linspace(0.0, 1.0, steps)
-    axis = (0.0, 1.0, 0.0)
-    control = evaluate_grid(("fq_con",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, 1.0))
+    axis = (0.0, 1.0, 0.0)  # axis, probes and p_c are constants: _evaluate checks grid and xi
+    control = _evaluate(("fq_con",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, 1.0))
     table = {"p": grid, **control}
     for r in FIG2_R_VALUES:
-        cascade = evaluate_grid(("fq_cas",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, r))
+        cascade = _evaluate(("fq_cas",), "bitflip", grid, 0.5, xi, axis, (0.0, 0.0, r))
         table["fq_cas_r" + f"{r:g}".replace(".", "_")] = cascade["fq_cas"]
     return table
 
@@ -287,10 +284,11 @@ def _csv_column(name: str, cells) -> tuple[str, list]:
 def render_csv(table: dict) -> str:
     """CSV text: header of column names, one line per row, `\\n` terminators.
 
-    A text column is written as is; a numeric column is checked as a whole
-    and written with the bytes of format_number, from one printf template
-    ("%#.12g" per such column) per line.  The first faulty column, in column
-    order, names the error.
+    A column is a float64 array, as in the package's own tables, or a list,
+    the only kind scanned for text.  A text column is written as is; a
+    numeric column is checked as a whole and written with the bytes of
+    format_number, from one printf template ("%#.12g" per such column) per
+    line.  The first faulty column, in column order, names the error.
     """
     _row_count(table)
     parsed = [_csv_column(name, cells) for name, cells in table.items()]

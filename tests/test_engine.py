@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -352,6 +353,37 @@ class TestEvaluateGrid:
             evaluate_grid(("qc",), "bitflip", [0.2], 0.5, 0.3, (0, 2, 0), (0, 0, 1))
         with pytest.raises(ValueError, match="norm"):
             evaluate_grid(("qc",), "bitflip", [0.2], 0.5, 0.3, (0, 1, 0), (0, 0, 2))
+
+    def test_grid_length_capped_before_the_weights(self, monkeypatch):
+        monkeypatch.setattr(icoswitch.engine, "MAX_GRID_POINTS", 10)
+        assert icoswitch.engine.noise_weights("depolarizing", np.zeros(10)).shape == (10, 4)
+        args = (0.5, 0.3, (0, 1, 0), (0, 0, 1))
+        for entry in (
+            lambda grid: icoswitch.engine.noise_weights("depolarizing", grid),
+            lambda grid: evaluate_grid(("qc",), "bitflip", grid, *args),
+            lambda grid: switch_state_grid("bitflip", grid, *args),
+        ):
+            with pytest.raises(ValueError, match="^noise grid has 11 levels, more than 10$"):
+                entry(np.zeros(11))
+
+    def test_switch_state_grid_runs_in_chunks(self, monkeypatch):
+        args = (0.3, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
+        grid = np.linspace(0.0, 1.0, 10)
+        points = [switch_state_grid("depolarizing", [p], *args) for p in grid]
+        monkeypatch.setattr(icoswitch.engine, "JOINT_CHUNK", 3)
+        for got, one in zip(switch_state_grid("depolarizing", grid, *args), zip(*points)):
+            assert got.tobytes() == np.concatenate(one).tobytes()
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            joint, djoint = switch_state_grid("depolarizing", np.linspace(0.0, 1.0, 4096), *args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # Whole-grid Gram factors took about 8 kB a level, 35 MB here; in
+        # chunks the temporaries past the two outputs stay near 0.6 MB.
+        assert peak - joint.nbytes - djoint.nbytes < 1_000_000
 
 
 CONTROL = ("qc", "fq_con", "fc_con")

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icoswitch
-from icoswitch import cli, sweep
+from icoswitch import cli, engine, sweep
 from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
 from icoswitch.engine import evaluate_grid
@@ -108,11 +108,20 @@ def printf_points(x, y=None):
 
 GOLDEN_FIG2_SVG = Path(__file__).parent / "golden" / "fig2-2001.svg.sha256"
 GOLDEN_FIG2_CSV = Path(__file__).parent / "golden" / "fig2-2001.csv.sha256"
+# The two all-quantity sweeps of CI's byte-identity step, by their golden hash files.
+CI_SWEEPS = {
+    "sweep-depolarizing.csv.sha256": "noise = depolarizing\naxis = 0.6, 0, -0.8\n"
+    "probe = -0.3, 0.2, 0.1\nxi = -2.5\np = 0:1:0.01\n"
+    "quantities = qc, fq_con, fq_cas, fc_con, fq_joint\n",
+    "sweep-bitflip-pc0.3.csv.sha256": "noise = bitflip\naxis = 0.6, 0, -0.8\n"
+    "probe = -0.3, 0.2, 0.1\nxi = -2.5\np_c = 0.3\np = 0:1:0.01\n"
+    "quantities = qc, fq_con, fq_cas, fc_con, fq_joint\n",
+}
 
 
 class TestGridPoints:
     def test_quarter_steps(self):
-        assert grid_points(0.0, 1.0, 0.25) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert grid_points(0.0, 1.0, 0.25).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_tenth_steps_count(self):
         pts = grid_points(0.0, 1.0, 0.1)
@@ -120,11 +129,24 @@ class TestGridPoints:
         assert pts[0] == 0.0 and pts[-1] == 1.0
 
     def test_single_point(self):
-        assert grid_points(0.5, 0.5, 1.0) == [0.5]
+        assert grid_points(0.5, 0.5, 1.0).tolist() == [0.5]
 
     def test_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             grid_points(0.0, 1.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-4, 2.0))
+    @example(0.0, 1.0, 0.01)
+    @example(0.05, 0.95, 0.013)
+    @example(0.0, 1.0, 0.000101)
+    def test_array_has_the_bits_of_the_list_formula(self, a, b, step):
+        start, stop = min(a, b), max(a, b)
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        want = [min(start + i * step, stop) for i in range(count)]
+        got = grid_points(start, stop, step)
+        assert got.dtype == np.float64
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("start", [0.0, 1.0])
     def test_infinite_step_rejected(self, start):
@@ -153,15 +175,15 @@ class TestParseConfig:
         assert cfg.probe == (0.0, 0.0, 1.0)
         assert cfg.p_c == 0.5
         assert abs(cfg.xi - math.pi / 5) < 1e-15
-        assert cfg.grid() == grid_points(0.0, 1.0, 0.1)
+        assert grid_points(*cfg.p_grid).tolist() == grid_points(0.0, 1.0, 0.1).tolist()
 
     def test_range_value(self):
         cfg = parse_config("p = 0:1:0.25")
-        assert cfg.grid() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert grid_points(*cfg.p_grid).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_scalar_p(self):
         cfg = parse_config("p = 0.5")
-        assert cfg.grid() == [0.5]
+        assert grid_points(*cfg.p_grid).tolist() == [0.5]
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\np_c = 0.25  # inline comment\n")
@@ -299,7 +321,7 @@ class TestRunSweep:
         cfg = parse_config("p = 0:1:0.2\nquantities = qc")
         table = run_sweep(cfg)
         assert ",".join(table) == "p,p_c,xi,axis_x,axis_y,axis_z,probe_x,probe_y,probe_z,noise_kind,qc"
-        assert {len(cells) for cells in table.values()} == {len(cfg.grid())} == {6}
+        assert {len(cells) for cells in table.values()} == {len(grid_points(*cfg.p_grid))} == {6}
 
     def test_depolarizing_quantities(self):
         cfg = parse_config("noise = depolarizing\np = 0.4\nquantities = qc,fq_con,fc_con")
@@ -381,6 +403,15 @@ class TestRunSweep:
             assert abs(qc_numeric(noisy_phase_channel(noise, axis, xi), rho) - base_qc) < 1e-12
             assert abs(qfi_joint(noise, axis, xi, rho, 0.5) - base_joint) < 1e-8
 
+    def test_columns_are_float64_arrays_but_noise_kind(self):
+        # Integer fields of a hand-built config still give float64 columns.
+        cfg = SweepConfig(axis=(0, 1, 0), probe=(0, 0, 1), xi=1, p_c=0, p_grid=(0, 1, 1))
+        table = run_sweep(cfg)
+        assert table.pop("noise_kind") == ["bitflip", "bitflip"]
+        for name, cells in table.items():
+            assert isinstance(cells, np.ndarray) and cells.dtype == np.float64, name
+            assert cells.shape == (2,), name
+
     def test_error_names_grid_point(self):
         cfg = SweepConfig(probe=(0.0, 0.0, 2.0), quantities=("qc",), p_grid=(0.2, 0.2, 1.0))
         with pytest.raises(RuntimeError, match="p = 0.2"):
@@ -438,6 +469,12 @@ class TestCsv:
         assert format_number(FQ_CON_ANCHOR) == "0.474930145244"
         assert format_number(-0.0) == "0.00000000000"
         assert format_number(1.79489740179e-23) == "1.79489740179e-23"
+
+    @pytest.mark.parametrize("golden", CI_SWEEPS)
+    def test_ci_sweep_matches_golden_hash(self, golden):
+        csv = render_csv(run_sweep(parse_config(CI_SWEEPS[golden]))).encode("utf-8")
+        want = (GOLDEN_FIG2_CSV.parent / golden).read_text().strip()
+        assert hashlib.sha256(csv).hexdigest() == want
 
     def test_format_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -574,6 +611,16 @@ class TestSvg:
         assert hashlib.sha256(svg).hexdigest() == GOLDEN_FIG2_SVG.read_text().strip()
 
     def test_fig2_csv_matches_golden_hash(self):
+        csv = render_csv(fig2_preset(steps=2001)).encode("utf-8")
+        assert hashlib.sha256(csv).hexdigest() == GOLDEN_FIG2_CSV.read_text().strip()
+
+    def test_fig2_runs_no_engine_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fig2 ran an engine check")
+
+        monkeypatch.setattr(engine, "_validated", refuse)
+        with pytest.raises(AssertionError, match="fig2 ran an engine check"):  # the patch is seen
+            evaluate_grid(("qc",), "bitflip", [0.3], 0.5, 0.1, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
         csv = render_csv(fig2_preset(steps=2001)).encode("utf-8")
         assert hashlib.sha256(csv).hexdigest() == GOLDEN_FIG2_CSV.read_text().strip()
 
