@@ -27,14 +27,16 @@ rotation about n.  The columns come from three routes, each exact in xi:
   s^2 q_c'^2 / ((p_c - 1/2)^2 + s^2 g (2 - g)), which is R at p_c = 1/2.
   Neither form cancels as q_c -> 1, so both hold down to xi = 0.
 * fq_joint, the joint probe-control output rho = Phi Phi^dag.  Each column
-  block of the Gram factor Phi is a switch Kraus operator W_jk, built from
-  the 16 products sigma_j U sigma_k U once per call, applied to the square
-  root of the probe and the control state and scaled by sqrt(w_j w_k); the
-  exact derivative follows from dU/dxi = -(i/2) n.sigma U.  One batched SVD
-  of Phi gives the eigenbasis of rho, and the SLD spectral sum is taken
-  there with the square roots s_j of the eigenvalues as the scale, so
-  eigenvalues far below the finite-difference oracle's 1e-10 cutoff keep
-  their information.
+  block of the Gram factor Phi is a switch Kraus operator W_jk, built once
+  per call from the products sigma_j U sigma_k U of the kind's Paulis (4
+  under one-Pauli noise, 16 under depolarizing), applied to the square root
+  of the probe and the control state and scaled by sqrt(w_j w_k); the exact
+  derivative follows from dU/dxi = -(i/2) n.sigma U.  _gram_factors yields
+  Phi and Phi' in chunks of levels to fq_joint and to switch_state_grid.
+  One batched SVD of Phi gives the eigenbasis of rho, and the SLD spectral
+  sum is taken there with the square roots s_j of the eigenvalues as the
+  scale, so eigenvalues far below the finite-difference oracle's 1e-10
+  cutoff keep their information.
 
 _evaluate computes every column.  It trusts the names, p_c, axis and probe;
 kind, p and xi get their only engine checks there (noise_weights, and
@@ -65,6 +67,9 @@ PAULI_MATRICES = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 NOISE_KINDS = ("bitflip", "phaseflip", "bitphaseflip", "depolarizing")
 # The Pauli each one-Pauli noise kind applies, by its letter.
 PAULI_OF_KIND = {"bitflip": "x", "phaseflip": "z", "bitphaseflip": "y"}
+# Indices (0 for I) of the Paulis each noise kind can weight.
+_KIND_PAULIS = {kind: [0, 1 + "xyz".index(pauli)] for kind, pauli in PAULI_OF_KIND.items()}
+_KIND_PAULIS["depolarizing"] = [0, 1, 2, 3]
 QUANTITIES = ("qc", "fq_con", "fq_cas", "fc_con", "fq_joint")
 
 # Excess Bloch norm up to this is attributed to roundoff and rescaled away.
@@ -75,8 +80,8 @@ _PAULIS = np.stack((I2, SIGMA_X, SIGMA_Y, SIGMA_Z))
 # Largest noise grid an engine entry accepts (and the config `p` ranges and
 # `fig2 --steps`): checked before the weights are built.
 MAX_GRID_POINTS = 1_000_000
-# fq_joint and switch_state_grid run over the grid in chunks of this many
-# levels, so their (m, 4, 32) Gram factors stay near 100 kB on any grid.
+# _gram_factors runs over the grid in chunks of this many levels, so its
+# (m, 4, 32) Gram factors stay near 100 kB on any grid.
 JOINT_CHUNK = 32
 
 
@@ -150,15 +155,14 @@ def noise_weights(kind: str, p_array) -> np.ndarray:
         raise ValueError(f"noise levels must form a 1-d array, got shape {np.shape(p)}")
     if p.size > MAX_GRID_POINTS:
         raise ValueError(f"noise grid has {p.size} levels, more than {MAX_GRID_POINTS}")
+    if kind not in _KIND_PAULIS:
+        raise ValueError(f"unknown noise kind {kind!r}")
     if kind == "depolarizing":
         quarter = p / 4.0
         return np.stack((1.0 - 3.0 * quarter, quarter, quarter, quarter), axis=1)
-    if kind in PAULI_OF_KIND:
-        weights = np.zeros((p.size, 4))
-        weights[:, 0] = 1.0 - p
-        weights[:, 1 + "xyz".index(PAULI_OF_KIND[kind])] = p
-        return weights
-    raise ValueError(f"unknown noise kind {kind!r}")
+    weights = np.zeros((p.size, 4))
+    weights[:, 0], weights[:, _KIND_PAULIS[kind][1]] = 1.0 - p, p
+    return weights
 
 
 def _flip_weights(weights: np.ndarray) -> np.ndarray:
@@ -268,7 +272,7 @@ def _pauli_control(p_c, p, xi, overlap) -> dict:
     return {name: col.reshape(p.shape) if p.ndim else float(col[0]) for name, col in columns}
 
 
-def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float, paulis=(0, 1, 2, 3)):
+def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float, paulis):
     """Unweighted column blocks of the Gram factor and their xi-derivatives, each (k, k, 4, 2)
     for the k Pauli indices ``paulis``.
 
@@ -296,13 +300,23 @@ def _kraus_blocks(n: np.ndarray, xi: float, r: np.ndarray, p_c: float, paulis=(0
     return blocks(pair), blocks(dpair)
 
 
-def _gram_factor(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gram factor Phi, (m, 4, 2 k^2), of the joint output Phi Phi^dag, for (m, k) weights.
+def _gram_factors(kind: str, weights: np.ndarray, n: np.ndarray, xi: float, r, p_c: float):
+    """Yield (rows, Phi, Phi') per JOINT_CHUNK rows of ``weights``: the joint output's Gram
+    factor and its xi-derivative, (len(rows), 4, 2 k^2) each, for the kind's k Paulis.
 
-    Column block (j, k) is block (j, k) of ``blocks`` times sqrt(w_j w_k).
+    Column block (j, k) is _kraus_blocks' block (j, k) times sqrt(w_j w_k); every
+    other block is 0 at every p.  The Paulis come from the kind, not from the grid's
+    nonzero weights, so Phi keeps at least 8 columns and its SVD all four left
+    singular vectors: the QFI sums over the kernel directions too.
     """
-    scale = np.sqrt(weights[:, :, None] * weights[:, None, :])[:, :, :, None, None]
-    return (scale * blocks).transpose(0, 3, 1, 2, 4).reshape(len(weights), 4, -1)
+    paulis = _KIND_PAULIS[kind]
+    blocks = _kraus_blocks(n, xi, r, p_c, paulis)
+    for start in range(0, len(weights), JOINT_CHUNK):
+        rows = slice(start, start + JOINT_CHUNK)
+        kept = weights[rows][:, paulis]
+        scale = np.sqrt(kept[:, :, None] * kept[:, None, :])[:, :, :, None, None]
+        phi, dphi = ((scale * b).transpose(0, 3, 1, 2, 4).reshape(len(kept), 4, -1) for b in blocks)
+        yield rows, phi, dphi
 
 
 def _joint_qfi(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -338,15 +352,12 @@ def _validated(p_c, axis, probe):
 def switch_state_grid(kind: str, p_array, p_c: float, xi: float, axis, probe):
     """Joint probe-control outputs and their exact xi-derivatives, shape (m, 4, 4) each."""
     (p_c, n, r), weights = _validated(p_c, axis, probe), noise_weights(kind, p_array)
-    blocks, dblocks = _kraus_blocks(n, _reduce_phase(xi), r, p_c)
     joint = np.empty((len(weights), 4, 4), dtype=np.complex128)
     djoint = np.empty_like(joint)
-    for start in range(0, len(weights), JOINT_CHUNK):
-        part = slice(start, start + JOINT_CHUNK)
-        phi, dphi = _gram_factor(blocks, weights[part]), _gram_factor(dblocks, weights[part])
+    for rows, phi, dphi in _gram_factors(kind, weights, n, _reduce_phase(xi), r, p_c):
         phi_dag = phi.conj().swapaxes(1, 2)
-        joint[part] = phi @ phi_dag
-        djoint[part] = dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2)
+        joint[rows] = phi @ phi_dag
+        djoint[rows] = dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2)
     return joint, djoint
 
 
@@ -371,18 +382,6 @@ def _evaluate(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> 
     if "fq_cas" in names:
         out["fq_cas"] = _cascade_qfi(_flip_weights(weights), n, xi, r)
     if "fq_joint" in names:
-        # Only the Paulis the kind can weight; every other block is 0 at every
-        # p.  They come from the kind, not from the grid's nonzero weights, so
-        # Phi keeps at least 8 columns and its SVD all four left singular
-        # vectors: the QFI sums over the kernel directions too.
-        pauli = PAULI_OF_KIND.get(kind)
-        paulis = [0, 1 + "xyz".index(pauli)] if pauli else [0, 1, 2, 3]
-        blocks, dblocks = _kraus_blocks(n, xi, r, p_c, paulis)
-        kept = weights[:, paulis]
-        out["fq_joint"] = np.concatenate(
-            [
-                _joint_qfi(_gram_factor(blocks, part), _gram_factor(dblocks, part))
-                for part in np.split(kept, range(JOINT_CHUNK, len(kept), JOINT_CHUNK))
-            ]
-        )
+        factors = _gram_factors(kind, weights, n, xi, r, p_c)
+        out["fq_joint"] = np.concatenate([_joint_qfi(phi, dphi) for _, phi, dphi in factors])
     return {name: out[name] for name in names}

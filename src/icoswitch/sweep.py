@@ -74,6 +74,12 @@ def grid_points(start: float, stop: float, step: float) -> np.ndarray:
     its validated range.  The point count is checked against
     MAX_GRID_POINTS before the array is built, so a tiny step fails at once.
     """
+    count = _grid_count(start, stop, step)
+    return np.minimum(start + np.arange(count, dtype=np.float64) * step, stop)
+
+
+def _grid_count(start: float, stop: float, step: float) -> int:
+    """grid_points' checks and point count, without building the grid."""
     if not 0.0 < step < math.inf:
         raise ValueError(f"grid step must be positive and finite, got {step}")
     if start > stop:
@@ -83,8 +89,7 @@ def grid_points(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError(
             f"grid step {step} on [{start}, {stop}] gives more than {MAX_GRID_POINTS} points"
         )
-    count = math.floor(span) + 1
-    return np.minimum(start + np.arange(count, dtype=np.float64) * step, stop)
+    return math.floor(span) + 1
 
 
 def _number(raw: str, key: str) -> float:
@@ -136,7 +141,7 @@ def _p_grid(raw: str) -> tuple[float, float, float]:
     try:
         _check_probability(start, "grid start")
         _check_probability(stop, "grid stop")
-        grid_points(start, stop, step)
+        _grid_count(start, stop, step)
     except ValueError as exc:
         raise ValueError(f"p {exc}") from None
     return (start, stop, step)

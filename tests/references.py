@@ -1,13 +1,15 @@
 """Helpers and reference values the test modules share; pytest collects nothing here.
 
-Besides the random draws and Hypothesis strategies, this holds one oracle
-that is independent of the package's density-matrix code: the exact
-Bloch-vector cascade QFI of the fig2 setting (cascade_bloch_oracle).  It
-also holds two direct forms that only the tests use: a channel's action on
-a state (apply_channel) and the reduced control state built without a
-partial trace (reduced_control).
+Besides the random draws and Hypothesis strategies, this holds two oracles
+that are independent of the package's density-matrix code: the exact
+Bloch-vector cascade QFI of the fig2 setting (cascade_bloch_oracle) and the
+block form of fq_joint at p_c = 1/2 (block_fq_joint).  It also holds two
+direct forms that only the tests use: a channel's action on a state
+(apply_channel) and the reduced control state built without a partial trace
+(reduced_control).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -123,3 +125,41 @@ def cascade_bloch_oracle(p, r, xi):
     if v2 >= 1.0 - 1e-12:
         return quad
     return quad + (vx * dvx + vz * dvz) ** 2 / (1 - v2)
+
+
+def block_fq_joint(kind: str, p, xi, axis, probe):
+    """fq_joint at p_c = 1/2 from the block form of the joint output.
+
+    At p_c = 1/2 the joint output is block diagonal in the control's Hadamard
+    basis, with blocks M_pm = 1/4 sum_jk w_j w_k (X_jk pm Y_jk) rho (X_jk pm Y_jk)^dag,
+    X_jk = sigma_j U sigma_k U and Y_jk = sigma_k U sigma_j U: the off-diagonal
+    blocks change sign under j <-> k and cancel.  Each block is
+    M = (t/2)(I + u.sigma), and the QFI of the direct sum is
+    sum_pm [t'^2 / t + t (|u'|^2 + (u.u')^2 / (1 - |u|^2))].  The weights, the
+    Paulis, U and dU/dxi are built here from their definitions.
+    """
+    paulis = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    if kind == "depolarizing":
+        weights = [1.0 - 3.0 * p / 4.0] + [p / 4.0] * 3
+    else:
+        weights = [1.0 - p, 0.0, 0.0, 0.0]
+        weights[1 + "xyz".index(PAULI_OF_KIND[kind])] = p
+    n_sigma = np.einsum("i,iab->ab", axis, paulis[1:])
+    u = math.cos(xi / 2.0) * paulis[0] - 1j * math.sin(xi / 2.0) * n_sigma
+    du = -0.5j * n_sigma @ u
+    rho = 0.5 * (paulis[0] + np.einsum("i,iab->ab", probe, paulis[1:]))
+    total = 0.0
+    for sign in (1.0, -1.0):
+        block, dblock = np.zeros((2, 2), complex), np.zeros((2, 2), complex)
+        for j, k in itertools.product(range(4), repeat=2):
+            a, b = paulis[j], paulis[k]
+            op = a @ u @ b @ u + sign * (b @ u @ a @ u)
+            dop = a @ du @ b @ u + a @ u @ b @ du + sign * (b @ du @ a @ u + b @ u @ a @ du)
+            w = weights[j] * weights[k] / 4.0
+            block += w * op @ rho @ op.conj().T
+            dblock += w * (dop @ rho @ op.conj().T + op @ rho @ dop.conj().T)
+        t, dt = np.trace(block).real, np.trace(dblock).real
+        v = np.array([np.trace(s @ block).real for s in paulis[1:]]) / t
+        dv = (np.array([np.trace(s @ dblock).real for s in paulis[1:]]) - dt * v) / t
+        total += dt * dt / t + t * (dv @ dv + (v @ dv) ** 2 / (1.0 - v @ v))
+    return total

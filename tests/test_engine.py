@@ -35,7 +35,15 @@ from icoswitch.metrology import (
     qfi_numeric,
 )
 from icoswitch.switch import qc_closed_form, qc_numeric, s00, s01, switch_state
-from references import NOISE_LEVELS, noise_channel, phases, unit_vectors
+from references import (
+    NOISE_LEVELS,
+    block_fq_joint,
+    noise_channel,
+    phases,
+    random_axis,
+    random_bloch,
+    unit_vectors,
+)
 
 PAULI_BASIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -175,6 +183,16 @@ class TestEngineMatchesOracle:
             probe *= rng.uniform(0.2, 0.9) / np.linalg.norm(probe)
             got = evaluate_grid(("fq_joint",), kind, [p], 0.5, xi, axis, probe)["fq_joint"][0]
             assert abs(got - hadamard_joint_witness(kind, p, xi, axis, probe)) < 1e-12
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_joint_matches_block_form(self, kind):
+        # Phases at least 0.05 from 0 and from +-pi, where no block eigenvalue vanishes.
+        rng = np.random.default_rng(73)
+        for _ in range(150):
+            xi = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, math.pi - 0.05)
+            p, axis, probe = rng.uniform(), random_axis(rng), random_bloch(rng)
+            got = evaluate_grid(("fq_joint",), kind, [p], 0.5, xi, axis, probe)["fq_joint"][0]
+            assert got == pytest.approx(block_fq_joint(kind, p, xi, axis, probe), rel=1e-11)
 
 
 class TestExactAnchors:
@@ -365,6 +383,19 @@ class TestEvaluateGrid:
         ):
             with pytest.raises(ValueError, match="^noise grid has 11 levels, more than 10$"):
                 entry(np.zeros(11))
+
+    def test_joint_consumers_build_the_kinds_paulis(self, monkeypatch):
+        seen, kraus_blocks = [], icoswitch.engine._kraus_blocks
+
+        def recording(n, xi, r, p_c, paulis=(0, 1, 2, 3)):
+            seen.append(list(paulis))
+            return kraus_blocks(n, xi, r, p_c, paulis)
+
+        monkeypatch.setattr(icoswitch.engine, "_kraus_blocks", recording)
+        args = ("bitphaseflip", [0.0, 0.3], 0.4, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
+        switch_state_grid(*args)
+        evaluate_grid(("fq_joint",), *args)
+        assert seen == [[0, 2], [0, 2]]
 
     def test_switch_state_grid_runs_in_chunks(self, monkeypatch):
         args = (0.3, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -108,11 +109,14 @@ def printf_points(x, y=None):
 
 GOLDEN_FIG2_SVG = Path(__file__).parent / "golden" / "fig2-2001.svg.sha256"
 GOLDEN_FIG2_CSV = Path(__file__).parent / "golden" / "fig2-2001.csv.sha256"
-# The two all-quantity sweeps of CI's byte-identity step, by their golden hash files.
+# The all-quantity sweeps of CI's byte-identity step, by their golden hash files.
 CI_SWEEPS = {
-    "sweep-depolarizing.csv.sha256": "noise = depolarizing\naxis = 0.6, 0, -0.8\n"
+    f"sweep-{kind}.csv.sha256": f"noise = {kind}\naxis = 0.6, 0, -0.8\n"
     "probe = -0.3, 0.2, 0.1\nxi = -2.5\np = 0:1:0.01\n"
-    "quantities = qc, fq_con, fq_cas, fc_con, fq_joint\n",
+    "quantities = qc, fq_con, fq_cas, fc_con, fq_joint\n"
+    for kind in ("depolarizing", "bitflip", "phaseflip", "bitphaseflip")
+}
+CI_SWEEPS |= {
     "sweep-bitflip-pc0.3.csv.sha256": "noise = bitflip\naxis = 0.6, 0, -0.8\n"
     "probe = -0.3, 0.2, 0.1\nxi = -2.5\np_c = 0.3\np = 0:1:0.01\n"
     "quantities = qc, fq_con, fq_cas, fc_con, fq_joint\n",
@@ -184,6 +188,17 @@ class TestParseConfig:
     def test_scalar_p(self):
         cfg = parse_config("p = 0.5")
         assert grid_points(*cfg.p_grid).tolist() == [0.5]
+
+    def test_range_checked_without_building_the_grid(self):
+        # 500,001 points are 4 MB as float64; the rule is checked by their count alone.
+        tracemalloc.start()
+        try:
+            cfg = parse_config("p = 0:1:0.000002")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.p_grid == (0.0, 1.0, 0.000002)
+        assert peak < 1_000_000
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\np_c = 0.25  # inline comment\n")
