@@ -29,6 +29,7 @@ from .selfcheck import run_all_checks
 from .sweep import (
     _KEYS,
     SweepConfig,
+    _probability,
     fig2_preset,
     format_number,
     parse_config,
@@ -76,7 +77,7 @@ _COMMANDS = {
                 "KIND",
                 f"{', '.join(NOISE_KINDS)} (default bitflip)",
             ),
-            "--p": (float, _REQUIRED, "VAL", "noise level in [0, 1]"),
+            "--p": (_probability("p"), _REQUIRED, "VAL", "noise level in [0, 1]"),
             "--pc": (_KEYS["p_c"][1], SweepConfig.p_c, "VAL", "control weight (default 0.5)"),
             "--xi": (_KEYS["xi"][1], SweepConfig.xi, "RAD", "phase in radians (default pi/5)"),
             "--axis": (
@@ -155,7 +156,7 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
         try:
             values[flag[2:]] = rule(raw)
         except ValueError as exc:
-            why = f"invalid {rule.__name__} value: {raw!r}" if rule in (int, float) else exc
+            why = f"invalid int value: {raw!r}" if rule is int else exc
             raise ValueError(f"argument {flag}: {why}") from None
     missing = [flag for flag in flags if values[flag[2:]] is _REQUIRED]
     if missing:

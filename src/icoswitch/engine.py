@@ -382,6 +382,7 @@ def _evaluate(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> 
     if "fq_cas" in names:
         out["fq_cas"] = _cascade_qfi(_flip_weights(weights), n, xi, r)
     if "fq_joint" in names:
-        factors = _gram_factors(kind, weights, n, xi, r, p_c)
-        out["fq_joint"] = np.concatenate([_joint_qfi(phi, dphi) for _, phi, dphi in factors])
+        out["fq_joint"] = np.empty(len(weights))
+        for rows, phi, dphi in _gram_factors(kind, weights, n, xi, r, p_c):
+            out["fq_joint"][rows] = _joint_qfi(phi, dphi)
     return {name: out[name] for name in names}

@@ -129,6 +129,10 @@ def _probe(raw: str) -> tuple[float, float, float]:
     return vec
 
 
+def _probability(key: str):
+    return lambda raw: _check_probability(_number(raw, key), key)
+
+
 def _p_grid(raw: str) -> tuple[float, float, float]:
     parts = raw.split(":")
     if len(parts) == 1:
@@ -164,7 +168,7 @@ _KEYS = {
     "axis": ("axis", _axis),
     "probe": ("probe", _probe),
     "xi": ("xi", lambda raw: _check_phase(_number(raw, "xi"))),
-    "p_c": ("p_c", lambda raw: _check_probability(_number(raw, "p_c"), "p_c")),
+    "p_c": ("p_c", _probability("p_c")),
     "p": ("p_grid", _p_grid),
     "quantities": ("quantities", _quantities),
 }

@@ -384,6 +384,12 @@ class TestEvaluateGrid:
             with pytest.raises(ValueError, match="^noise grid has 11 levels, more than 10$"):
                 entry(np.zeros(11))
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_empty_grid_gives_empty_columns(self, kind):
+        got = evaluate_grid(QUANTITIES, kind, [], 0.3, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
+        for name in QUANTITIES:
+            assert got[name].dtype == np.float64 and got[name].shape == (0,), name
+
     def test_joint_consumers_build_the_kinds_paulis(self, monkeypatch):
         seen, kraus_blocks = [], icoswitch.engine._kraus_blocks
 

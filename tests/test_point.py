@@ -1,16 +1,9 @@
 """``point`` checks each input once, by its flag's rule, and then calls the engine's
-_evaluate past evaluate_grid's checks.
-
-tests/golden/point.txt holds one ``point`` argv per line and the bytes it prints,
-as ``argv -> printed``.  ``PYTHONPATH=src python tests/test_point.py`` rewrites
-the printed half from the argv half; a change that moves a byte lists the moved
-lines in CHANGES.md.
+_evaluate past evaluate_grid's checks.  The bytes it prints are pinned in
+tests/golden/point.txt, which tests/test_golden.py checks and rewrites.
 """
 
-import contextlib
-import io
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,47 +11,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from icoswitch import cli, engine
-from icoswitch.cli import main
 from icoswitch.engine import NOISE_KINDS, QUANTITIES, _evaluate, evaluate_grid
+from test_golden import check
 
-GOLDEN_POINT = Path(__file__).parent / "golden" / "point.txt"
-ARROW = " -> "
 # A probe whose norm overshoots 1 by about 5e-13, on which a second rescale
 # by bloch_vector moves a bit.
 OVERSHOOT = "-0.5114278630209694,-0.8446027737845795,-0.15839095757712598"
 
 
-def golden_lines():
-    """(argv, printed bytes) for each line of the golden file."""
-    rows = []
-    for line in GOLDEN_POINT.read_text(encoding="utf-8").splitlines():
-        argv, _, printed = line.partition(ARROW)
-        rows.append((argv.split(), f"{printed}\n".encode()))
-    return rows
-
-
-def assert_prints_golden_bytes(capsysbinary):
-    moved = []
-    for argv, printed in golden_lines():
-        assert main(argv) == 0, (argv, capsysbinary.readouterr().err)
-        out = capsysbinary.readouterr().out
-        if out != printed:
-            moved.append(f"{' '.join(argv)}: {printed!r} -> {out!r}")
-    assert not moved, f"{len(moved)} lines moved, first: {moved[0]}"
-
-
-def test_prints_the_golden_bytes(capsysbinary):
-    assert_prints_golden_bytes(capsysbinary)
-
-
-def test_point_runs_no_engine_check(monkeypatch, capsysbinary):
+def test_point_runs_no_engine_check(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("point ran an engine check")
 
     monkeypatch.setattr(engine, "_validated", refuse)
     with pytest.raises(AssertionError, match="point ran an engine check"):  # the patch is seen
         evaluate_grid(("qc",), "bitflip", [0.3], 0.5, 0.1, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    assert_prints_golden_bytes(capsysbinary)
+    check("point.txt", tmp_path)
 
 
 def test_evaluate_rescales_an_overshooting_probe_once():
@@ -128,12 +96,3 @@ def test_evaluate_on_rule_values_is_evaluate_grid(kind, p, pc, xi, axis, probe):
     for name in QUANTITIES:
         assert got[name].tobytes() == want[name].tobytes(), name
 
-
-if __name__ == "__main__":
-    lines = []
-    for argv, _ in golden_lines():
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            assert main(argv) == 0, argv
-        lines.append(f"{' '.join(argv)}{ARROW}{printed.getvalue()}")
-    GOLDEN_POINT.write_text("".join(lines), encoding="utf-8")

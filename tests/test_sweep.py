@@ -1,6 +1,5 @@
 """Tests for config parsing, the sweep engine, CSV/SVG output, and the CLI."""
 
-import hashlib
 import json
 import math
 import os
@@ -36,6 +35,7 @@ from icoswitch.sweep import (
 )
 from icoswitch.switch import qc_numeric
 from references import FQ_CON_ANCHOR, noise_channel
+from test_golden import GOLDEN_DIR, check
 
 
 def reference_csv(table):
@@ -66,11 +66,8 @@ def reference_points(table):
 
 
 def spec_tables():
-    """Tables on which the renderers meet the per-cell rules."""
-    cfg = parse_config(
-        "noise = depolarizing\np = 0:1:0.01\naxis = 0.6, 0, -0.8\nprobe = -0.3, 0.2, 0.1\n"
-        "xi = -2.5\nquantities = qc, fq_con, fq_cas, fc_con, fq_joint\n"
-    )
+    """Tables on which the renderers meet the per-cell rules; the sweep is a golden one."""
+    cfg = parse_config((GOLDEN_DIR / "sweep-depolarizing.cfg").read_text(encoding="utf-8"))
     hand = {
         "x": [-0.0, 0.5, 0.25],
         "n": [3, -7, 2**60 + 1],
@@ -105,22 +102,6 @@ def printf_points(x, y=None):
     cells = ["%.2f" % v for v in np.asarray(x, dtype=np.float64).tolist()]
     other = cells if y is None else ["%.2f" % v for v in np.asarray(y, dtype=np.float64).tolist()]
     return [",".join(xy) for xy in zip(cells, other)]
-
-
-GOLDEN_FIG2_SVG = Path(__file__).parent / "golden" / "fig2-2001.svg.sha256"
-GOLDEN_FIG2_CSV = Path(__file__).parent / "golden" / "fig2-2001.csv.sha256"
-# The all-quantity sweeps of CI's byte-identity step, by their golden hash files.
-CI_SWEEPS = {
-    f"sweep-{kind}.csv.sha256": f"noise = {kind}\naxis = 0.6, 0, -0.8\n"
-    "probe = -0.3, 0.2, 0.1\nxi = -2.5\np = 0:1:0.01\n"
-    "quantities = qc, fq_con, fq_cas, fc_con, fq_joint\n"
-    for kind in ("depolarizing", "bitflip", "phaseflip", "bitphaseflip")
-}
-CI_SWEEPS |= {
-    "sweep-bitflip-pc0.3.csv.sha256": "noise = bitflip\naxis = 0.6, 0, -0.8\n"
-    "probe = -0.3, 0.2, 0.1\nxi = -2.5\np_c = 0.3\np = 0:1:0.01\n"
-    "quantities = qc, fq_con, fq_cas, fc_con, fq_joint\n",
-}
 
 
 class TestGridPoints:
@@ -485,12 +466,6 @@ class TestCsv:
         assert format_number(-0.0) == "0.00000000000"
         assert format_number(1.79489740179e-23) == "1.79489740179e-23"
 
-    @pytest.mark.parametrize("golden", CI_SWEEPS)
-    def test_ci_sweep_matches_golden_hash(self, golden):
-        csv = render_csv(run_sweep(parse_config(CI_SWEEPS[golden]))).encode("utf-8")
-        want = (GOLDEN_FIG2_CSV.parent / golden).read_text().strip()
-        assert hashlib.sha256(csv).hexdigest() == want
-
     def test_format_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             format_number(float("nan"))
@@ -621,23 +596,14 @@ class TestSvg:
         assert capsysbinary.readouterr().out == path.read_bytes()
         assert path.read_bytes() == render_svg(table).encode("utf-8")
 
-    def test_fig2_matches_golden_hash(self):
-        svg = render_svg(fig2_preset(steps=2001)).encode("utf-8")
-        assert hashlib.sha256(svg).hexdigest() == GOLDEN_FIG2_SVG.read_text().strip()
-
-    def test_fig2_csv_matches_golden_hash(self):
-        csv = render_csv(fig2_preset(steps=2001)).encode("utf-8")
-        assert hashlib.sha256(csv).hexdigest() == GOLDEN_FIG2_CSV.read_text().strip()
-
-    def test_fig2_runs_no_engine_check(self, monkeypatch):
+    def test_fig2_runs_no_engine_check(self, monkeypatch, tmp_path):
         def refuse(*args):
             raise AssertionError("fig2 ran an engine check")
 
         monkeypatch.setattr(engine, "_validated", refuse)
         with pytest.raises(AssertionError, match="fig2 ran an engine check"):  # the patch is seen
             evaluate_grid(("qc",), "bitflip", [0.3], 0.5, 0.1, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        csv = render_csv(fig2_preset(steps=2001)).encode("utf-8")
-        assert hashlib.sha256(csv).hexdigest() == GOLDEN_FIG2_CSV.read_text().strip()
+        check("fig2-2001.csv.sha256", tmp_path)
 
 
 class TestFixedPointKernel:
@@ -888,6 +854,7 @@ class TestCli:
         "argv, named",
         [
             (["point", "--p", "abc", "--quantity", "qc"], "--p"),
+            (["point", "--p", "1.7", "--quantity", "qc"], "--p"),
             (["point", "--p", "0.3", "--quantity", "qc", "--axis=0,0.6"], "--axis"),
             (["point", "--p", "0.3", "--quantity", "qc", "--probe=0,0,1.5"], "--probe"),
             (["point", "--p", "0.3", "--quantity", "qc", "--axis=0,0,2"], "--axis"),
@@ -906,9 +873,9 @@ class TestCli:
             (["verify", "--"], "--"),
         ],
         ids=[
-            "float", "triple", "probe-norm", "axis-norm", "probability", "point-xi", "fig2-xi",
-            "missing", "choice", "int", "no-command", "unknown-flag", "stray-token", "no-value",
-            "unknown-command", "ambiguous-prefix", "bare-double-dash",
+            "float", "p-range", "triple", "probe-norm", "axis-norm", "probability", "point-xi",
+            "fig2-xi", "missing", "choice", "int", "no-command", "unknown-flag", "stray-token",
+            "no-value", "unknown-command", "ambiguous-prefix", "bare-double-dash",
         ],  # fmt: skip
     )
     def test_argument_error_is_one_line(self, argv, named, capsys):
