@@ -22,9 +22,8 @@ _SOURCE = {
     for module, names in {
         "channels": "KrausChannel bloch_to_density check_density"
         " depolarizing_channel noisy_phase_channel pauli_channel rotation_unitary",
-        "engine": "bloch_vector evaluate_grid noise_weights switch_state_grid unit_axis",
-        "metrology": "cfi_control cfi_numeric control_family qfi_cascade qfi_control"
-        " qfi_joint qfi_numeric",
+        "engine": "bloch_vector evaluate_grid joint_state noise_weights unit_axis",
+        "metrology": "cfi_control control_family qfi_cascade qfi_control qfi_numeric",
         "qmat": "EigDecomp as_cmatrix channel_choi herm_eig partial_trace",
         "selfcheck": "CheckResult run_all_checks",
         "switch": "SwitchResult qc_closed_form qc_numeric s00 s01"

@@ -77,10 +77,9 @@ class KrausChannel:
     each channel of the batch shape ``...`` (empty for one channel).  It
     checks every member once: finite entries and the completeness relation
     sum_m K_m^dag K_m = I within 1e-10, all members from one batched
-    product.  Iterating yields the m operators, each a stack over the
-    batch.  Channels compare and hash by identity, so a channel can be a
-    set member or a dict key; two channels built from equal operators are
-    not equal.
+    product.  Channels compare and hash by identity, so a channel can be
+    a set member or a dict key; two channels built from equal operators
+    are not equal.
     """
 
     kraus: np.ndarray
@@ -109,12 +108,6 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.kraus.shape[-1]
-
-    def __iter__(self):
-        return iter(np.moveaxis(self.kraus, -3, 0))
-
-    def __len__(self) -> int:
-        return self.kraus.shape[-3]
 
 
 def _pauli_index(letter) -> int:

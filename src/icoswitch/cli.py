@@ -13,8 +13,9 @@ lines of ``--help``.  A flag is written ``--flag value`` or ``--flag=value``;
 the token after a flag is always its value, so ``--xi -2.5`` works.  A
 unique prefix of a flag stands for it.  A flag that has a config key is read
 by that key's rule.  Every CSV, SVG and JSON output goes through one writer,
-to its file or stdout.  Exit code is 0 on success and 1 with a one-line
-diagnostic on any error.
+to its file or stdout.  A sweep config is read as at most MAX_CONFIG_BYTES
+of UTF-8.  Exit code is 0 on success and 1 with a one-line diagnostic on
+any error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def _quantity(raw: str) -> str:
 
 
 _REQUIRED = object()  # the default of a flag that must be given
+# The largest config file `sweep --config` reads (1 MiB); no valid config comes near it.
+MAX_CONFIG_BYTES = 1 << 20
 
 # Command -> (help line, {flag: (rule, default, metavar, help line)}).  A
 # flag's value is stored under its name without the dashes.
@@ -164,6 +167,21 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
     return command, values
 
 
+def _read_config(path: str) -> str:
+    """The config file's text, read as at most MAX_CONFIG_BYTES + 1 bytes of UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ValueError(f"argument --config: {path!r} holds more than {MAX_CONFIG_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"argument --config: {path!r} line {line} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
 def _write(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path) as UTF-8 to path, or to stdout for None.
 
@@ -224,8 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             svg = [] if args["svg"] is None else [(render_svg(table), args["svg"])]
             _write((render_csv(table), args["out"]), *svg)
         elif command == "sweep":
-            with open(args["config"], encoding="utf-8") as fh:
-                cfg = parse_config(fh.read())
+            cfg = parse_config(_read_config(args["config"]))
             _write((render_csv(run_sweep(cfg)), args["out"]))
         elif command == "point":
             q, noise, p = args["quantity"], args["noise"], [args["p"]]

@@ -32,7 +32,8 @@ rotation about n.  The columns come from three routes, each exact in xi:
   under one-Pauli noise, 16 under depolarizing), applied to the square root
   of the probe and the control state and scaled by sqrt(w_j w_k); the exact
   derivative follows from dU/dxi = -(i/2) n.sigma U.  _gram_factors yields
-  Phi and Phi' in chunks of levels to fq_joint and to switch_state_grid.
+  Phi and Phi' in chunks of levels to fq_joint, and its first chunk to
+  joint_state, which returns one level's joint output for ``verify``.
   One batched SVD of Phi gives the eigenbasis of rho, and the SLD spectral
   sum is taken there with the square roots s_j of the eigenvalues as the
   scale, so eigenvalues far below the finite-difference oracle's 1e-10
@@ -42,7 +43,7 @@ _evaluate computes every column.  It trusts the names, p_c, axis and probe;
 kind, p and xi get their only engine checks there (noise_weights, and
 _reduce_phase, which also reduces xi mod 2 pi).  point and fig2_preset call it
 on checked or constant values.  evaluate_grid first checks the names and, in
-_validated as switch_state_grid does, p_c, axis and probe; sweep and verify
+_validated as joint_state does, p_c, axis and probe; sweep and verify
 call it, since a hand-built SweepConfig reaches run_sweep unchecked.
 The control qubit's closed form has one more entry, _pauli_control, which
 stacks one-Pauli parameters for qc_closed_form, qfi_control and cfi_control.
@@ -349,16 +350,12 @@ def _validated(p_c, axis, probe):
     return float(_check_probability(p_c, "p_c")), unit_axis(n), bloch_vector(r)
 
 
-def switch_state_grid(kind: str, p_array, p_c: float, xi: float, axis, probe):
-    """Joint probe-control outputs and their exact xi-derivatives, shape (m, 4, 4) each."""
-    (p_c, n, r), weights = _validated(p_c, axis, probe), noise_weights(kind, p_array)
-    joint = np.empty((len(weights), 4, 4), dtype=np.complex128)
-    djoint = np.empty_like(joint)
-    for rows, phi, dphi in _gram_factors(kind, weights, n, _reduce_phase(xi), r, p_c):
-        phi_dag = phi.conj().swapaxes(1, 2)
-        joint[rows] = phi @ phi_dag
-        djoint[rows] = dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2)
-    return joint, djoint
+def joint_state(kind: str, p: float, p_c: float, xi: float, axis, probe):
+    """The joint probe-control output at noise level p and its exact xi-derivative, (4, 4) each."""
+    (p_c, n, r), weights = _validated(p_c, axis, probe), noise_weights(kind, [p])
+    _, phi, dphi = next(_gram_factors(kind, weights, n, _reduce_phase(xi), r, p_c))
+    phi_dag = phi.conj().swapaxes(1, 2)
+    return (phi @ phi_dag)[0], (dphi @ phi_dag + phi @ dphi.conj().swapaxes(1, 2))[0]
 
 
 def evaluate_grid(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> dict:

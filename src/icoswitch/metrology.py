@@ -14,14 +14,15 @@ logarithmic derivative,
 
     F = sum_{j,k} 2 |<v_j| drho |v_k>|^2 / (lambda_j + lambda_k),
 
-with drho by central difference of the one step DEFAULT_STEP (cfi_numeric
-uses it too) and (lambda, v) from the Jacobi eigensolver.
+with drho by central difference of the one step DEFAULT_STEP, (lambda, v)
+from the Jacobi eigensolver, and the stacked products from qmat._product.
 
 Every evaluator returns a plain float, or an array of the batch shape for
 a stack.  The numbers the sweeps print come from the grid engine
-(engine.evaluate_grid); the density-matrix routes here (qfi_cascade,
-qfi_joint, cfi_numeric and qfi_numeric on control_family) are its
-independent oracle.
+(engine.evaluate_grid); the density-matrix routes here (qfi_cascade, and
+qfi_numeric on control_family) are the independent oracle ``verify`` runs.
+The SLD route on the joint output and the finite-difference Hadamard
+measurement are compositions only the tests run; tests/references.py holds them.
 """
 
 from __future__ import annotations
@@ -31,16 +32,13 @@ from typing import Callable
 import numpy as np
 
 from .channels import KrausChannel, bloch_to_density, noisy_phase_channel
-from .engine import _check_probability, _pauli_control
-from .qmat import ATOL_STRUCT, dagger, herm_eig
-from .switch import qc_numeric, s00, switch_state
+from .engine import _pauli_control
+from .qmat import ATOL_STRUCT, _product, dagger, herm_eig
+from .switch import s00, switch_state
 
 # Central-difference step for d rho / d xi: truncation O(h^2) and roundoff
 # balance near 1e-10, well inside the 1e-6 closed-form comparison tolerance.
 DEFAULT_STEP = 1e-5
-# (1 - P_+) P_+ below this marks a degenerate measurement distribution in
-# cfi_numeric (xi -> 0, or noise-free), where the information is 0.
-QC_DEGENERACY_TOL = 1e-12
 # Pairs with lambda_j + lambda_k below this are in the kernel of the SLD
 # formula and are excluded (standard regularization).
 SLD_EIGENVALUE_CUTOFF = 1e-10
@@ -76,7 +74,7 @@ def qfi_numeric(family: StateFamily, xi0) -> float | np.ndarray:
     if not ((vals[..., 0] >= -ATOL_STRUCT) & (abs(vals.sum(axis=-1) - 1.0) < ATOL_STRUCT)).all():
         raise ValueError("family did not produce a density operator")
     drho = (family(xi0 + DEFAULT_STEP) - family(xi0 - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
-    overlap = dagger(vecs) @ drho @ vecs
+    overlap = _product(_product(dagger(vecs), drho), vecs)
     weight = vals[..., :, None] + vals[..., None, :]
     kept = weight > SLD_EIGENVALUE_CUTOFF
     terms = 2.0 * np.hypot(overlap.real, overlap.imag) ** 2 / np.where(kept, weight, 1.0)
@@ -131,46 +129,3 @@ def qfi_cascade(noise: KrausChannel, axis, xi: float, probe) -> float | np.ndarr
         return s00(noisy_phase_channel(noise, axis, x), rho)
 
     return qfi_numeric(family, xi)
-
-
-def qfi_joint(
-    noise: KrausChannel, axis, xi: float, rho: np.ndarray, p_c: float
-) -> float | np.ndarray:
-    """Quantum Fisher information of the joint probe-control output (numeric).
-
-    Never below the control-only value (partial tracing cannot increase
-    Fisher information) and equal to the cascade value when the two causal
-    orders coincide.
-    """
-
-    def family(x):
-        return switch_state(noisy_phase_channel(noise, axis, x), rho, p_c).joint
-
-    return qfi_numeric(family, xi)
-
-
-def cfi_numeric(noise: KrausChannel, axis, xi, rho: np.ndarray, p_c) -> float | np.ndarray:
-    """Classical Fisher information of the Hadamard measurement, any noise.
-
-    Differentiates P_+(xi) = 1/2 + sqrt((1-p_c) p_c) q_c(xi) by central
-    difference with step DEFAULT_STEP.  At an exactly degenerate point (P_+
-    in {0, 1} with vanishing slope) it returns 0.  Noise, axes ``(..., 3)``,
-    states, p_c and the phase broadcast, as in control_family.
-    """
-    p_c = _check_probability(p_c, "p_c")
-    s_c = np.sqrt((1.0 - p_c) * p_c)
-
-    def p_plus(x):
-        return 0.5 + s_c * qc_numeric(noisy_phase_channel(noise, axis, x), rho)
-
-    center = p_plus(xi)
-    slope = (p_plus(xi + DEFAULT_STEP) - p_plus(xi - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
-    denom = (1.0 - center) * center
-    degenerate = denom < QC_DEGENERACY_TOL
-    steep = degenerate & (abs(slope) > 1e-6)
-    if steep.any():
-        raise ArithmeticError(
-            f"measurement distribution degenerate (P_+ = {np.asarray(center)[steep][0]})"
-            " with nonzero derivative"
-        )
-    return _fisher(np.where(degenerate, 0.0, slope * slope / np.where(degenerate, 1.0, denom)))

@@ -19,9 +19,10 @@ nonzero in some member, so a Choi matrix of the switch is solved on half
 its rows.  The private ``_product`` forms the oracle's stacked 2x2
 products elementwise, where ``@`` pays a BLAS call per member.
 
-Tolerances are centralized here: structural checks at 1e-10,
-eigendecomposition reconstruction at 1e-11, Jacobi convergence at 1e-13
-relative.  Double precision sustains these comfortably at these dimensions.
+Tolerances are centralized here: structural checks at 1e-10 and Jacobi
+convergence at 1e-13 relative, within JACOBI_MAX_SWEEPS sweeps.  Double
+precision sustains these comfortably at these dimensions.  ``partial_trace``
+traces out the probe, the one reduction the switch needs.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ import numpy as np
 
 # Structural checks: Hermiticity, trace, completeness, positivity.
 ATOL_STRUCT = 1e-10
-# Eigendecomposition quality: reconstruction and orthonormality residuals.
-ATOL_RECON = 1e-11
 # Jacobi sweep termination: off-diagonal Frobenius norm relative to ||A||_F.
 JACOBI_REL_TOL = 1e-13
 JACOBI_MAX_SWEEPS = 100
@@ -81,22 +80,16 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_trace(m: np.ndarray, keep: str, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
-    """Trace out one factor of each bipartite operator in the stack.
+def partial_trace(m: np.ndarray, dims: tuple[int, int] = (2, 2)) -> np.ndarray:
+    """Trace out the probe, the first tensor factor, of each bipartite operator in the stack.
 
-    ``keep`` is ``"probe"`` for the first tensor factor or ``"control"``
-    for the second; ``dims`` gives the factor dimensions (probe, control).
-    The total trace is preserved.
+    ``dims`` gives the factor dimensions (probe, control); the result is
+    the control's reduced operator, with the total trace preserved.
     """
     da, db = dims
     if m.shape[-2:] != (da * db, da * db):
         raise ValueError(f"dimension mismatch: {m.shape} vs dims {dims}")
-    blocks = m.reshape(*m.shape[:-2], da, db, da, db)
-    if keep == "probe":
-        return np.trace(blocks, axis1=-3, axis2=-1)
-    if keep == "control":
-        return np.trace(blocks, axis1=-4, axis2=-2)
-    raise ValueError(f"keep must be 'probe' or 'control', got {keep!r}")
+    return np.trace(m.reshape(*m.shape[:-2], da, db, da, db), axis1=-4, axis2=-2)
 
 
 class EigDecomp(NamedTuple):
@@ -111,7 +104,7 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
-def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
+def herm_eig(a: np.ndarray) -> EigDecomp:
     """Eigendecomposition of each Hermitian matrix in a stack by cyclic Jacobi rotations.
 
     Sweeps the pivots (p, q), p < q, in a fixed row-cyclic order and applies
@@ -135,7 +128,7 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
 
     Raises:
         ValueError: if a member is not Hermitian within 1e-10.
-        ArithmeticError: if the sweep limit is exhausted before every member converged.
+        ArithmeticError: if JACOBI_MAX_SWEEPS sweeps end before every member converged.
     """
     a = as_cmatrix(a)
     batch, n = a.shape[:-2], a.shape[-1]
@@ -167,7 +160,7 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     z[:k] = w[live[:, None], live]
     z[np.arange(k, 2 * k), np.arange(k), 0] = 1.0
     if k > 1:
-        _jacobi(z, k, max_sweeps)
+        _jacobi(z, k)
 
     diagonal = np.arange(n)
     vals = w[diagonal, diagonal, 0].T
@@ -185,7 +178,7 @@ def herm_eig(a: np.ndarray, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigDecomp:
     return EigDecomp(vals.reshape(*batch, n), vecs.reshape(*batch, n, n))
 
 
-def _jacobi(z: np.ndarray, n: int, max_sweeps: int) -> None:
+def _jacobi(z: np.ndarray, n: int) -> None:
     """Row-cyclic Jacobi sweeps on the n x n matrices of ``z`` (see herm_eig), in place; n > 1."""
     members = z.shape[-1]
     offdiag = ~np.eye(n, dtype=bool).ravel()
@@ -201,14 +194,14 @@ def _jacobi(z: np.ndarray, n: int, max_sweeps: int) -> None:
     pivot_skip = 1e-18 * fro
     active = np.ones(members, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(JACOBI_MAX_SWEEPS):
             active &= ~(np.sqrt(_sum_in_order(squares()[offdiag])) <= off_tol)
             if not active.any():
                 return
             for p in range(n - 1):
                 for q in range(p + 1, n):
                     _rotate(z, n, p, q, active, pivot_skip)
-    raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+    raise ArithmeticError(f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
 def _rotate(z: np.ndarray, n: int, p: int, q: int, active: np.ndarray, pivot_skip) -> None:

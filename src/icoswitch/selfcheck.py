@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import bloch_to_density, depolarizing_channel, noisy_phase_channel, pauli_channel
-from .engine import PAULI_OF_KIND, evaluate_grid, switch_state_grid
+from .engine import PAULI_OF_KIND, evaluate_grid, joint_state
 from .metrology import (
     cfi_control,
     control_family,
@@ -112,7 +112,7 @@ def check_joint_state_oracle() -> CheckResult:
     worst = float(np.max(np.abs(switch_state(ch, rho, p_c).joint - oracle)))
     every_tenth = zip(pauli[::10], p[::10], p_c[::10], xi[::10], axis[::10], probe[::10])
     engine = [
-        switch_state_grid(_KIND_OF_PAULI[letter], [level], *rest)[0][0]
+        joint_state(_KIND_OF_PAULI[letter], level, *rest)[0]
         for letter, level, *rest in every_tenth
     ]
     engine_diff = float(np.max(np.abs(engine - oracle[::10])))

@@ -135,7 +135,7 @@ def switch_state(ch: KrausChannel, rho: np.ndarray, p_c) -> SwitchResult:
     coherence = np.sqrt((1.0 - p_c) * p_c)
     joint = _kron(s00_part, _control_diagonal(p_c)) + _kron(s01_part, _levels(coherence) * _FLIP)
     check_density(joint, "joint switch output")
-    control = partial_trace(joint, keep="control", dims=(ch.dim, 2))
+    control = partial_trace(joint, dims=(ch.dim, 2))
     return SwitchResult(joint=joint, control_reduced=control, q_c=_coupling(s01_part))
 
 

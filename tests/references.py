@@ -3,10 +3,14 @@
 Besides the random draws and Hypothesis strategies, this holds two oracles
 that are independent of the package's density-matrix code: the exact
 Bloch-vector cascade QFI of the fig2 setting (cascade_bloch_oracle) and the
-block form of fq_joint at p_c = 1/2 (block_fq_joint).  It also holds two
-direct forms that only the tests use: a channel's action on a state
-(apply_channel) and the reduced control state built without a partial trace
-(reduced_control).
+block form of fq_joint at p_c = 1/2 (block_fq_joint).  It also holds the
+forms that only the tests use:
+- a channel's action on a state (apply_channel);
+- the reduced control state built without a partial trace (reduced_control),
+  and the probe's marginal of a bipartite operator (probe_marginal);
+- two compositions of the package's density-matrix oracle: the SLD QFI of the
+  joint output (qfi_joint) and the finite-difference classical FI of the
+  Hadamard measurement (cfi_numeric).
 """
 
 import itertools
@@ -21,13 +25,18 @@ from icoswitch.channels import (
     _levels,
     _matching_state,
     depolarizing_channel,
+    noisy_phase_channel,
     pauli_channel,
 )
 from icoswitch.engine import PAULI_OF_KIND, _check_probability
-from icoswitch.switch import _FLIP, _control_diagonal, qc_numeric
+from icoswitch.metrology import DEFAULT_STEP, _fisher, qfi_numeric
+from icoswitch.switch import _FLIP, _control_diagonal, qc_numeric, switch_state
 
 XI = np.pi / 5
 E_Y = (0.0, 1.0, 0.0)
+# (1 - P_+) P_+ below this marks a degenerate measurement distribution in
+# cfi_numeric (xi -> 0, or noise-free), where the information is 0.
+QC_DEGENERACY_TOL = 1e-12
 
 # Exact value of the control-qubit QFI at p = 1/2, p_c = 1/2, overlap 0,
 # xi = pi/5: numerator (a sin xi)^2 with a = 1/2 and denominator 1 - q_c^2
@@ -62,6 +71,52 @@ def reduced_control(ch: KrausChannel, rho: np.ndarray, p_c) -> np.ndarray:
     p_c = _check_probability(p_c, "p_c")
     coherence = qc_numeric(ch, rho) * np.sqrt((1.0 - p_c) * p_c)
     return _control_diagonal(p_c) + _levels(coherence) * _FLIP
+
+
+def probe_marginal(m: np.ndarray) -> np.ndarray:
+    """Trace out the second qubit of each two-qubit operator (..., 4, 4), keeping the first."""
+    return np.trace(m.reshape(*m.shape[:-2], 2, 2, 2, 2), axis1=-3, axis2=-1)
+
+
+def qfi_joint(noise: KrausChannel, axis, xi, rho: np.ndarray, p_c):
+    """Quantum Fisher information of the joint probe-control output (numeric).
+
+    Never below the control-only value (partial tracing cannot increase
+    Fisher information) and equal to the cascade value when the two causal
+    orders coincide.
+    """
+
+    def family(x):
+        return switch_state(noisy_phase_channel(noise, axis, x), rho, p_c).joint
+
+    return qfi_numeric(family, xi)
+
+
+def cfi_numeric(noise: KrausChannel, axis, xi, rho: np.ndarray, p_c):
+    """Classical Fisher information of the Hadamard measurement, any noise.
+
+    Differentiates P_+(xi) = 1/2 + sqrt((1-p_c) p_c) q_c(xi) by central
+    difference with step DEFAULT_STEP.  At an exactly degenerate point (P_+
+    in {0, 1} with vanishing slope) it returns 0.  Noise, axes ``(..., 3)``,
+    states, p_c and the phase broadcast, as in control_family.
+    """
+    p_c = _check_probability(p_c, "p_c")
+    s_c = np.sqrt((1.0 - p_c) * p_c)
+
+    def p_plus(x):
+        return 0.5 + s_c * qc_numeric(noisy_phase_channel(noise, axis, x), rho)
+
+    center = p_plus(xi)
+    slope = (p_plus(xi + DEFAULT_STEP) - p_plus(xi - DEFAULT_STEP)) / (2.0 * DEFAULT_STEP)
+    denom = (1.0 - center) * center
+    degenerate = denom < QC_DEGENERACY_TOL
+    steep = degenerate & (abs(slope) > 1e-6)
+    if steep.any():
+        raise ArithmeticError(
+            f"measurement distribution degenerate (P_+ = {np.asarray(center)[steep][0]})"
+            " with nonzero derivative"
+        )
+    return _fisher(np.where(degenerate, 0.0, slope * slope / np.where(degenerate, 1.0, denom)))
 
 
 def random_axis(rng):

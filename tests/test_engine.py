@@ -24,22 +24,17 @@ from icoswitch.engine import (
     SIGMA_Y,
     SIGMA_Z,
     evaluate_grid,
-    switch_state_grid,
+    joint_state,
 )
-from icoswitch.metrology import (
-    cfi_control,
-    cfi_numeric,
-    control_family,
-    qfi_control,
-    qfi_joint,
-    qfi_numeric,
-)
+from icoswitch.metrology import cfi_control, control_family, qfi_control, qfi_numeric
 from icoswitch.switch import qc_closed_form, qc_numeric, s00, s01, switch_state
 from references import (
     NOISE_LEVELS,
     block_fq_joint,
+    cfi_numeric,
     noise_channel,
     phases,
+    qfi_joint,
     random_axis,
     random_bloch,
     unit_vectors,
@@ -164,13 +159,13 @@ class TestEngineMatchesOracle:
             axis /= np.linalg.norm(axis)
             probe = (0.3, -0.5, 0.4)
             noise, rho = noise_channel(kind, p), bloch_to_density(probe)
-            joint, djoint = switch_state_grid(kind, [p], p_c, xi, axis, probe)
+            joint, djoint = joint_state(kind, p, p_c, xi, axis, probe)
             direct = switch_state(noisy_phase_channel(noise, axis, xi), rho, p_c).joint
-            np.testing.assert_allclose(joint[0], direct, atol=1e-15)
+            np.testing.assert_allclose(joint, direct, atol=1e-15)
             step = 1e-5
             ahead = switch_state(noisy_phase_channel(noise, axis, xi + step), rho, p_c).joint
             behind = switch_state(noisy_phase_channel(noise, axis, xi - step), rho, p_c).joint
-            np.testing.assert_allclose(djoint[0], (ahead - behind) / (2 * step), atol=1e-9)
+            np.testing.assert_allclose(djoint, (ahead - behind) / (2 * step), atol=1e-9)
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_joint_matches_hadamard_witness(self, kind):
@@ -379,7 +374,6 @@ class TestEvaluateGrid:
         for entry in (
             lambda grid: icoswitch.engine.noise_weights("depolarizing", grid),
             lambda grid: evaluate_grid(("qc",), "bitflip", grid, *args),
-            lambda grid: switch_state_grid("bitflip", grid, *args),
         ):
             with pytest.raises(ValueError, match="^noise grid has 11 levels, more than 10$"):
                 entry(np.zeros(11))
@@ -398,29 +392,30 @@ class TestEvaluateGrid:
             return kraus_blocks(n, xi, r, p_c, paulis)
 
         monkeypatch.setattr(icoswitch.engine, "_kraus_blocks", recording)
-        args = ("bitphaseflip", [0.0, 0.3], 0.4, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
-        switch_state_grid(*args)
-        evaluate_grid(("fq_joint",), *args)
+        args = (0.4, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
+        joint_state("bitphaseflip", 0.0, *args)
+        evaluate_grid(("fq_joint",), "bitphaseflip", [0.0, 0.3], *args)
         assert seen == [[0, 2], [0, 2]]
 
-    def test_switch_state_grid_runs_in_chunks(self, monkeypatch):
-        args = (0.3, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
+    def test_fq_joint_runs_in_chunks(self, monkeypatch):
+        args = (("fq_joint",), "depolarizing")
+        rest = (0.3, 0.7, (0.6, 0.0, 0.8), (0.1, 0.2, 0.3))
         grid = np.linspace(0.0, 1.0, 10)
-        points = [switch_state_grid("depolarizing", [p], *args) for p in grid]
+        points = [evaluate_grid(*args, [p], *rest)["fq_joint"] for p in grid]
         monkeypatch.setattr(icoswitch.engine, "JOINT_CHUNK", 3)
-        for got, one in zip(switch_state_grid("depolarizing", grid, *args), zip(*points)):
-            assert got.tobytes() == np.concatenate(one).tobytes()
+        got = evaluate_grid(*args, grid, *rest)["fq_joint"]
+        assert got.tobytes() == np.concatenate(points).tobytes()
         monkeypatch.undo()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            joint, djoint = switch_state_grid("depolarizing", np.linspace(0.0, 1.0, 4096), *args)
+            column = evaluate_grid(*args, np.linspace(0.0, 1.0, 4096), *rest)["fq_joint"]
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # Whole-grid Gram factors took about 8 kB a level, 35 MB here; in
-        # chunks the temporaries past the two outputs stay near 0.6 MB.
-        assert peak - joint.nbytes - djoint.nbytes < 1_000_000
+        # Whole-grid Gram factors take about 8 kB a level, 35 MB here; in
+        # chunks the temporaries past the output stay well under 1 MB.
+        assert peak - column.nbytes < 1_000_000
 
 
 CONTROL = ("qc", "fq_con", "fc_con")

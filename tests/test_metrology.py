@@ -16,11 +16,9 @@ from icoswitch.engine import NOISE_KINDS, SIGMA_X, SIGMA_Y, SIGMA_Z, evaluate_gr
 from icoswitch.metrology import (
     _fisher,
     cfi_control,
-    cfi_numeric,
     control_family,
     qfi_cascade,
     qfi_control,
-    qfi_joint,
     qfi_numeric,
 )
 from icoswitch.sweep import FIG2_R_VALUES, fig2_preset
@@ -31,8 +29,10 @@ from references import (
     XI,
     apply_channel,
     cascade_bloch_oracle,
+    cfi_numeric,
     noise_channel,
     phases,
+    qfi_joint,
     random_axis,
     random_bloch,
     unit_vectors,

@@ -1,13 +1,15 @@
 """Tests for the small dense complex linear algebra kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import icoswitch.qmat
 from icoswitch.engine import I2, SIGMA_X, SIGMA_Y
 from icoswitch.qmat import (
-    ATOL_RECON,
     ATOL_STRUCT,
     _product,
     as_cmatrix,
@@ -16,6 +18,10 @@ from icoswitch.qmat import (
     partial_trace,
     psd_within,
 )
+from references import probe_marginal
+
+# Eigendecomposition quality: reconstruction and orthonormality residuals.
+ATOL_RECON = 1e-11
 
 
 def random_complex(rng, n):
@@ -66,44 +72,32 @@ class TestPartialTrace:
         rng = np.random.default_rng(5)
         rho = random_density(rng, 2)
         sigma = random_density(rng, 2)
-        np.testing.assert_allclose(
-            partial_trace(np.kron(rho, sigma), keep="probe"), rho, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            partial_trace(np.kron(rho, sigma), keep="control"), sigma, atol=1e-14
-        )
+        np.testing.assert_allclose(partial_trace(np.kron(rho, sigma)), sigma, atol=1e-14)
 
     def test_bell_state(self):
         phi = np.zeros(4, dtype=complex)
         phi[0] = phi[3] = 1 / np.sqrt(2)
         bell = np.outer(phi, phi.conj())
-        np.testing.assert_allclose(partial_trace(bell, keep="probe"), I2 / 2, atol=1e-15)
+        np.testing.assert_allclose(partial_trace(bell), I2 / 2, atol=1e-15)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             m = random_complex(rng, 4)
             m = m / np.trace(m)
-            for keep in ("probe", "control"):
-                assert abs(np.trace(partial_trace(m, keep=keep)) - 1.0) < 1e-12
+            assert abs(np.trace(partial_trace(m)) - 1.0) < 1e-12
 
     def test_kron_scaling(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = random_complex(rng, 2)
+            a = a / np.trace(a)
             b = random_complex(rng, 2)
-            b = b / np.trace(b)
-            np.testing.assert_allclose(
-                partial_trace(np.kron(a, b), keep="probe"), a, atol=1e-12
-            )
+            np.testing.assert_allclose(partial_trace(np.kron(a, b)), b, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            partial_trace(np.eye(3, dtype=complex), keep="probe")
-
-    def test_bad_tag(self):
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(np.eye(4, dtype=complex), keep="ancilla")
+            partial_trace(np.eye(3, dtype=complex))
 
 
 class TestHermEig:
@@ -219,9 +213,10 @@ class TestHermEigContract:
         np.testing.assert_array_equal(with_tiny.eigenvectors, without.eigenvectors)
         assert_matches_eigh(tiny, 4)
 
-    def test_sweep_limit_raises(self):
+    def test_sweep_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(icoswitch.qmat, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(ArithmeticError, match="0 sweeps"):
-            herm_eig(SIGMA_X, max_sweeps=0)
+            herm_eig(SIGMA_X)
 
     @pytest.mark.parametrize("n", [2, 16])  # 4x4: TestHermEig.test_deterministic
     def test_bit_identical_repeat(self, n):
@@ -301,8 +296,9 @@ class TestHermEigStacks:
     @given(stack=hermitian_stacks(), data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_one_bad_member_fails_the_stack(self, stack, data):
-        with pytest.raises(ArithmeticError, match="1 sweeps"):
-            herm_eig(stack, max_sweeps=1)
+        with mock.patch.object(icoswitch.qmat, "JACOBI_MAX_SWEEPS", 1):
+            with pytest.raises(ArithmeticError, match="1 sweeps"):
+                herm_eig(stack)
         broken = stack.copy()
         broken[data.draw(st.integers(0, len(stack) - 1)), 0, 1] += 1e-3
         with pytest.raises(ValueError, match="Hermitian"):
@@ -455,7 +451,7 @@ class TestChannelChoi:
         p = 0.3
         ops = [np.sqrt(1 - p) * I2, np.sqrt(p) * SIGMA_Y]
         choi = channel_choi(ops)
-        marginal = partial_trace(choi, keep="probe")
+        marginal = probe_marginal(choi)
         assert np.max(np.abs(marginal - I2)) < ATOL_STRUCT
         vals, _ = herm_eig(choi)
         assert vals[0] > -ATOL_STRUCT

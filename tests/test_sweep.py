@@ -1,5 +1,6 @@
 """Tests for config parsing, the sweep engine, CSV/SVG output, and the CLI."""
 
+import inspect
 import json
 import math
 import os
@@ -19,7 +20,6 @@ from icoswitch import cli, engine, sweep
 from icoswitch.channels import bloch_to_density, noisy_phase_channel
 from icoswitch.cli import main
 from icoswitch.engine import evaluate_grid
-from icoswitch.metrology import qfi_joint
 from icoswitch.selfcheck import CheckResult, _result
 from icoswitch.sweep import (
     MAX_GRID_POINTS,
@@ -34,7 +34,7 @@ from icoswitch.sweep import (
     run_sweep,
 )
 from icoswitch.switch import qc_numeric
-from references import FQ_CON_ANCHOR, noise_channel
+from references import FQ_CON_ANCHOR, noise_channel, qfi_joint
 from test_golden import GOLDEN_DIR, check
 
 
@@ -903,6 +903,23 @@ class TestCli:
             ["usage:", "icoswitch"], *[["icoswitch", c] for c in ("sweep", "point", "verify")]
         ]
 
+    def test_oversized_config_is_one_line_error(self, tmp_path, capsysbinary):
+        config = tmp_path / "huge.cfg"
+        with open(config, "wb") as fh:
+            fh.truncate((1 << 20) + 1)  # sparse: 1 MiB + 1 NUL bytes that take no disk
+        assert main(["sweep", "--config", str(config)]) == 1
+        err = capsysbinary.readouterr().err.decode()
+        assert err == f"error: argument --config: {str(config)!r} holds more than 1048576 bytes\n"
+
+    def test_non_utf8_config_names_its_line(self, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"noise = bitflip\n\xff\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: argument --config: {str(config)!r} line 2 is not UTF-8 (invalid start byte)\n"
+        )
+
     def test_missing_config_file(self, capsys):
         code = main(["sweep", "--config", "/nonexistent/path.cfg"])
         assert code == 1
@@ -1015,7 +1032,7 @@ class TestPackageNamespace:
         assert _modules_loaded_by("import icoswitch.cli", prefix="argparse") == []
 
     def test_each_public_name_is_its_submodules_attribute(self):
-        assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 41
+        assert icoswitch.__all__ == sorted(icoswitch.__all__) and len(icoswitch.__all__) == 39
         for name in icoswitch.__all__:
             value = getattr(icoswitch, name)
             module = sys.modules[value.__module__]
@@ -1023,6 +1040,39 @@ class TestPackageNamespace:
         assert set(icoswitch.__all__) <= set(dir(icoswitch))
         with pytest.raises(AttributeError, match="nope"):
             icoswitch.nope
+
+    def test_commands_call_every_public_function_and_method(self, tmp_path, capsys):
+        # The package holds what fig2, sweep, point and verify run; an entry,
+        # method or mode that only tests call belongs in tests/references.py.
+        runs = [["fig2", "--steps", "21", "--svg", str(tmp_path / "fig2.svg")], ["verify"]]
+        runs += [["sweep", "--config", str(cfg)] for cfg in sorted(GOLDEN_DIR.glob("*.cfg"))]
+        runs += [["point", "--p", "0.3", "--quantity", q] for q in engine.QUANTITIES]
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            codes = [main(argv) for argv in runs]
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert codes == [0] * len(runs)
+        package = Path(icoswitch.__file__).resolve().parent
+        defined = {}
+        for name in icoswitch.__all__:
+            value = getattr(icoswitch, name)
+            members = vars(value).items() if inspect.isclass(value) else [(None, value)]
+            for attr, member in members:
+                fn = member.fget if isinstance(member, property) else member
+                # Methods a dataclass or NamedTuple generates are compiled from "<string>".
+                code = fn.__code__ if inspect.isfunction(fn) else None
+                if code and Path(code.co_filename).resolve().parent == package:
+                    defined[name if attr is None else f"{name}.{attr}"] = code
+        assert "KrausChannel.__post_init__" in defined and "evaluate_grid" in defined
+        assert sorted(name for name, code in defined.items() if code not in called) == []
 
     def test_lookup_sees_the_current_attribute(self, monkeypatch):
         # Nothing is cached in the package, so a patched submodule shows through.
