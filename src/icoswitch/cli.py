@@ -168,8 +168,13 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
 
 
 def _read_config(path: str) -> str:
-    """The config file's text, read as at most MAX_CONFIG_BYTES + 1 bytes of UTF-8."""
-    with open(path, "rb") as fh:
+    """The config file's text, read as at most MAX_CONFIG_BYTES + 1 bytes of UTF-8.
+
+    The open does not block, so a FIFO with no writer reads as an empty config;
+    the read then blocks as usual, so a pipe is read to its end.
+    """
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        os.set_blocking(fh.fileno(), True)
         data = fh.read(MAX_CONFIG_BYTES + 1)
     if len(data) > MAX_CONFIG_BYTES:
         raise ValueError(f"argument --config: {path!r} holds more than {MAX_CONFIG_BYTES} bytes")

@@ -39,12 +39,12 @@ rotation about n.  The columns come from three routes, each exact in xi:
   scale, so eigenvalues far below the finite-difference oracle's 1e-10
   cutoff keep their information.
 
-_evaluate computes every column.  It trusts the names, p_c, axis and probe;
-kind, p and xi get their only engine checks there (noise_weights, and
-_reduce_phase, which also reduces xi mod 2 pi).  point and fig2_preset call it
-on checked or constant values.  evaluate_grid first checks the names and, in
-_validated as joint_state does, p_c, axis and probe; sweep and verify
-call it, since a hand-built SweepConfig reaches run_sweep unchecked.
+_evaluate computes every column.  It trusts the names, p_c, axis and probe (as
+bloch_vector returns it); kind, p and xi get their only engine checks there
+(noise_weights, and _reduce_phase, which also reduces xi mod 2 pi).  point and
+fig2_preset call it on checked or constant values.  evaluate_grid first checks
+the names and, in _validated as joint_state does, p_c, axis and probe; sweep
+and verify call it, since a hand-built SweepConfig reaches run_sweep unchecked.
 The control qubit's closed form has one more entry, _pauli_control, which
 stacks one-Pauli parameters for qc_closed_form, qfi_control and cfi_control.
 The density-matrix code in channels, switch and metrology is the independent
@@ -125,8 +125,8 @@ def _reject_non_finite(v: np.ndarray, what: str) -> None:
 def bloch_vector(r) -> np.ndarray:
     """Validate Bloch vectors ``(..., 3)``, a single one or a stack: each norm <= 1.
 
-    A norm overshoot of at most 1e-12 is rescaled silently (roundoff from
-    upstream arithmetic); anything larger is an error.
+    A norm overshoot of at most 1e-12 (roundoff) is rescaled silently until the norm
+    reads <= 1, so a second call moves no bit; anything larger is an error.
     """
     v, norm = _three_vectors(r, "Bloch vector")
     if not (norm <= 1.0).all():
@@ -134,7 +134,8 @@ def bloch_vector(r) -> np.ndarray:
         over = norm > 1.0 + BLOCH_NORM_TOL
         if over.any():
             raise ValueError(f"Bloch vector norm {np.asarray(norm)[over][0]} exceeds 1")
-        v = v / np.maximum(norm, 1.0)[..., None]
+        while not (norm <= 1.0).all():  # v / |v| can still read a norm above 1
+            v, norm = _three_vectors(v / np.maximum(norm, 1.0)[..., None], "Bloch vector")
     return v
 
 
@@ -363,16 +364,15 @@ def evaluate_grid(names, kind: str, p_array, p_c: float, xi: float, axis, probe)
     unknown = [name for name in names if name not in QUANTITIES]
     if unknown:
         raise ValueError(f"unknown quantity {unknown[0]!r}")
-    p_c, n, _ = _validated(p_c, axis, probe)  # the probe as given: _evaluate rescales it
-    return _evaluate(names, kind, p_array, p_c, xi, n, probe)
+    p_c, n, r = _validated(p_c, axis, probe)
+    return _evaluate(names, kind, p_array, p_c, xi, n, r)
 
 
 def _evaluate(names, kind: str, p_array, p_c: float, xi: float, axis, probe) -> dict:
     """evaluate_grid on checked names, p_c, axis and probe; kind, p and xi take their only
     engine checks here, and only the routes the names need are computed."""
     weights, xi = noise_weights(kind, p_array), _reduce_phase(xi)
-    n, (r, norm) = np.asarray(axis, dtype=np.float64), _three_vectors(probe, "Bloch vector")
-    r = r / max(norm, 1.0)  # bloch_vector's rescale, once: a second can move a bit
+    n, r = np.asarray(axis, dtype=np.float64), np.asarray(probe, dtype=np.float64)
     out = {}
     if {"qc", "fq_con", "fc_con"} & set(names):
         out.update(_control_columns(weights, n, xi, p_c))

@@ -30,6 +30,7 @@ from .metrology import (
     qfi_numeric,
 )
 from .qmat import channel_choi, dagger, herm_eig
+from .sweep import DEFAULT_XI, FIG2_R_VALUES
 from .switch import (
     qc_closed_form,
     qc_numeric,
@@ -289,13 +290,12 @@ def check_fig2_shape() -> CheckResult:
     evaluate_grid call per probe length as in fig2, against the SLD route,
     to 1e-6.
     """
-    xi = np.pi / 5
-    ps = np.linspace(0.0, 1.0, 11)
+    xi, ps = DEFAULT_XI, np.linspace(0.0, 1.0, 11)
     con = qfi_control(0.5, ps, xi, 0.0)
     sym = float(np.max(np.abs(con - con[::-1])))
     peak_ok = int(np.argmax(con)) == 5
     high = (0.6, 0.7, 0.8, 0.9)
-    probes = [(0.0, 0.0, r) for r in (1.0, 0.8, 0.6, 0.4, 0.2)]
+    probes = [(0.0, 0.0, r) for r in FIG2_R_VALUES]
     # Channels of batch shape (4,) against probes of (5, 1): row i is probe i.
     cas = qfi_cascade(pauli_channel("x", high), (0.0, 1.0, 0.0), xi, np.array(probes)[:, None])
     cross_ok = bool((qfi_control(0.5, high, xi, 0.0) > cas).all())

@@ -14,7 +14,7 @@ Every column of a sweep comes from one call of the grid engine
 control columns, the Bloch-space cascade, and a batched SVD of the joint
 state's Gram factor with its exact derivative; ``point`` is a one-point
 grid.  Every quantity is 2 pi-periodic in xi, so the engine evaluates at
-xi reduced to [-pi, pi]; the CSV xi column echoes the configured value.
+xi reduced to [-pi, pi]; the CSV echoes xi as given, the probe as rescaled.
 A table is one dict of columns in CSV order, each holding one cell per grid
 point (a float64 array in the package's tables, or a list).  Output is
 formatted a column at a time: CSV cells byte for byte as format_number
@@ -123,10 +123,9 @@ def _axis(raw: str) -> tuple[float, float, float]:
 def _probe(raw: str) -> tuple[float, float, float]:
     vec = _triple(raw, "probe")
     try:
-        bloch_vector(vec)
+        return tuple(bloch_vector(vec).tolist())
     except ValueError as exc:
         raise ValueError(f"probe {exc}") from None
-    return vec
 
 
 def _probability(key: str):

@@ -1,10 +1,11 @@
 """Helpers and reference values the test modules share; pytest collects nothing here.
 
-Besides the random draws and Hypothesis strategies, this holds two oracles
+Besides the random draws and Hypothesis strategies, this holds three oracles
 that are independent of the package's density-matrix code: the exact
-Bloch-vector cascade QFI of the fig2 setting (cascade_bloch_oracle) and the
-block form of fq_joint at p_c = 1/2 (block_fq_joint).  It also holds the
-forms that only the tests use:
+Bloch-vector cascade QFI of the fig2 setting (cascade_bloch_oracle), the
+block form of fq_joint at p_c = 1/2 (block_fq_joint), and the control
+columns' closed form in rational arithmetic (exact_control_columns).  It
+also holds the forms that only the tests use:
 - a channel's action on a state (apply_channel);
 - the reduced control state built without a partial trace (reduced_control),
   and the probe's marginal of a bipartite operator (probe_marginal);
@@ -15,6 +16,7 @@ forms that only the tests use:
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -218,3 +220,34 @@ def block_fq_joint(kind: str, p, xi, axis, probe):
         dv = (np.array([np.trace(s @ dblock).real for s in paulis[1:]]) - dt * v) / t
         total += dt * dt / t + t * (dv @ dv + (v @ dv) ** 2 / (1.0 - v @ v))
     return total
+
+
+def exact_control_columns(kind: str, p: float, p_c: float, xi: float, axis) -> dict:
+    """qc, fq_con and fc_con from the engine docstring's closed form, evaluated in
+    ``fractions.Fraction`` at the exact float inputs and rounded once to float.
+
+    sin and cos of the exact xi/2 are Taylor series, summed until a term falls
+    below 1e-40, and the weights come from their definitions, so no float
+    rounding or cancellation enters; xi must lie in [-pi, pi], where the
+    engine takes it as given.
+    """
+    p, p_c, half = Fraction(p), Fraction(p_c), Fraction(xi) / 2
+    if kind == "depolarizing":
+        w0, wx, wy, wz = 1 - 3 * p / 4, p / 4, p / 4, p / 4
+    else:
+        w0, wx, wy, wz = [1 - p] + [p if letter == PAULI_OF_KIND[kind] else 0 for letter in "xyz"]
+    series, term, k = [Fraction(0), Fraction(0)], Fraction(1), 0  # cos, sin; half^k / k!
+    while abs(term) >= Fraction(1, 10**40):
+        series[k % 2] += term if k % 4 < 2 else -term
+        k += 1
+        term *= half / k
+    cos, sin = series
+    mx, my, mz = (1 - Fraction(c) ** 2 for c in axis)
+    alpha = 2 * (mx * (w0 * wx - wy * wz) + my * (w0 * wy - wx * wz) + mz * (w0 * wz - wx * wy))
+    beta = 4 * (wx * wy + wx * wz + wy * wz)
+    g = alpha * 2 * sin * sin + beta  # 1 - q_c
+    slope2 = (alpha * 2 * sin * cos) ** 2  # q_c'^2 = (alpha sin xi)^2
+    s2 = p_c * (1 - p_c)
+    fq_con = 4 * s2 * slope2 / (g * (2 - g))
+    fc_con = s2 * slope2 / ((p_c - Fraction(1, 2)) ** 2 + s2 * g * (2 - g))
+    return {"qc": float(1 - g), "fq_con": float(fq_con), "fc_con": float(fc_con)}

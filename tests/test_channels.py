@@ -263,7 +263,7 @@ class TestKrausChannel:
         with pytest.raises(ValueError, match="dimension"):
             KrausChannel((I2, np.eye(4, dtype=complex)))
 
-    def test_iteration_order(self):
+    def test_operator_order(self):
         ch = pauli_channel("x", 0.25)
         assert ch.kraus.shape == (2, 2, 2)
         np.testing.assert_array_equal(ch.kraus[0], np.sqrt(0.75) * I2)

@@ -32,6 +32,7 @@ from references import (
     NOISE_LEVELS,
     block_fq_joint,
     cfi_numeric,
+    exact_control_columns,
     noise_channel,
     phases,
     qfi_joint,
@@ -275,6 +276,18 @@ class TestExactAnchors:
                 got = evaluate_grid(("fq_con", "fc_con"), kind, [p], 0.5, xi, axis, (0, 0, 1))
                 assert abs(got["fq_con"][0] - alpha) < 1e-11 * alpha
                 assert abs(got["fc_con"][0] - alpha) < 1e-11 * alpha
+
+    @pytest.mark.parametrize("kind", ["bitflip", "depolarizing"])
+    @pytest.mark.parametrize("p_c", [0.5, 0.3])
+    def test_control_columns_near_pi_match_exact_arithmetic(self, kind, p_c):
+        # A second route near xi = pi, where 2 - c taken as a float difference
+        # would lose 8e-8 relative at delta = 1e-5 and 2e-2 at 1e-7.  No absolute
+        # floor: fq_con is about 1e-15 there.
+        axis = (0.6, 0.0, -0.8)
+        for xi in [sign * (math.pi - delta) for delta in (1e-3, 1e-5, 1e-7) for sign in (1, -1)]:
+            got = evaluate_grid(("qc", "fq_con", "fc_con"), kind, [0.37], p_c, xi, axis, (0, 0, 1))
+            for name, want in exact_control_columns(kind, 0.37, p_c, xi, axis).items():
+                assert got[name][0] == pytest.approx(want, rel=1e-12, abs=0.0), (name, xi)
 
     def test_depolarizing_control_vanishes_at_zero_phase(self):
         levels = [0.0, 0.3, 0.7, 1.0]

@@ -2,9 +2,9 @@
 
 GOLDEN maps each file under tests/golden/ to the argv that produces it: the file
 holds what the command prints, or what it writes at ``{out}``; a ``.sha256`` file
-holds the sha256 of those bytes.  Each *.cfg there is a sweep config, which CI
-runs too, and gives the CSV of its name.  point.txt holds one ``point`` argv per
-line and what it prints, as ``argv -> printed``.
+holds the sha256 of those bytes.  Each *.cfg there is a sweep config, and gives
+the CSV of its name.  point.txt holds one ``point`` argv per line and what it
+prints, as ``argv -> printed``.
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites every file from its argv,
 so ``git diff tests/golden`` shows what moved.
 """

@@ -5,7 +5,6 @@ tests/golden/point.txt, which tests/test_golden.py checks and rewrites.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -14,8 +13,8 @@ from icoswitch import cli, engine
 from icoswitch.engine import NOISE_KINDS, QUANTITIES, _evaluate, evaluate_grid
 from test_golden import check
 
-# A probe whose norm overshoots 1 by about 5e-13, on which a second rescale
-# by bloch_vector moves a bit.
+# A probe whose norm overshoots 1 by about 5e-13 and still reads above 1 once
+# divided by it.
 OVERSHOOT = "-0.5114278630209694,-0.8446027737845795,-0.15839095757712598"
 
 
@@ -27,22 +26,6 @@ def test_point_runs_no_engine_check(monkeypatch, tmp_path):
     with pytest.raises(AssertionError, match="point ran an engine check"):  # the patch is seen
         evaluate_grid(("qc",), "bitflip", [0.3], 0.5, 0.1, (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     check("point.txt", tmp_path)
-
-
-def test_evaluate_rescales_an_overshooting_probe_once():
-    # bloch_vector moves OVERSHOOT's bits on its first and its second
-    # application, and the fq_cas bits tell all three probes apart.
-    probe = cli._COMMANDS["point"][1]["--probe"][0](OVERSHOOT)
-    rescaled = engine.bloch_vector(probe)
-    flips = engine._flip_weights(engine.noise_weights("bitflip", [0.0, 0.37]))
-    axis = np.array([0.6, 0.0, -0.8])
-    never, once, twice = (
-        engine._cascade_qfi(flips, axis, 1.1, r).tobytes()
-        for r in (np.asarray(probe), rescaled, engine.bloch_vector(rescaled))
-    )
-    assert len({never, once, twice}) == 3
-    got = _evaluate(("fq_cas",), "bitflip", [0.0, 0.37], 0.3, 1.1, axis, probe)["fq_cas"]
-    assert got.tobytes() == once
 
 
 def typed(x: float):
@@ -69,6 +52,24 @@ PROBES = st.one_of(
     st.sampled_from(["0,0,1", "-0.3,0.2,0.1", OVERSHOOT]),
     triples(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1.0 + 1e-12), st.just(1.0 + 5e-13))),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(NOISE_KINDS), probe=triples(st.floats(1.0, 1.0 + 1e-12)))
+@example(kind="bitflip", probe=OVERSHOOT)
+def test_probe_rule_rescales_once_and_for_all(kind, probe):
+    # bloch_vector is idempotent bit for bit, so the value the probe rule
+    # returns needs no second rescale: _evaluate on it is evaluate_grid on
+    # the raw text's vector.
+    raw = [float(c) for c in probe.split(",")]
+    once = engine.bloch_vector(raw)
+    assert engine.bloch_vector(once).tobytes() == once.tobytes()
+    value = cli._COMMANDS["point"][1]["--probe"][0](probe)
+    axis, p = (0.6, 0.0, -0.8), [0.0, 0.37]
+    got = _evaluate(QUANTITIES, kind, p, 0.3, 1.1, axis, value)
+    want = evaluate_grid(QUANTITIES, kind, p, 0.3, 1.1, axis, raw)
+    for name in QUANTITIES:
+        assert got[name].tobytes() == want[name].tobytes(), name
 
 
 @settings(max_examples=300, deadline=None)

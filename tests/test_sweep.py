@@ -793,7 +793,7 @@ class TestCli:
         assert csv.read_bytes() == earlier
         assert list(tmp_path.iterdir()) == [csv]  # no temporary file is left behind
 
-    def test_fig2_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_fig2_byte_identical_across_runs(self, tmp_path):
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]
         for path in paths:
             assert main(["fig2", "--steps", "9", "--out", str(path)]) == 0
@@ -856,7 +856,10 @@ class TestCli:
             (["point", "--p", "abc", "--quantity", "qc"], "--p"),
             (["point", "--p", "1.7", "--quantity", "qc"], "--p"),
             (["point", "--p", "0.3", "--quantity", "qc", "--axis=0,0.6"], "--axis"),
-            (["point", "--p", "0.3", "--quantity", "qc", "--probe=0,0,1.5"], "--probe"),
+            (
+                ["point", "--p", "0.3", "--quantity", "qc", "--probe=0,0,1.5"],
+                "argument --probe: probe Bloch vector norm 1.5 exceeds 1",
+            ),
             (["point", "--p", "0.3", "--quantity", "qc", "--axis=0,0,2"], "--axis"),
             (["point", "--p", "0.3", "--quantity", "qc", "--pc", "2"], "--pc"),
             (["point", "--p", "0.3", "--quantity", "qc", "--xi", "nan"], "--xi"),
@@ -919,6 +922,20 @@ class TestCli:
         assert err == (
             f"error: argument --config: {str(config)!r} line 2 is not UTF-8 (invalid start byte)\n"
         )
+
+    def test_fifo_config_with_no_writer_reads_as_empty(self, tmp_path):
+        # Opening a FIFO blocks until a writer opens it, unless the open does
+        # not block; with no writer the config reads as empty, like /dev/null.
+        fifo = tmp_path / "config"
+        os.mkfifo(fifo)
+        src = str(Path(icoswitch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "icoswitch", "sweep", "--config", str(fifo)],
+            capture_output=True, env=env, timeout=10,
+        )  # fmt: skip
+        assert done.returncode == 0 and done.stderr == b""
+        assert done.stdout == render_csv(run_sweep(parse_config(""))).encode()
 
     def test_missing_config_file(self, capsys):
         code = main(["sweep", "--config", "/nonexistent/path.cfg"])
